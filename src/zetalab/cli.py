@@ -395,77 +395,70 @@ def _load_config(path: str) -> dict:
     return settings
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    """Global options, accepted both before and after the subcommand.
+def _global_flags() -> argparse.ArgumentParser:
+    """Global options, shared by the root and every leaf parser so that they
+    are accepted both before and after the subcommand.
 
-    The subcommand copies use SUPPRESS defaults so they never clobber values
-    already parsed at the root level.
+    Unset flags leave no attribute (SUPPRESS), so a leaf never clobbers a
+    value parsed at the root; `_resolve_defaults` fills in the rest.
     """
-
-    def dflt(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument("--config", default=dflt(None), help="flat key=value config file (flags win)")
-    parser.add_argument("--seed", type=int, default=dflt(None), help="PRNG seed (default 0)")
-    parser.add_argument("--threads", type=int, default=dflt(None),
-                        help=f"worker hint; never changes results (default ${THREADS_ENV} or 1)")
-    parser.add_argument("--out", default=dflt(None), help="output file (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=dflt(None))
-    if suppress:
-        parser.add_argument("--timing", action="store_true", default=argparse.SUPPRESS)
-    else:
-        parser.add_argument("--timing", action="store_true", help="populate the seconds column")
-    parser.add_argument("--plot-script", default=dflt(None),
-                        help="also write a plot script (requires --out)")
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--config", help="flat key=value config file (flags win)")
+    flags.add_argument("--seed", type=int, help="PRNG seed (default 0)")
+    flags.add_argument("--threads", type=int,
+                       help=f"worker hint; never changes results (default ${THREADS_ENV} or 1)")
+    flags.add_argument("--out", help="output file (default stdout)")
+    flags.add_argument("--format", choices=("csv", "json"))
+    flags.add_argument("--timing", action="store_true", help="populate the seconds column")
+    flags.add_argument("--plot-script", help="also write a plot script (requires --out)")
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    flags = _global_flags()
+    # No abbreviations at the root: `zeta value --t` must reach the leaf
+    # instead of matching --threads and --timing as a prefix.
     parser = argparse.ArgumentParser(
         prog="zetalab",
         description="Desk-scale laboratory for exponential sums, mean values, "
         "exponent pairs, bound planning and critical-line growth.",
+        parents=[flags],
+        allow_abbrev=False,
     )
-    _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pairs", help="exponent-pair calculus")
     ps = p.add_subparsers(dest="mode", required=True)
-    w = ps.add_parser("word", help="apply a word over {A,B} to a seed pair")
+    w = ps.add_parser("word", parents=[flags], help="apply a word over {A,B} to a seed pair")
     w.add_argument("--word", required=True)
     w.add_argument("--seed-pair", default="0,1")
-    _add_global_flags(w, suppress=True)
     w.set_defaults(func=_cmd_pairs_word)
-    s = ps.add_parser("search", help="exhaustive word search")
+    s = ps.add_parser("search", parents=[flags], help="exhaustive word search")
     s.add_argument("--max-len", type=int, default=6)
     s.add_argument("--objective", choices=pairs.OBJECTIVES, default="zeta_exponent")
     s.add_argument("--seed-pair", default=None)
     s.add_argument("--no-axiom", action="store_true")
-    _add_global_flags(s, suppress=True)
     s.set_defaults(func=_cmd_pairs_search)
 
     p = sub.add_parser("planner", help="piecewise bounds, coverage, run planning")
     ps = p.add_subparsers(dest="mode", required=True)
-    e = ps.add_parser("envelope", help="exact envelope over a rational grid")
+    e = ps.add_parser("envelope", parents=[flags], help="exact envelope over a rational grid")
     e.add_argument("--denominator-bound", type=int, default=84)
-    e.add_argument("--csv", action="store_true", help="(default output is already CSV)")
-    _add_global_flags(e, suppress=True)
     e.set_defaults(func=_cmd_planner_envelope)
-    c = ps.add_parser("coverage", help="exact critical-line coverage verification")
+    c = ps.add_parser("coverage", parents=[flags], help="exact critical-line coverage verification")
     c.add_argument("--denominator-bound", type=int, default=1000)
-    _add_global_flags(c, suppress=True)
     c.set_defaults(func=_cmd_planner_coverage)
-    pl = ps.add_parser("plan", help="plan a concrete (T, M) run")
+    pl = ps.add_parser("plan", parents=[flags], help="plan a concrete (T, M) run")
     pl.add_argument("--T", type=float, required=True)
     pl.add_argument("--M", type=int, required=True)
     pl.add_argument("--c", type=float, default=1.0)
     pl.add_argument("--t-threshold", type=float, default=1.0e6)
-    _add_global_flags(pl, suppress=True)
     pl.set_defaults(func=_cmd_planner_plan)
 
     p = sub.add_parser("meanvalue", help="moment counts and integrals")
     ps = p.add_subparsers(dest="mode", required=True)
     for mode in ("count", "kernel", "quadrature", "vinogradov"):
-        m = ps.add_parser(mode)
+        m = ps.add_parser(mode, parents=[flags])
         m.add_argument("--N", type=int, default=None)
         m.add_argument("--Ns", default=None, help="comma list; overrides --N")
         if mode == "count":
@@ -479,75 +472,74 @@ def _build_parser() -> argparse.ArgumentParser:
             m.add_argument("--Delta", type=float, default=None)
             if mode == "quadrature":
                 m.add_argument("--samples", type=int, default=100_000)
-        _add_global_flags(m, suppress=True)
         m.set_defaults(func=_cmd_meanvalue, mode=mode)
 
     p = sub.add_parser("decouple", help="decoupling-inequality probes")
     ps = p.add_subparsers(dest="mode", required=True)
     for mode in ("parabola", "bilinear"):
-        m = ps.add_parser(mode)
+        m = ps.add_parser(mode, parents=[flags])
         m.add_argument("--Ns", default="16,32,64,128" if mode == "parabola" else "8,16,32")
         m.add_argument("--ensemble", choices=decouple.ENSEMBLES, default="ones")
         m.add_argument("--samples", type=int, default=1 << 14)
         m.add_argument("--trials", type=int, default=1)
-        _add_global_flags(m, suppress=True)
         m.set_defaults(func=_cmd_decouple, mode=mode)
 
     p = sub.add_parser("zeta", help="critical-line evaluation and scans")
     ps = p.add_subparsers(dest="mode", required=True)
-    sc = ps.add_parser("scan", help="growth scan |zeta|/t^(13/84)")
+    sc = ps.add_parser("scan", parents=[flags], help="growth scan |zeta|/t^(13/84)")
     sc.add_argument("--t-min", type=float, default=10.0)
     sc.add_argument("--t-max", type=float, default=1.0e4)
     sc.add_argument("--points", type=int, default=200)
-    _add_global_flags(sc, suppress=True)
     sc.set_defaults(func=_cmd_zeta_scan)
-    v = ps.add_parser("value", help="single-point oracle value + AFE bound")
+    v = ps.add_parser("value", parents=[flags], help="single-point oracle value + AFE bound")
     v.add_argument("--t", type=float, required=True)
     v.add_argument("--terms", type=int, default=None)
     v.add_argument("--slack", type=float, default=zeta.DEFAULT_SLACK)
-    _add_global_flags(v, suppress=True)
     v.set_defaults(func=_cmd_zeta_value)
-    af = ps.add_parser("afe", help="one-sided AFE consistency scan")
+    af = ps.add_parser("afe", parents=[flags], help="one-sided AFE consistency scan")
     af.add_argument("--t-min", type=float, default=10.0)
     af.add_argument("--t-max", type=float, default=1.0e4)
     af.add_argument("--points", type=int, default=200)
     af.add_argument("--slack", type=float, default=zeta.DEFAULT_SLACK)
-    _add_global_flags(af, suppress=True)
     af.set_defaults(func=_cmd_zeta_afe)
 
     p = sub.add_parser("expsum", help="direct sum evaluation")
     ps = p.add_subparsers(dest="mode", required=True)
-    q = ps.add_parser("quadruple")
+    q = ps.add_parser("quadruple", parents=[flags])
     q.add_argument("--N", type=int, required=True)
     q.add_argument("--x", required=True, help="x1,x2,x3,x4")
-    _add_global_flags(q, suppress=True)
     q.set_defaults(func=_cmd_expsum_quadruple)
-    d = ps.add_parser("dyadic")
+    d = ps.add_parser("dyadic", parents=[flags])
     d.add_argument("--T", type=float, required=True)
     d.add_argument("--M", type=int, required=True)
     d.add_argument("--kind", choices=("log", "monomial"), default="log")
     d.add_argument("--exponent", type=_parse_fraction, default=None)
     d.add_argument("--radians", action="store_true",
                    help="interpret --T as radians t (cycles T = t/(2 pi))")
-    _add_global_flags(d, suppress=True)
     d.set_defaults(func=_cmd_expsum_dyadic)
 
     return parser
 
 
 def _resolve_defaults(args) -> None:
-    config = _load_config(args.config) if args.config else {}
-    if args.seed is None:
+    """Fill in the global flags left unset: config file, then environment,
+    then built-in defaults."""
+    config = _load_config(args.config) if "config" in args else {}
+    if "seed" not in args:
         args.seed = int(config.get("seed", 0))
-    if args.threads is None:
+    if "threads" not in args:
         env = os.environ.get(THREADS_ENV)
         args.threads = int(config.get("threads", env if env else 1))
-    if args.format is None:
+    if "format" not in args:
         args.format = config.get("format", "csv")
         if args.format not in ("csv", "json"):
             raise ValueError(f"config format must be csv or json, got {args.format!r}")
-    if args.out is None:
+    if "out" not in args:
         args.out = config.get("out") or None
+    if "timing" not in args:
+        args.timing = False
+    if "plot_script" not in args:
+        args.plot_script = None
 
 
 def main(argv=None) -> int:

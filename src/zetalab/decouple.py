@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
+from .expsum import phase_sums
 from .meanvalue import vinogradov_count
 from .numerics import fit_loglog, halton
 
@@ -98,23 +99,6 @@ def qmc_mean(f, dim: int, samples: int, seed: int, replicates: int = DEFAULT_REP
     return est, math.sqrt(var / replicates)
 
 
-def _parabola_sixth_power(a: np.ndarray):
-    N = a.size
-    n = np.arange(1, N + 1, dtype=np.float64)
-    n2 = n * n
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        u = pts[:, 0]
-        v = pts[:, 1]
-        s = np.zeros(pts.shape[0], dtype=np.complex128)
-        for j in range(N):
-            phase = ((n[j] * u) % 1.0 + (n2[j] * v) % 1.0) % 1.0
-            s += a[j] * np.exp((2j * np.pi) * phase)
-        return (s.real**2 + s.imag**2) ** 3
-
-    return f
-
-
 def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: int = 0):
     """Normalized L^6 average of |sum_n a_n e(n u + n^2 v)| over one period.
 
@@ -132,7 +116,14 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
             raise ValueError("exact mode requires unit coefficients")
         j = vinogradov_count(N, 3)
         return float(j.value) ** (1.0 / 6.0), 0.0
-    mean, stderr = qmc_mean(_parabola_sixth_power(a), 2, samples, seed)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    phi = np.column_stack([n, n * n])
+
+    def f(pts: np.ndarray) -> np.ndarray:
+        s = phase_sums(phi, a, pts)
+        return (s.real**2 + s.imag**2) ** 3
+
+    mean, stderr = qmc_mean(f, 2, samples, seed)
     if mean <= 0.0:
         return 0.0, 0.0
     value = mean ** (1.0 / 6.0)
@@ -184,12 +175,8 @@ def bilinear_d4_ratio(exp: DecouplingExperiment) -> BilinearResult:
 
     def f(pts: np.ndarray) -> np.ndarray:
         x = (pts - 0.5) * N
-        s1 = np.zeros(pts.shape[0], dtype=np.complex128)
-        s2 = np.zeros(pts.shape[0], dtype=np.complex128)
-        for n in range(a1, b1 + 1):
-            s1 += a[n - 1] * np.exp((2j * np.pi) * ((x @ phi[n - 1]) % 1.0))
-        for n in range(a2, b2 + 1):
-            s2 += a[n - 1] * np.exp((2j * np.pi) * ((x @ phi[n - 1]) % 1.0))
+        s1 = phase_sums(phi[a1 - 1:b1], a[a1 - 1:b1], x)
+        s2 = phase_sums(phi[a2 - 1:b2], a[a2 - 1:b2], x)
         return (s1.real**2 + s1.imag**2) ** 3 * (s2.real**2 + s2.imag**2) ** 3
 
     mean, stderr = qmc_mean(f, 4, exp.samples, exp.seed)

@@ -1,13 +1,17 @@
 """Numerically stable evaluation of the exponential sums used across the
 package: quadruple-phase sums, dyadic-block sums with log or monomial phase,
-and generic sampled-curve sums.
+generic sampled-curve sums, and `phase_sums`, the batched kernel that
+evaluates one sum at many frequency points.
 
 Conventions. e(z) = exp(2*pi*i*z). Phase arguments are reduced mod 1 before
 evaluating e(.); for the polynomial part n*x1 + n^2*x2 the reduction is done
 in exact head/tail form so no precision is lost up to the size guard
 N <= 2**26 (beyond that an extended-precision path would be required, which
 is out of scope). Summation is compensated (Neumaier); the reported `err`
-is the summation contract bound 2 * machine_eps * sum(|a_n|).
+is the summation contract bound 2 * machine_eps * sum(|a_n|). It covers the
+rounding of the summation only, not the float64 rounding of the phases
+before they are reduced: a phase of size P is off by about eps * P cycles,
+which matters for the half-power phases of `eval_quadruple_sum` at large N.
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ from .errors import GuardError
 from .numerics import MACHINE_EPS, frac_poly_phase, neumaier_sum
 
 MAX_QUADRUPLE_N = 1 << 26
-
-PHASE_KINDS = ("quadruple", "log", "monomial", "curve")
+# About 88 bytes per term (arrays plus the Python float lists of the
+# compensated sum): at most about 1.5 GB.
+DYADIC_MAX_TERMS = 1 << 24
+# Entries (terms x points) in one block of `phase_sums`.
+PHASE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -46,57 +53,6 @@ class ComplexValue:
     def __abs__(self) -> float:
         return abs(self.value)
 
-    def __add__(self, other: "ComplexValue") -> "ComplexValue":
-        return ComplexValue(self.re + other.re, self.im + other.im, self.err + other.err)
-
-
-@dataclass(frozen=True)
-class PhaseSpec:
-    """Parameter record for one of the supported phase families.
-
-    kind "quadruple": frequencies x against (n, n^2, sqrt(N) n^{3/2},
-    sqrt(N) n^{1/2}) for 1 <= n <= N.
-    kind "log" / "monomial": f(m) = T*F(m/M) over the dyadic block
-    (M/2, M]; T is in cycle units (the radian convention is t = 2*pi*T).
-    kind "curve": x against explicitly sampled curve points.
-    """
-
-    kind: str
-    x: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
-    N: int | None = None
-    T: float | None = None
-    M: int | None = None
-    exponent: Fraction | None = None
-    samples: tuple[tuple[float, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in PHASE_KINDS:
-            raise ValueError(f"unknown phase kind {self.kind!r}")
-        if self.kind == "quadruple":
-            if self.N is None or self.N < 1:
-                raise ValueError("quadruple phase requires N >= 1")
-            if len(self.x) != 4:
-                raise ValueError("quadruple phase requires a 4-vector x")
-        elif self.kind in ("log", "monomial"):
-            if self.M is None or self.M < 2:
-                raise ValueError("dyadic phase requires M >= 2")
-            if self.T is None or not math.isfinite(self.T):
-                raise ValueError("dyadic phase requires finite T")
-            if self.kind == "monomial" and self.exponent is None:
-                raise ValueError("monomial phase requires an exponent")
-        else:
-            if not self.samples:
-                raise ValueError("curve phase requires sample points")
-
-    def evaluate(self, coeffs=None) -> ComplexValue:
-        if self.kind == "quadruple":
-            return eval_quadruple_sum(self.N, self.x, coeffs)
-        if self.kind in ("log", "monomial"):
-            return eval_dyadic_sum(self.T, self.M, self.kind, self.exponent)
-        n = len(self.samples)
-        a = coeffs if coeffs is not None else [1.0] * n
-        return eval_curve_sum(a, self.samples, self.x)
-
 
 def _sum_terms(values: np.ndarray, weight: float) -> ComplexValue:
     re = neumaier_sum(values.real.tolist())
@@ -104,12 +60,50 @@ def _sum_terms(values: np.ndarray, weight: float) -> ComplexValue:
     return ComplexValue(re, im, 2.0 * MACHINE_EPS * weight)
 
 
+def phase_sums(phi, coeffs, X) -> np.ndarray:
+    """Sum_n a_n e((x . Phi_n) mod 1) for each row x of X.
+
+    phi is an (N, d) array of phase vectors with d <= 4, X a (P, d) array of
+    frequency points, and coeffs None (a_n = 1) or a length-N vector. Terms
+    run down and points across blocks of at most PHASE_BLOCK entries (one
+    point per block once N exceeds it). Each phase is accumulated over the
+    columns in order, without BLAS, and each sum over n is a reduction of
+    fixed shape, so the result does not depend on threading. Returns a
+    length-P complex array.
+    """
+    phi = np.asarray(phi, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    if phi.ndim != 2 or not 1 <= phi.shape[1] <= 4:
+        raise ValueError("phi must be an (N, d) array with d <= 4")
+    if X.ndim != 2 or X.shape[1] != phi.shape[1]:
+        raise ValueError(f"X must be a (P, {phi.shape[1]}) array, got shape {X.shape}")
+    N, d = phi.shape
+    a = None if coeffs is None else np.asarray(coeffs, dtype=np.complex128)
+    if a is not None and a.shape != (N,):
+        raise ValueError(f"coeffs must have length {N}, got shape {a.shape}")
+    per = max(PHASE_BLOCK // max(N, 1), 1)
+    out = np.empty(X.shape[0], dtype=np.complex128)
+    for start in range(0, X.shape[0], per):
+        x = X[start:start + per]
+        phase = phi[:, 0, None] * x[:, 0]
+        for j in range(1, d):
+            phase += phi[:, j, None] * x[:, j]
+        terms = np.exp((2j * np.pi) * (phase % 1.0))
+        if a is not None:
+            terms *= a[:, None]
+        out[start:start + per] = terms.sum(axis=0)
+    return out
+
+
 def eval_quadruple_sum(N: int, x: Sequence[float], coeffs=None) -> ComplexValue:
     """Sum_{1<=n<=N} a_n e(n x1 + n^2 x2 + sqrt(N) n^{3/2} x3 + sqrt(N) n^{1/2} x4).
 
     Coefficients default to a_n = 1 and must have length N otherwise. The
     polynomial phases are reduced mod 1 exactly; the half-integer power
-    phases are double precision (adequate below the N <= 2**26 guard).
+    phases are double precision, each off by about eps * sqrt(N) n^{3/2} |x3|
+    cycles. `err` bounds the summation rounding only, not this phase
+    rounding: at N = 2**20 those phases reach 2**40 |x3|, and for x3 of
+    order 1 the sum is off by about 0.05 while `err` reads 4.7e-10.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -148,6 +142,11 @@ def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> Compl
         raise ValueError("T must be finite")
     if M < 2:
         raise ValueError("M must be >= 2")
+    if M - M // 2 > DYADIC_MAX_TERMS:
+        raise GuardError(
+            "expsum.dyadic.terms",
+            f"M={M} asks for {M - M // 2} terms, above the guard {DYADIC_MAX_TERMS}",
+        )
     m = np.arange(M // 2 + 1, M + 1, dtype=np.float64)
     ratio = m / M
     if kind == "log":

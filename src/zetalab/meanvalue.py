@@ -21,7 +21,6 @@ route.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
+from .expsum import phase_sums
 
 WINDOWED_MAX_N = 48
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 12}
@@ -48,16 +48,13 @@ class MeanValueSpec:
     """Parameters of the 2r-th moment integral.
 
     delta and Delta default to N^-2 and N^-1 (the headline case, where the
-    3/2- and 1/2-power phases become sqrt(N) n^{3/2} and sqrt(N) n^{1/2});
-    the windows default to N^{-1/2}, the natural near-diagonal slack.
+    3/2- and 1/2-power phases become sqrt(N) n^{3/2} and sqrt(N) n^{1/2}).
     """
 
     N: int
     r: int
     delta: float | None = None
     Delta: float | None = None
-    window3: float | None = None
-    window4: float | None = None
 
     def __post_init__(self):
         if self.N < 2:
@@ -68,17 +65,11 @@ class MeanValueSpec:
             object.__setattr__(self, "delta", float(self.N) ** -2)
         if self.Delta is None:
             object.__setattr__(self, "Delta", 1.0 / self.N)
-        if self.window3 is None:
-            object.__setattr__(self, "window3", float(self.N) ** -0.5)
-        if self.window4 is None:
-            object.__setattr__(self, "window4", float(self.N) ** -0.5)
         eps = 1e-12
         if not (self.N**-2 * (1 - eps) <= self.delta <= 1 + eps):
             raise ValueError(f"delta must lie in [N^-2, 1], got {self.delta}")
         if not (1.0 / self.N * (1 - eps) <= self.Delta <= 1 + eps):
             raise ValueError(f"Delta must lie in [N^-1, 1], got {self.Delta}")
-        if not (self.window3 > 0 and self.window4 > 0):
-            raise ValueError("windows must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,6 @@ class CountResult:
             raise ValueError("exact results must have stderr 0")
 
 
-@functools.lru_cache(maxsize=3)
 def _multiset_table(N: int, size: int):
     """Arrays over all non-decreasing `size`-tuples from {1..N}: linear and
     quadratic sums, 3/2- and 1/2-power sums, and the number of orderings."""
@@ -281,9 +271,9 @@ def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> Coun
         raise ValueError(f"samples must be >= {MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
     n = np.arange(1, spec.N + 1, dtype=np.float64)
-    n2 = n * n
-    c3 = (n / spec.N) ** 1.5 / spec.delta
-    c4 = np.sqrt(n / spec.N) / spec.Delta
+    phi = np.column_stack(
+        [n, n * n, (n / spec.N) ** 1.5 / spec.delta, np.sqrt(n / spec.N) / spec.Delta]
+    )
     chunk_sums = []
     chunk_sq = []
     remaining = samples
@@ -292,13 +282,7 @@ def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> Coun
         remaining -= m
         u = rng.random((2, m))
         v = rng.random((2, m))
-        x1, x2 = u[0], u[1]
-        x3 = 2.0 * v[0] - 1.0
-        x4 = 2.0 * v[1] - 1.0
-        s = np.zeros(m, dtype=np.complex128)
-        for j in range(spec.N):
-            phase = n[j] * x1 + n2[j] * x2 + c3[j] * x3 + c4[j] * x4
-            s += np.exp((2j * np.pi) * phase)
+        s = phase_sums(phi, None, np.concatenate([u, 2.0 * v - 1.0]).T)
         vals = 4.0 * (s.real**2 + s.imag**2) ** spec.r
         chunk_sums.append(float(vals.sum()))
         chunk_sq.append(float(np.dot(vals, vals)))

@@ -74,9 +74,6 @@ class PiecewiseBound:
     def __iter__(self):
         return iter(self.pieces)
 
-    def __len__(self):
-        return len(self.pieces)
-
     def by_tag(self, tag: str) -> Piece:
         for piece in self.pieces:
             if piece.tag == tag:

@@ -25,6 +25,9 @@ CRITICAL_GROWTH_EXPONENT = 13.0 / 84.0
 SCAN_MIN_T = 10.0
 SCAN_MAX_T = 1.0e6
 
+# About 64 bytes per Euler-Maclaurin head term: at most about 1.1 GB.
+ORACLE_MAX_TERMS = 1 << 24
+
 DEFAULT_BERNOULLI_TERMS = 8
 DEFAULT_SLACK = 2.0
 
@@ -122,6 +125,11 @@ def zeta_em_oracle(t: float, terms: int | None = None) -> ZetaValue:
     """zeta(1/2 + i t) via Euler-Maclaurin; terms defaults to ~ t/2 + 40."""
     if terms is None:
         terms = default_oracle_terms(t)
+    if terms > ORACLE_MAX_TERMS:
+        raise GuardError(
+            "zeta.oracle.terms",
+            f"t={t:g} needs {terms} Euler-Maclaurin terms, above the guard {ORACLE_MAX_TERMS}",
+        )
     return zeta_euler_maclaurin(complex(0.5, t), terms)
 
 

@@ -77,6 +77,17 @@ def test_guard_violation_exit_code():
     assert "meanvalue.windowed.N" in err
 
 
+def test_unbounded_inputs_hit_size_guards():
+    for args, guard in (
+        (["expsum", "dyadic", "--T", "5", "--M", "20000000000000"], "expsum.dyadic.terms"),
+        (["zeta", "value", "--t", "1e12"], "zeta.oracle.terms"),
+    ):
+        code, _, err = run_cli(args)
+        assert code == EXIT_GUARD
+        assert f"guard={guard}" in err
+        assert "Traceback" not in err
+
+
 def test_io_failure_exit_code(tmp_path):
     dest = tmp_path / "no" / "such" / "dir" / "x.csv"
     code, _, err = run_cli(["--out", str(dest), "pairs", "word", "--word", "AB"])
@@ -198,6 +209,19 @@ def test_plot_script_references_csv(tmp_path):
     # plot script without --out is a usage error
     code, _, _ = run_cli(["--plot-script", str(script), "pairs", "word", "--word", "AB"])
     assert code == EXIT_USAGE
+
+
+def test_zeta_value_short_leaf_flag(tmp_path):
+    # --t is a prefix of the global --threads and --timing; the leaf's own
+    # flag must win, with global flags before and after the subcommand
+    dest = tmp_path / "v.json"
+    code, out, _ = run_cli(["--seed", "1", "zeta", "value", "--t", "100", "--out", str(dest),
+                            "--format", "json"])
+    assert code == EXIT_OK
+    row = json.loads(dest.read_text())["rows"][0]
+    assert row["t"] == 100.0
+    assert abs(row["abs_zeta"] - 2.6926970566644) < 1e-9
+    assert "zeta(1/2+100.0i)" in out
 
 
 def test_expsum_quadruple_cli(tmp_path):

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from zetalab.errors import GuardError
 from zetalab.expsum import (
     MAX_QUADRUPLE_N,
+    PHASE_BLOCK,
     ComplexValue,
-    PhaseSpec,
     eval_curve_sum,
     eval_dyadic_sum,
     eval_quadruple_sum,
+    phase_sums,
 )
 from zetalab.numerics import MACHINE_EPS
 
@@ -82,6 +83,8 @@ def test_err_contract():
     res = eval_quadruple_sum(N, (0.123, 0.456, 0.789, 0.321))
     assert res.err == pytest.approx(2 * MACHINE_EPS * N)
     assert res.err <= 1e-9 * N
+    with pytest.raises(ValueError):
+        ComplexValue(0.0, 0.0, -1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,25 +215,62 @@ def test_curve_sum_length_mismatch():
         eval_curve_sum([1.0, 2.0], phi, (0, 0, 0, 0))
 
 
-def test_complex_value_addition_accumulates_err():
-    a = ComplexValue(1.0, 2.0, 1e-12)
-    b = ComplexValue(0.5, -1.0, 2e-12)
-    c = a + b
-    assert c.err == pytest.approx(3e-12)
-    with pytest.raises(ValueError):
-        ComplexValue(0.0, 0.0, -1.0)
+# ------------------------------------------------------------ phase_sums
 
 
-def test_phase_spec_dispatch():
-    spec = PhaseSpec("quadruple", x=(0.3, 0.7, -0.2, 0.9), N=8)
-    assert abs(spec.evaluate().value - QUADRUPLE_N8) <= 1e-12
-    spec = PhaseSpec("log", T=1000.0, M=100)
-    assert abs(spec.evaluate().value - DYADIC_T1000_M100) / abs(DYADIC_T1000_M100) <= 1e-10
+def loop_phase_sums(phi, coeffs, X):
+    """The per-term loop that `phase_sums` replaces."""
+    out = []
+    for x in X:
+        total = 0j
+        for n, row in enumerate(phi):
+            a = 1.0 if coeffs is None else coeffs[n]
+            total += a * cmath.exp(2j * math.pi * (float(np.dot(row, x)) % 1.0))
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_phase_sums_match_term_loop(d, complex_coeffs):
+    rng = np.random.default_rng(d)
+    N = 40
+    t = np.arange(1, N + 1) / N
+    phi = np.column_stack([t, t**2, t**1.5, np.sqrt(t)])[:, :d] * 7.0
+    # 3 * PHASE_BLOCK // N + 5 points: several blocks, the last one partial
+    X = rng.uniform(-3.0, 3.0, size=(3 * PHASE_BLOCK // N + 5, d))
+    a = rng.standard_normal(N) + 1j * rng.standard_normal(N) if complex_coeffs else None
+    got = phase_sums(phi, a, X)
+    picks = [0, 1, PHASE_BLOCK // N - 1, PHASE_BLOCK // N, X.shape[0] - 1]
+    want = loop_phase_sums(phi, a, X[picks])
+    weight = N if a is None else float(np.abs(a).sum())
+    assert np.max(np.abs(got[picks] - want)) <= 1e-12 * weight
+
+
+def test_phase_sums_one_point_per_block_beyond_block_size():
+    N = PHASE_BLOCK + 3
+    n = np.arange(1, N + 1, dtype=np.float64)
+    phi = np.column_stack([n, n * n])
+    X = np.array([[0.25, 0.0], [0.0, 0.5], [0.3, 1e-7]])
+    got = phase_sums(phi, None, X)
+    # e(n/4) cycles with period 4 and e(n^2/2) = (-1)^n
+    assert abs(got[0] - sum(1j**k for k in range(1, N % 4 + 1))) < 1e-9
+    assert abs(got[1] - (-1 if N % 2 else 0)) < 1e-9
+    # phases stay below 1.2e4, so each term is good to about 1e-11
+    ref = eval_curve_sum(np.ones(N), phi, X[2])
+    assert abs(got[2] - ref.value) < 1e-6
+
+
+def test_phase_sums_bit_identical_and_validated():
+    rng = np.random.default_rng(11)
+    phi = rng.standard_normal((12, 4))
+    a = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    X = rng.standard_normal((5000, 4))
+    first = phase_sums(phi, a, X)
+    assert first.tobytes() == phase_sums(phi, a, X).tobytes()
     with pytest.raises(ValueError):
-        PhaseSpec("quadruple", N=0)
+        phase_sums(phi, a, X[:, :3])
     with pytest.raises(ValueError):
-        PhaseSpec("log", T=1.0, M=1)
+        phase_sums(phi, a[:5], X)
     with pytest.raises(ValueError):
-        PhaseSpec("monomial", T=1.0, M=4)
-    with pytest.raises(ValueError):
-        PhaseSpec("nonsense")
+        phase_sums(np.zeros((3, 5)), None, np.zeros((2, 5)))

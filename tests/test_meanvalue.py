@@ -274,12 +274,9 @@ def test_mean_value_spec_validation():
         MeanValueSpec(4, 6, delta=1e-3)  # below N^-2 = 1/16
     with pytest.raises(ValueError):
         MeanValueSpec(4, 6, Delta=0.01)
-    with pytest.raises(ValueError):
-        MeanValueSpec(4, 6, window3=0.0)
     spec = MeanValueSpec(4, 6)
     assert spec.delta == pytest.approx(1 / 16)
     assert spec.Delta == pytest.approx(1 / 4)
-    assert spec.window3 == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------------ J counts
