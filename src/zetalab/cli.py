@@ -416,8 +416,9 @@ def _global_flags() -> argparse.ArgumentParser:
 
 def _build_parser() -> argparse.ArgumentParser:
     flags = _global_flags()
-    # No abbreviations at the root: `zeta value --t` must reach the leaf
-    # instead of matching --threads and --timing as a prefix.
+    # No abbreviations anywhere: `zeta value --t` must reach the leaf
+    # instead of matching --threads and --timing as a prefix, and a global
+    # flag must parse the same before and after the subcommand.
     parser = argparse.ArgumentParser(
         prog="zetalab",
         description="Desk-scale laboratory for exponential sums, mean values, "
@@ -425,15 +426,16 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[flags],
         allow_abbrev=False,
     )
+    leaf = {"parents": [flags], "allow_abbrev": False}
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pairs", help="exponent-pair calculus")
     ps = p.add_subparsers(dest="mode", required=True)
-    w = ps.add_parser("word", parents=[flags], help="apply a word over {A,B} to a seed pair")
+    w = ps.add_parser("word", **leaf, help="apply a word over {A,B} to a seed pair")
     w.add_argument("--word", required=True)
     w.add_argument("--seed-pair", default="0,1")
     w.set_defaults(func=_cmd_pairs_word)
-    s = ps.add_parser("search", parents=[flags], help="exhaustive word search")
+    s = ps.add_parser("search", **leaf, help="exhaustive word search")
     s.add_argument("--max-len", type=int, default=6)
     s.add_argument("--objective", choices=pairs.OBJECTIVES, default="zeta_exponent")
     s.add_argument("--seed-pair", default=None)
@@ -442,13 +444,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("planner", help="piecewise bounds, coverage, run planning")
     ps = p.add_subparsers(dest="mode", required=True)
-    e = ps.add_parser("envelope", parents=[flags], help="exact envelope over a rational grid")
+    e = ps.add_parser("envelope", **leaf, help="exact envelope over a rational grid")
     e.add_argument("--denominator-bound", type=int, default=84)
     e.set_defaults(func=_cmd_planner_envelope)
-    c = ps.add_parser("coverage", parents=[flags], help="exact critical-line coverage verification")
+    c = ps.add_parser("coverage", **leaf, help="exact critical-line coverage verification")
     c.add_argument("--denominator-bound", type=int, default=1000)
     c.set_defaults(func=_cmd_planner_coverage)
-    pl = ps.add_parser("plan", parents=[flags], help="plan a concrete (T, M) run")
+    pl = ps.add_parser("plan", **leaf, help="plan a concrete (T, M) run")
     pl.add_argument("--T", type=float, required=True)
     pl.add_argument("--M", type=int, required=True)
     pl.add_argument("--c", type=float, default=1.0)
@@ -458,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("meanvalue", help="moment counts and integrals")
     ps = p.add_subparsers(dest="mode", required=True)
     for mode in ("count", "kernel", "quadrature", "vinogradov"):
-        m = ps.add_parser(mode, parents=[flags])
+        m = ps.add_parser(mode, **leaf)
         m.add_argument("--N", type=int, default=None)
         m.add_argument("--Ns", default=None, help="comma list; overrides --N")
         if mode == "count":
@@ -477,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decouple", help="decoupling-inequality probes")
     ps = p.add_subparsers(dest="mode", required=True)
     for mode in ("parabola", "bilinear"):
-        m = ps.add_parser(mode, parents=[flags])
+        m = ps.add_parser(mode, **leaf)
         m.add_argument("--Ns", default="16,32,64,128" if mode == "parabola" else "8,16,32")
         m.add_argument("--ensemble", choices=decouple.ENSEMBLES, default="ones")
         m.add_argument("--samples", type=int, default=1 << 14)
@@ -486,17 +488,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta", help="critical-line evaluation and scans")
     ps = p.add_subparsers(dest="mode", required=True)
-    sc = ps.add_parser("scan", parents=[flags], help="growth scan |zeta|/t^(13/84)")
+    sc = ps.add_parser("scan", **leaf, help="growth scan |zeta|/t^(13/84)")
     sc.add_argument("--t-min", type=float, default=10.0)
     sc.add_argument("--t-max", type=float, default=1.0e4)
     sc.add_argument("--points", type=int, default=200)
     sc.set_defaults(func=_cmd_zeta_scan)
-    v = ps.add_parser("value", parents=[flags], help="single-point oracle value + AFE bound")
+    v = ps.add_parser("value", **leaf, help="single-point oracle value + AFE bound")
     v.add_argument("--t", type=float, required=True)
     v.add_argument("--terms", type=int, default=None)
     v.add_argument("--slack", type=float, default=zeta.DEFAULT_SLACK)
     v.set_defaults(func=_cmd_zeta_value)
-    af = ps.add_parser("afe", parents=[flags], help="one-sided AFE consistency scan")
+    af = ps.add_parser("afe", **leaf, help="one-sided AFE consistency scan")
     af.add_argument("--t-min", type=float, default=10.0)
     af.add_argument("--t-max", type=float, default=1.0e4)
     af.add_argument("--points", type=int, default=200)
@@ -505,11 +507,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expsum", help="direct sum evaluation")
     ps = p.add_subparsers(dest="mode", required=True)
-    q = ps.add_parser("quadruple", parents=[flags])
+    q = ps.add_parser("quadruple", **leaf)
     q.add_argument("--N", type=int, required=True)
     q.add_argument("--x", required=True, help="x1,x2,x3,x4")
     q.set_defaults(func=_cmd_expsum_quadruple)
-    d = ps.add_parser("dyadic", parents=[flags])
+    d = ps.add_parser("dyadic", **leaf)
     d.add_argument("--T", type=float, required=True)
     d.add_argument("--M", type=int, required=True)
     d.add_argument("--kind", choices=("log", "monomial"), default="log")

@@ -13,15 +13,18 @@ linear and quadratic power sums between the two halves of the frequency
 tuple, which turns the integral into a weighted count over pairs of
 r-multisets; the remaining [-1,1] integrals contribute closed-form kernel
 factors sin(2 pi theta)/(pi theta) in the 3/2- and 1/2-power defects. The
-windowed count replaces the kernels by sharp windows. Both are evaluated by
-meet-in-the-middle grouping over the exact integer key (sum, sum of
-squares); a Monte-Carlo quadrature provides the independent statistical
-route.
+windowed count replaces the kernels by sharp windows. Both, and the
+Vinogradov count, group multisets by the exact integer key (sum, sum of
+squares). One engine serves all three: `_shards` streams the multisets in
+consecutive bands of the linear sum s1, which no group crosses, and each
+route reduces a band to an exact integer or to kernel group sums before
+the next band is made, so memory is bounded by one band (SHARD_ROWS
+multisets), not by the C(N + r - 1, r) of the whole table. A Monte-Carlo
+quadrature provides the independent statistical route.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +44,9 @@ METHOD_QUADRATURE = "quadrature"
 METHOD_VINOGRADOV = "vinogradov"
 
 _SAMPLE_CHUNK = 1 << 15
+# Most multisets per shard of the grouped counts, unless one value of s1
+# alone holds more; the windowed count then peaks near 100 MB RSS.
+SHARD_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -92,38 +98,100 @@ class CountResult:
             raise ValueError("exact results must have stderr 0")
 
 
-def _multiset_table(N: int, size: int):
-    """Arrays over all non-decreasing `size`-tuples from {1..N}: linear and
-    quadratic sums, 3/2- and 1/2-power sums, and the number of orderings."""
-    count = math.comb(N + size - 1, size)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(range(1, N + 1), size)
-        ),
-        dtype=np.int16,
-        count=count * size,
-    ).reshape(count, size)
-    s1 = flat.sum(axis=1, dtype=np.int64)
-    s2 = (flat.astype(np.int64) ** 2).sum(axis=1)
-    base = np.arange(N + 1, dtype=np.float64)
+def _sum_counts(N: int, size: int) -> np.ndarray:
+    """c[s1]: the number of non-decreasing `size`-tuples from {1..N} with sum
+    s1. Subtracting 1 from every entry leaves partitions of s1 - size into at
+    most `size` parts of at most N - 1, counted by the Gaussian binomial
+    [N - 1 + size choose size]_q = prod_i (1 - q^(N-1+i)) / (1 - q^i)."""
+    top = size * (N - 1) + 1
+    c = np.zeros(top, dtype=np.int64)
+    c[0] = 1
+    for i in range(1, size + 1):
+        a = N - 1 + i
+        if a < top:
+            c[a:] -= c[:-a].copy()
+        for r in range(i):
+            c[r::i] = np.cumsum(c[r::i])
+    return np.concatenate([np.zeros(size, dtype=np.int64), c])
+
+
+def _bands(counts: np.ndarray, limit: int):
+    """Consecutive (lo, hi) ranges of s1 holding at most `limit` multisets
+    each, except where one s1 value alone holds more."""
+    lo, held = None, 0
+    for s1 in np.flatnonzero(counts).tolist():
+        c = int(counts[s1])
+        if lo is not None and held + c > limit:
+            yield lo, s1 - 1
+            lo = None
+        if lo is None:
+            lo, held = s1, 0
+        held += c
+    if lo is not None:
+        yield lo, len(counts) - 1
+
+
+def _band_tuples(N: int, size: int, lo: int, hi: int) -> np.ndarray:
+    """All non-decreasing `size`-tuples from {1..N} with lo <= s1 <= hi, as
+    a (size, count) array whose columns are the tuples in lexicographic
+    order. Built entry by entry: each prefix is repeated once per next entry
+    v that still admits a completion inside the band, so no prefix is a
+    dead end."""
+    cols = []
+    part = np.zeros(1, dtype=np.int64)
+    last = np.ones(1, dtype=np.int64)
+    for j in range(size):
+        rest = size - 1 - j
+        vmin = np.maximum(last, lo - part - rest * N)
+        vmax = np.minimum(N, (hi - part) // (rest + 1))
+        reps = np.maximum(vmax - vmin + 1, 0)
+        parent = np.repeat(np.arange(reps.size), reps)
+        last = vmin[parent] + _ragged_arange(reps)
+        cols = [col[parent] for col in cols] + [last]
+        part = part[parent] + last
+    return np.stack(cols)
+
+
+def _shards(N: int, size: int):
+    """(lo, tuples) for consecutive bands lo <= s1 <= hi of the
+    non-decreasing `size`-tuples from {1..N}; see `_band_tuples`. A band
+    holds at most SHARD_ROWS tuples unless one s1 value alone holds more, so
+    no (s1, s2) group crosses a shard and memory is bounded by one shard."""
+    for lo, hi in _bands(_sum_counts(N, size), SHARD_ROWS):
+        yield lo, _band_tuples(N, size, lo, hi)
+
+
+def _group_key(cols: np.ndarray, lo: int, N: int) -> np.ndarray:
+    """One integer per tuple, equal exactly when (s1, s2) are, ordered as
+    (s1, s2) within a shard whose smallest s1 is lo."""
+    s2_span = len(cols) * N * N + 1
+    return (cols.sum(axis=0) - lo) * s2_span + (cols * cols).sum(axis=0)
+
+
+def _power_sums(cols: np.ndarray):
+    """3/2- and 1/2-power sums of each tuple, accumulated entry by entry."""
+    base = np.arange(int(cols.max()) + 1, dtype=np.float64)
     pow32 = base * np.sqrt(base)
     pow12 = np.sqrt(base)
-    d3 = np.zeros(count, dtype=np.float64)
-    d4 = np.zeros(count, dtype=np.float64)
-    for j in range(size):
-        col = flat[:, j]
+    d3 = np.zeros(cols.shape[1], dtype=np.float64)
+    d4 = np.zeros(cols.shape[1], dtype=np.float64)
+    for col in cols:
         d3 += pow32[col]
         d4 += pow12[col]
-    # orderings = size! / prod(multiplicities!); for a sorted tuple the
-    # multiplicity pattern is determined by which neighbours are equal.
-    mask = np.zeros(count, dtype=np.int64)
+    return d3, d4
+
+
+def _orderings(cols: np.ndarray) -> np.ndarray:
+    """Number of distinct orderings of each sorted tuple:
+    size! / prod(multiplicities!), read off which neighbours are equal."""
+    size = len(cols)
+    mask = np.zeros(cols.shape[1], dtype=np.int64)
     for j in range(size - 1):
-        mask |= (flat[:, j] == flat[:, j + 1]).astype(np.int64) << j
+        mask |= (cols[j] == cols[j + 1]).astype(np.int64) << j
     denom = np.array(
         [_pattern_denominator(m, size) for m in range(1 << (size - 1))], dtype=np.int64
     )
-    w = math.factorial(size) // denom[mask]
-    return s1, s2, d3, d4, w
+    return math.factorial(size) // denom[mask]
 
 
 def _pattern_denominator(mask: int, size: int) -> int:
@@ -139,15 +207,12 @@ def _pattern_denominator(mask: int, size: int) -> int:
     return total * math.factorial(run)
 
 
-def _group_bounds(s1: np.ndarray, s2: np.ndarray):
-    """Start/end indices of (s1, s2) groups in already-sorted arrays."""
-    n = s1.size
-    boundary = np.empty(n, dtype=bool)
+def _group_starts(key: np.ndarray) -> np.ndarray:
+    """Start indices of the runs of equal values in a sorted key."""
+    boundary = np.empty(key.size, dtype=bool)
     boundary[0] = True
-    boundary[1:] = (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])
-    starts = np.flatnonzero(boundary)
-    ends = np.append(starts[1:], n)
-    return starts, ends
+    boundary[1:] = key[1:] != key[:-1]
+    return np.flatnonzero(boundary)
 
 
 def _ragged_arange(sizes: np.ndarray) -> np.ndarray:
@@ -155,6 +220,14 @@ def _ragged_arange(sizes: np.ndarray) -> np.ndarray:
     out = np.arange(total, dtype=np.int64)
     shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
     return out - shift
+
+
+def _square_sum(key: np.ndarray, w: np.ndarray) -> int:
+    """Sum over (s1, s2) groups of (sum of orderings)^2: the ordered pairs
+    that share both power sums."""
+    order = np.argsort(key, kind="stable")
+    sums = np.add.reduceat(w[order], _group_starts(key[order]))
+    return sum(int(v) * int(v) for v in sums.tolist())
 
 
 def count_windowed(N: int, window3: float | None = None, window4: float | None = None) -> CountResult:
@@ -168,6 +241,12 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
     other give the diagonal lower bound: the sum over multisets of squared
     orderings, which the identity pairing alone bounds below by N^6 and
     which approaches 720 N^6 only slowly (268 N^6 at N=8).
+
+    The 6-multisets are streamed in s1 bands (`_shards`); each band is
+    reduced to an exact integer on its own, so memory is bounded by one
+    band. The window tests are decided in float64, as
+    d3[j] >= fl(d3[i] - w3), d3[j] <= fl(d3[i] + w3) and
+    |d4[j] - d4[i]| <= w4 for the pair (i, j).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -179,40 +258,46 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
     w4 = float(N) ** -0.5 if window4 is None else float(window4)
     if not (w3 > 0 and w4 > 0):
         raise ValueError("windows must be positive")
-    s1, s2, d3, d4, w = _multiset_table(N, 6)
-    total = _window_pair_count(s1, s2, d3, d4, w, w3, w4)
+    total = 0
+    for lo, cols in _shards(N, 6):
+        key = _group_key(cols, lo, N)
+        w = _orderings(cols)
+        if math.isinf(w3) and math.isinf(w4):
+            total += _square_sum(key, w)
+        else:
+            d3, d4 = _power_sums(cols)
+            total += _window_pair_count(key, d3, d4, w, w3, w4)
     return CountResult(float(total), True, 0.0, METHOD_WINDOWED, total)
 
 
-def _window_pair_count(s1, s2, d3, d4, w, w3: float, w4: float) -> int:
-    order = np.lexsort((d3, s2, s1))
-    s1 = s1[order]
-    s2 = s2[order]
-    d3 = d3[order]
-    d4 = d4[order]
-    w = w[order]
-    starts, ends = _group_bounds(s1, s2)
-    if math.isinf(w3) and math.isinf(w4):
-        sums = np.add.reduceat(w, starts)
-        return sum(int(v) * int(v) for v in sums.tolist())
-    total = 0
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        k = b - a
-        if k == 1:
-            wa = int(w[a])
-            total += wa * wa
-            continue
-        d3g = d3[a:b]
-        d4g = d4[a:b]
-        wg = w[a:b]
-        lo = np.searchsorted(d3g, d3g - w3, side="left")
-        hi = np.searchsorted(d3g, d3g + w3, side="right")
-        sizes = hi - lo
-        js = np.repeat(lo, sizes) + _ragged_arange(sizes)
-        iidx = np.repeat(np.arange(k, dtype=np.int64), sizes)
-        ok = np.abs(d4g[js] - d4g[iidx]) <= w4
-        total += int(np.dot(wg[iidx[ok]], wg[js[ok]]))
-    return total
+def _window_pair_count(key, d3, d4, w, w3: float, w4: float) -> int:
+    """Weighted ordered pairs (i, j) of one shard with equal key inside the
+    windows. After sorting on (key, d3), the pairs at offset k = 1, 2, ...
+    are tested in both directions, since fl(d3 +- w3) makes the d3 test
+    asymmetric; a row drops out at the first offset that leaves its group
+    or both d3 windows, because d3 only grows along a group."""
+    order = np.argsort(d3)
+    order = order[np.argsort(key[order], kind="stable")]
+    key, d3, d4, w = key[order], d3[order], d4[order], w[order]
+    starts = _group_starts(key)
+    ends = np.append(starts[1:], key.size)
+    end = np.repeat(ends, ends - starts)
+    total = int(np.dot(w, w))
+    i = np.arange(key.size)
+    k = 1
+    while True:
+        i = i[i + k < end[i]]
+        if not i.size:
+            return total
+        j = i + k
+        up = d3[j] <= d3[i] + w3
+        down = d3[i] >= d3[j] - w3
+        live = up | down
+        i, j, up, down = i[live], j[live], up[live], down[live]
+        near = np.abs(d4[j] - d4[i]) <= w4
+        hits = up[near].astype(np.int64) + down[near]
+        total += int(np.dot(w[i[near]] * w[j[near]], hits))
+        k += 1
 
 
 def _interval_kernel(theta: np.ndarray) -> np.ndarray:
@@ -223,10 +308,12 @@ def _interval_kernel(theta: np.ndarray) -> np.ndarray:
 def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
     """Exact (up to rounding) kernel-sum evaluation of the moment integral.
 
-    Groups r-multisets by the exact key (sum, sum of squares); each ordered
-    pair within a group contributes the product of orderings times the two
+    Groups r-multisets by the exact key (sum, sum of squares), shard by
+    shard (`_shards`), each group in lexicographic order; each ordered pair
+    within a group contributes the product of orderings times the two
     interval kernels in the scaled power-sum defects. Per-group sums use
-    float64; the cross-group accumulation is exactly rounded (math.fsum).
+    float64; the accumulation over all groups of all shards is exactly
+    rounded (math.fsum), so the value does not depend on the shards.
     """
     r = spec.r
     if r not in KERNEL_MAX_N:
@@ -236,28 +323,27 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
             "meanvalue.kernel.N",
             f"N={spec.N} exceeds the kernel-sum guard {KERNEL_MAX_N[r]} for r={r}",
         )
-    s1, s2, d3, d4, w = _multiset_table(spec.N, r)
-    order = np.lexsort((s2, s1))
-    s1 = s1[order]
-    s2 = s2[order]
-    d3 = d3[order]
-    d4 = d4[order]
-    wf = w[order].astype(np.float64)
     scale3 = 1.0 / (spec.delta * spec.N**1.5)
     scale4 = 1.0 / (spec.Delta * spec.N**0.5)
-    starts, ends = _group_bounds(s1, s2)
     group_sums = []
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        k = b - a
-        if k == 1:
-            group_sums.append(4.0 * float(wf[a]) ** 2)
-            continue
-        d3g = d3[a:b]
-        d4g = d4[a:b]
-        wg = wf[a:b]
-        k3 = _interval_kernel((d3g[:, None] - d3g[None, :]) * scale3)
-        k4 = _interval_kernel((d4g[:, None] - d4g[None, :]) * scale4)
-        group_sums.append(float(((wg[:, None] * wg[None, :]) * k3 * k4).sum()))
+    for lo, cols in _shards(spec.N, r):
+        key = _group_key(cols, lo, spec.N)
+        order = np.argsort(key, kind="stable")
+        cols = cols[:, order]
+        d3, d4 = _power_sums(cols)
+        wf = _orderings(cols).astype(np.float64)
+        starts = _group_starts(key[order])
+        ends = np.append(starts[1:], key.size)
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            if b - a == 1:
+                group_sums.append(4.0 * float(wf[a]) ** 2)
+                continue
+            d3g = d3[a:b]
+            d4g = d4[a:b]
+            wg = wf[a:b]
+            k3 = _interval_kernel((d3g[:, None] - d3g[None, :]) * scale3)
+            k4 = _interval_kernel((d4g[:, None] - d4g[None, :]) * scale4)
+            group_sums.append(float(((wg[:, None] * wg[None, :]) * k3 * k4).sum()))
     value = math.fsum(group_sums)
     return CountResult(value, True, 0.0, METHOD_KERNEL, None)
 
@@ -303,11 +389,7 @@ def vinogradov_count(N: int, s: int) -> CountResult:
         raise GuardError(
             "meanvalue.vinogradov.N", f"N={N} exceeds the count guard {VINOGRADOV_MAX_N}"
         )
-    s1, s2, _, _, w = _multiset_table(N, s)
-    order = np.lexsort((s2, s1))
-    starts, _ = _group_bounds(s1[order], s2[order])
-    sums = np.add.reduceat(w[order], starts)
-    total = sum(int(v) * int(v) for v in sums.tolist())
+    total = sum(_square_sum(_group_key(cols, lo, N), _orderings(cols)) for lo, cols in _shards(N, s))
     return CountResult(float(total), True, 0.0, METHOD_VINOGRADOV, total)
 
 

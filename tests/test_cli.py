@@ -195,6 +195,18 @@ def test_threads_env_default(tmp_path, monkeypatch):
     assert "# threads=5" in err
 
 
+def test_global_flags_parse_alike_before_and_after_subcommand():
+    # abbreviations are refused everywhere, so a global flag means the same
+    # on both sides of the subcommand
+    word = ["pairs", "word", "--word", "AB"]
+    assert run_cli(["--thr", "3"] + word)[0] == EXIT_USAGE
+    assert run_cli(word + ["--thr", "3"])[0] == EXIT_USAGE
+    for argv in (["--threads", "3"] + word, word + ["--threads", "3"]):
+        code, _, err = run_cli(argv)
+        assert code == EXIT_OK
+        assert "# threads=3" in err
+
+
 def test_plot_script_references_csv(tmp_path):
     dest = tmp_path / "scan.csv"
     script = tmp_path / "plot.py"

@@ -2,17 +2,22 @@
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from zetalab import meanvalue
 from zetalab.errors import GuardError
 from zetalab.meanvalue import (
     CountResult,
     MeanValueSpec,
-    _multiset_table,
+    _orderings,
+    _shards,
+    _sum_counts,
+    _window_pair_count,
     count_windowed,
     fit_growth_exponent,
     moment_kernel_sum,
@@ -103,6 +108,34 @@ def brute_kernel(N, r, delta, Delta):
     return total
 
 
+def decimal_windowed(N, digits=50):
+    """The default-window count with every window decided on `digits`-digit
+    decimal square roots instead of float64, over the exact (s1, s2) groups
+    of 6-multisets. Also returns the smallest distance of a defect from the
+    window, which must dwarf 10^-digits for the decisions to be certain."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        root = [Decimal(v).sqrt() for v in range(N + 1)]
+        window = 1 / Decimal(N).sqrt()
+        groups = defaultdict(list)
+        for t in itertools.combinations_with_replacement(range(1, N + 1), 6):
+            orderings = math.factorial(6)
+            for c in Counter(t).values():
+                orderings //= math.factorial(c)
+            d3 = sum(v * root[v] for v in t)
+            d4 = sum(root[v] for v in t)
+            groups[sum(t), sum(v * v for v in t)].append((d3, d4, orderings))
+        total, margin = 0, window
+        for members in groups.values():
+            for d3a, d4a, wa in members:
+                for d3b, d4b, wb in members:
+                    e3, e4 = abs(d3a - d3b), abs(d4a - d4b)
+                    margin = min(margin, abs(e3 - window), abs(e4 - window))
+                    if e3 <= window and e4 <= window:
+                        total += wa * wb
+    return total, margin
+
+
 # ------------------------------------------------------------ windowed count
 
 
@@ -159,6 +192,35 @@ def test_windowed_half_swap_symmetry():
     assert (rel == rel.T).all()
 
 
+def test_window_pair_sweep_keeps_float_decisions():
+    # d3 on a grid of tenths makes fl(d3[i] + w3) and fl(d3[j] - w3) round
+    # differently, so some pairs pass the d3 test in one direction only
+    # (0.1 + 0.2 >= 0.30000000000000004 but 0.30000000000000004 - 0.2 > 0.1);
+    # the sweep must count each direction as the plain pair loop does
+    rng = np.random.default_rng(3)
+    n = 400
+    key = rng.integers(0, 8, n)
+    d3 = np.array([sum([0.1] * int(k)) for k in rng.integers(0, 40, n)])
+    d4 = rng.integers(0, 6, n) * 0.1
+    w = rng.integers(1, 721, n)
+    for w3, w4 in [(0.2, 0.3), (0.1, 0.2), (0.30000000000000004, math.inf), (math.inf, 0.1)]:
+        expected = 0
+        for i in range(n):
+            for j in range(n):
+                if (key[i] == key[j] and d3[i] - w3 <= d3[j] <= d3[i] + w3
+                        and abs(d4[j] - d4[i]) <= w4):
+                    expected += int(w[i]) * int(w[j])
+        assert _window_pair_count(key, d3, d4, w, w3, w4) == expected
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_windowed_matches_decimal_window_oracle(N):
+    # brute_windowed shares the float64 window logic; this oracle does not
+    exact, margin = decimal_windowed(N)
+    assert margin > Decimal(10) ** -30
+    assert count_windowed(N).integer_value == exact
+
+
 def test_windowed_guard_and_validation():
     with pytest.raises(GuardError) as exc:
         count_windowed(49)
@@ -169,11 +231,57 @@ def test_windowed_guard_and_validation():
         count_windowed(0)
 
 
+# ------------------------------------------------------------------- shards
+
+
+@pytest.mark.parametrize("N,size,limit", [
+    (1, 6, 1), (7, 2, 1), (7, 2, 5), (9, 3, 1), (9, 3, 20), (12, 3, 64), (6, 6, 1), (8, 6, 100),
+    (10, 6, 1 << 18),
+])
+def test_shards_enumerate_each_tuple_once_in_bands(monkeypatch, N, size, limit):
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", limit)
+    shards = [(lo, cols.T.tolist()) for lo, cols in _shards(N, size)]
+    flat = [tuple(t) for _, rows in shards for t in rows]
+    # concatenated shards give every non-decreasing tuple once, in
+    # lexicographic order within each shard
+    assert sorted(flat) == list(itertools.combinations_with_replacement(range(1, N + 1), size))
+    for _, rows in shards:
+        assert rows == sorted(rows)
+    los = [lo for lo, _ in shards] + [size * N + 1]
+    for (lo, rows), next_lo in zip(shards, los[1:]):
+        sums = [sum(t) for t in rows]
+        assert lo == min(sums) and max(sums) < next_lo
+        assert len(rows) <= limit or len(set(sums)) == 1
+    counts = Counter(sum(t) for t in flat)
+    assert _sum_counts(N, size).tolist() == [counts[s1] for s1 in range(size * N + 1)]
+
+
+@pytest.mark.parametrize("limit", [1, 1000], ids=["one_s1_per_shard", "several_s1_per_shard"])
+def test_counts_independent_of_shard_size(monkeypatch, limit):
+    cases = [
+        lambda: count_windowed(12).integer_value,
+        lambda: count_windowed(9, 0.05, 0.9).integer_value,
+        lambda: count_windowed(10, math.inf, 0.3).integer_value,
+        lambda: count_windowed(8, math.inf, math.inf).integer_value,
+        lambda: vinogradov_count(30, 3).integer_value,
+        lambda: vinogradov_count(40, 2).integer_value,
+        lambda: moment_kernel_sum(MeanValueSpec(8, 6)).value,
+        lambda: moment_kernel_sum(MeanValueSpec(30, 3, delta=0.05, Delta=0.2)).value,
+    ]
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", 1 << 40)
+    whole = [case() for case in cases]
+    # values of the earlier engine, which sorted one table of all multisets
+    assert whole[0] == 3384230526
+    assert whole[6] == 348667592.79885393
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", limit)
+    assert [case() for case in cases] == whole  # floats bit for bit
+
+
 # --------------------------------------------------------------- kernel sums
 
 
 def test_kernel_r1_is_4n():
-    for N in (2, 3, 100, 10_000):
+    for N in (2, 3, 100, 10_000, 40_000):
         res = moment_kernel_sum(MeanValueSpec(N, 1))
         assert res.exact
         assert abs(res.value - 4.0 * N) <= 1e-9 * 4.0 * N
@@ -323,8 +431,8 @@ def test_diagonal_count_matches_rearrangement_enumeration(s):
 @pytest.mark.parametrize("s", [3, 6])
 def test_diagonal_count_matches_multiset_weights(s):
     for N in range(1, 13):
-        w = _multiset_table(N, s)[4]
-        assert diagonal_count(N, s) == sum(int(v) * int(v) for v in w.tolist())
+        weights = [int(v) for _, cols in _shards(N, s) for v in _orderings(cols).tolist()]
+        assert diagonal_count(N, s) == sum(v * v for v in weights)
 
 
 def test_diagonal_count_ramps_to_factorial():
