@@ -1,7 +1,7 @@
 """Numerically stable evaluation of the exponential sums used across the
 package: quadruple-phase sums, dyadic-block sums with log or monomial phase,
-generic sampled-curve sums, and `phase_sums`, the batched kernel that
-evaluates one sum at many frequency points.
+and `phase_sums`, the batched kernel that evaluates one sum at many
+frequency points.
 
 Conventions. e(z) = exp(2*pi*i*z). Phase arguments are reduced mod 1 before
 evaluating e(.); for the polynomial part n*x1 + n^2*x2 the reduction is done
@@ -161,26 +161,3 @@ def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> Compl
     values = np.exp((2j * math.pi) * phase)
     return _sum_terms(values, float(m.size))
 
-
-def eval_curve_sum(coeffs, curve_samples, x) -> ComplexValue:
-    """Sum_n a_n e(x . Phi_n) for explicitly sampled curve points Phi_n.
-
-    Linear in the coefficients; raises on length mismatch.
-    """
-    a = np.asarray(coeffs, dtype=np.complex128)
-    phi = np.asarray(curve_samples, dtype=np.float64)
-    xv = np.asarray(x, dtype=np.float64)
-    if phi.ndim != 2:
-        raise ValueError("curve samples must be a list of vectors")
-    if xv.shape != (phi.shape[1],):
-        raise ValueError(f"frequency vector must have length {phi.shape[1]}")
-    if a.shape != (phi.shape[0],):
-        raise ValueError(
-            f"coefficients and curve samples must have the same length "
-            f"({a.shape[0]} vs {phi.shape[0]})"
-        )
-    if not np.all(np.isfinite(phi)) or not np.all(np.isfinite(xv)):
-        raise ValueError("curve samples and frequencies must be finite")
-    phase = (phi @ xv) % 1.0
-    values = a * np.exp((2j * math.pi) * phase)
-    return _sum_terms(values, float(np.abs(a).sum()))

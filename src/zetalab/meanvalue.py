@@ -19,8 +19,10 @@ squares). One engine serves all three: `_shards` streams the multisets in
 consecutive bands of the linear sum s1, which no group crosses, and each
 route reduces a band to an exact integer or to kernel group sums before
 the next band is made, so memory is bounded by one band (SHARD_ROWS
-multisets), not by the C(N + r - 1, r) of the whole table. A Monte-Carlo
-quadrature provides the independent statistical route.
+multisets), not by the C(N + r - 1, r) of the whole table. No route walks
+the groups in Python: the kernel route reduces the groups of a band by size
+bucket, all groups of one size at once (`_kernel_group_sums`). A
+Monte-Carlo quadrature provides the independent statistical route.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ from .errors import GuardError
 from .expsum import phase_sums
 
 WINDOWED_MAX_N = 48
-KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 12}
+# r = 6 takes 15 s at N = 32 and 19 s at N = 33, both near 100 MB peak RSS
+# on a 2-core host: the guard keeps one call within about 15 s, as the
+# windowed guard does (14-18 s at N = 48).
+KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
 VINOGRADOV_MAX_N = 256
 MIN_SAMPLES = 1000
 
@@ -311,9 +316,14 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
     Groups r-multisets by the exact key (sum, sum of squares), shard by
     shard (`_shards`), each group in lexicographic order; each ordered pair
     within a group contributes the product of orderings times the two
-    interval kernels in the scaled power-sum defects. Per-group sums use
-    float64; the accumulation over all groups of all shards is exactly
-    rounded (math.fsum), so the value does not depend on the shards.
+    interval kernels in the scaled power-sum defects. The groups of a shard
+    are reduced by size bucket (`_kernel_group_sums`): each group sum is the
+    float64 sum of its k x k block, taken as one contiguous row, so it
+    rests on numpy's pairwise summation order for a row, which numpy does
+    not promise; a test pins the sums bit for bit against the per-group
+    loop. The accumulation over all groups of all shards is exactly rounded
+    (math.fsum), so the value depends neither on the shards nor on the
+    order of the groups.
     """
     r = spec.r
     if r not in KERNEL_MAX_N:
@@ -333,19 +343,32 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
         d3, d4 = _power_sums(cols)
         wf = _orderings(cols).astype(np.float64)
         starts = _group_starts(key[order])
-        ends = np.append(starts[1:], key.size)
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            if b - a == 1:
-                group_sums.append(4.0 * float(wf[a]) ** 2)
-                continue
-            d3g = d3[a:b]
-            d4g = d4[a:b]
-            wg = wf[a:b]
-            k3 = _interval_kernel((d3g[:, None] - d3g[None, :]) * scale3)
-            k4 = _interval_kernel((d4g[:, None] - d4g[None, :]) * scale4)
-            group_sums.append(float(((wg[:, None] * wg[None, :]) * k3 * k4).sum()))
+        group_sums += _kernel_group_sums(d3, d4, wf, starts, scale3, scale4).tolist()
     value = math.fsum(group_sums)
     return CountResult(value, True, 0.0, METHOD_KERNEL, None)
+
+
+def _kernel_group_sums(d3, d4, wf, starts, scale3, scale4) -> np.ndarray:
+    """Sum over the ordered pairs of each group of w_i w_j k3 k4, for the
+    groups of one shard that begin at `starts`, in group order. Singletons
+    are 4 w^2; the k x k blocks of all groups of one size k are formed at
+    once and each summed as one contiguous row of k^2 values, which numpy
+    reduces in the same pairwise order as the block alone."""
+    sizes = np.diff(starts, append=d3.size)
+    sums = 4.0 * wf[starts] ** 2
+    # the group sizes above 1 that occur (np.unique would import numpy.ma,
+    # about 1 MB of resident memory)
+    present = np.bincount(sizes)
+    present[:2] = 0
+    for k in np.flatnonzero(present).tolist():
+        pick = sizes == k
+        idx = starts[pick][:, None] + np.arange(k)
+        d3g, d4g, wg = d3[idx], d4[idx], wf[idx]
+        k3 = _interval_kernel((d3g[:, :, None] - d3g[:, None, :]) * scale3)
+        k4 = _interval_kernel((d4g[:, :, None] - d4g[:, None, :]) * scale4)
+        blocks = (wg[:, :, None] * wg[:, None, :]) * k3 * k4
+        sums[pick] = blocks.reshape(-1, k * k).sum(axis=1)
+    return sums
 
 
 def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> CountResult:

@@ -269,7 +269,6 @@ class BlockChoice:
     r_le_n: bool
     n_le_r2: bool
     n_in_range: bool     # 1 < N < M
-    n_matches_r2: bool   # N <= R^2 <= 4N, i.e. N comparable to R^2
 
 
 def choose_block_length(scenario: Scenario, regime: str) -> BlockChoice:
@@ -296,11 +295,7 @@ def choose_block_length(scenario: Scenario, regime: str) -> BlockChoice:
         r_le_n=R <= N,
         n_le_r2=N <= R * R,
         n_in_range=1 < N < M,
-        n_matches_r2=N <= R * R <= 4 * N,
     )
-
-
-REFINED_BRANCH_CROSSOVER = Fraction(49, 114)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from zetalab.expsum import (
     MAX_QUADRUPLE_N,
     PHASE_BLOCK,
     ComplexValue,
-    eval_curve_sum,
+    _sum_terms,
     eval_dyadic_sum,
     eval_quadruple_sum,
     phase_sums,
@@ -164,6 +164,17 @@ def test_dyadic_validation():
         eval_dyadic_sum(1.0, 10, "monomial")
     with pytest.raises(ValueError):
         eval_dyadic_sum(1.0, 10, "cubic")
+
+
+def eval_curve_sum(coeffs, curve_samples, x) -> ComplexValue:
+    """Sum_n a_n e(x . Phi_n) for explicitly sampled curve points Phi_n, one
+    frequency at a time: the reference loop for `phase_sums`."""
+    a = np.asarray(coeffs, dtype=np.complex128)
+    phi = np.asarray(curve_samples, dtype=np.float64)
+    if a.shape != (phi.shape[0],):
+        raise ValueError("coefficients and curve samples must have the same length")
+    phase = (phi @ np.asarray(x, dtype=np.float64)) % 1.0
+    return _sum_terms(a * np.exp((2j * math.pi) * phase), float(np.abs(a).sum()))
 
 
 def test_curve_sum_unit_vector():

@@ -8,13 +8,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetalab import meanvalue
 from zetalab.errors import GuardError
 from zetalab.meanvalue import (
     CountResult,
     MeanValueSpec,
+    _group_key,
+    _group_starts,
+    _interval_kernel,
+    _kernel_group_sums,
     _orderings,
+    _power_sums,
     _shards,
     _sum_counts,
     _window_pair_count,
@@ -106,6 +113,32 @@ def brute_kernel(N, r, delta, Delta):
             t4 = (sum(math.sqrt(v) for v in p) - sum(math.sqrt(v) for v in q)) * scale4
             total += float(kernel(t3) * kernel(t4))
     return total
+
+
+def kernel_shards(N, r):
+    """(d3, d4, wf, starts) of each shard of r-multisets, sorted by (s1, s2)
+    as the kernel route sorts them."""
+    for lo, cols in _shards(N, r):
+        key = _group_key(cols, lo, N)
+        order = np.argsort(key, kind="stable")
+        cols = cols[:, order]
+        d3, d4 = _power_sums(cols)
+        yield d3, d4, _orderings(cols).astype(np.float64), _group_starts(key[order])
+
+
+def loop_group_sums(d3, d4, wf, starts, scale3, scale4):
+    """One float64 block sum per group, group by group: the per-group loop
+    that `_kernel_group_sums` replaces."""
+    sums = []
+    for a, b in zip(starts.tolist(), np.append(starts[1:], d3.size).tolist()):
+        if b - a == 1:
+            sums.append(4.0 * float(wf[a]) ** 2)
+            continue
+        d3g, d4g, wg = d3[a:b], d4[a:b], wf[a:b]
+        k3 = _interval_kernel((d3g[:, None] - d3g[None, :]) * scale3)
+        k4 = _interval_kernel((d4g[:, None] - d4g[None, :]) * scale4)
+        sums.append(float(((wg[:, None] * wg[None, :]) * k3 * k4).sum()))
+    return sums
 
 
 def decimal_windowed(N, digits=50):
@@ -306,11 +339,58 @@ def test_kernel_nondefault_scales_match_direct():
     )
 
 
+@pytest.mark.parametrize("N,r,delta,Delta", [
+    (8, 6, 0.1, 0.3), (12, 6, 0.2, 0.5), (60, 3, 0.01, 0.1), (120, 3, 1e-3, 0.05), (24, 6, None, None),
+])
+def test_kernel_route_matches_group_loop_bit_for_bit(N, r, delta, Delta):
+    # each group sum is a block summed as one row of a (G, k^2) array; this
+    # holds only while numpy sums a contiguous row in the same pairwise
+    # order as the lone block, which numpy does not promise. The group sums
+    # are compared one by one: a sum in another order moves hundreds of
+    # them by an ulp and still leaves the fsum total unchanged.
+    spec = MeanValueSpec(N, r, delta, Delta)
+    scales = 1.0 / (spec.delta * N**1.5), 1.0 / (spec.Delta * N**0.5)
+    loop_sums, largest = [], 0
+    for shard in kernel_shards(N, r):
+        loop = loop_group_sums(*shard, *scales)
+        assert _kernel_group_sums(*shard, *scales).tolist() == loop
+        loop_sums += loop
+        largest = max(largest, np.diff(shard[3], append=shard[0].size).max())
+    assert moment_kernel_sum(spec).value == math.fsum(loop_sums)
+    if (N, r) == (24, 6):
+        assert largest > 90  # blocks past numpy's 8192-element buffer
+
+
+def test_kernel_value_pinned():
+    # the value of the per-group loop before the route was vectorised
+    spec = MeanValueSpec(120, 3, delta=1e-3, Delta=0.05)
+    assert moment_kernel_sum(spec).value == 43484854.648295306
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(1, 3000), (3, 40), (6, 10)]).flatmap(
+    lambda case: st.tuples(st.just(case[0]), st.integers(2, case[1]))))
+def test_kernel_group_sums_at_zero_scale_count_pairs(case):
+    # with both defect scales 0 every kernel factor is 2, so the group sums
+    # add up to 4 times the ordered pairs sharing (s1, s2); every partial sum
+    # is an integer below 2^53, hence exact
+    r, N = case
+    sums = [v for d3, d4, wf, starts in kernel_shards(N, r)
+            for v in _kernel_group_sums(d3, d4, wf, starts, 0.0, 0.0).tolist()]
+    if r == 1:
+        pairs = N
+    elif r == 3:
+        pairs = vinogradov_count(N, 3).integer_value
+    else:
+        pairs = count_windowed(N, math.inf, math.inf).integer_value
+    assert math.fsum(sums) == 4 * pairs
+
+
 def test_kernel_guards():
     with pytest.raises(ValueError):
         moment_kernel_sum(MeanValueSpec(4, 2))
     with pytest.raises(GuardError) as exc:
-        moment_kernel_sum(MeanValueSpec(13, 6))
+        moment_kernel_sum(MeanValueSpec(33, 6))
     assert exc.value.guard == "meanvalue.kernel.N"
 
 
