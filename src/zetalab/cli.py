@@ -3,10 +3,11 @@ with deterministic CSV/JSON emission, flat key=value config files, and
 optional plot-script generation.
 
 Determinism contract: for identical flags and seed, the emitted data files
-are byte-identical (different --threads included; computations are run on a
-single thread with fixed reduction shapes). Run metadata, including wall
-time, goes to stderr only, so it never perturbs the data files. The
-`seconds` CSV column is populated only under --timing for the same reason.
+are byte-identical (computations run on a single thread with fixed reduction
+shapes). Run metadata, including wall time, goes to stderr only, so it never
+perturbs the data files. The `seconds` CSV column is populated only under
+--timing for the same reason. A --config file may set only the keys in
+CONFIG_KEYS; any other key is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 guard violation (the guard name is
 printed), 4 I/O failure.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,7 +32,7 @@ EXIT_GUARD = 3
 EXIT_IO = 4
 
 SCHEMA_VERSION = 1
-THREADS_ENV = "ZETALAB_THREADS"
+CONFIG_KEYS = ("seed", "format", "out")
 
 MEANVALUE_COLUMNS = (
     "method", "N", "r", "delta", "Delta", "window3", "window4", "value", "stderr", "seconds",
@@ -122,7 +122,7 @@ def emit(report: Report, args) -> None:
         with open(args.plot_script, "w", newline="") as fh:
             fh.write(_PLOT_TEMPLATE.format(data=args.out, cols=",".join(report.columns), xcol=xcol, ycol=ycol))
     meta = dict(report.meta)
-    meta.update(seed=args.seed, threads=args.threads, version=__version__)
+    meta.update(seed=args.seed, version=__version__)
     for key in sorted(meta):
         print(f"# {key}={meta[key]}", file=sys.stderr)
 
@@ -136,10 +136,6 @@ def _parse_floats(text: str, n: int | None = None) -> list[float]:
 
 def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _seconds(args, started: float) -> str | float:
@@ -192,17 +188,11 @@ def _cmd_planner_envelope(args) -> Report:
     q = args.denominator_bound
     if q < 1:
         raise ValueError("--denominator-bound must be >= 1")
-    seen = set()
     rows = []
     for den in range(1, q + 1):
         for num in range(0, den + 1):
-            if math.gcd(num, den) != 1:
-                continue
-            a = Fraction(num, den)
-            if a in seen:
-                continue
-            seen.add(a)
-            rows.append(a)
+            if math.gcd(num, den) == 1:
+                rows.append(Fraction(num, den))
     rows.sort()
     out = []
     for a in rows:
@@ -229,7 +219,7 @@ def _cmd_planner_coverage(args) -> Report:
     )
     for tag, a in sorted(rep.crossovers.items()):
         report.text.append(f"crossover {tag}: alpha = {a}")
-    report.text.append(f"checked {rep.points_checked} rationals up to denominator {rep.grid_denominator}")
+    report.text.append(f"checked {rep.points_checked} rationals up to denominator {args.denominator_bound}")
     report.text.append(f"COVERAGE={'PASS' if rep.coverage else 'FAIL'}")
     return report
 
@@ -339,11 +329,11 @@ def _cmd_zeta_scan(args) -> Report:
 
 def _cmd_zeta_value(args) -> Report:
     em = zeta.zeta_em_oracle(args.t, args.terms)
-    rows = [(args.t, abs(em.value), abs(em.value) / args.t ** zeta.CRITICAL_GROWTH_EXPONENT, em.abs_err)]
+    rows = [(args.t, abs(em.value), abs(em.value) / args.t ** zeta.CRITICAL_GROWTH_EXPONENT, em.err)]
     report = Report(columns=ZETA_COLUMNS, rows=rows, meta={"command": "zeta value"})
     bound = zeta.afe_upper_bound(args.t, args.slack)
     report.text = [
-        f"zeta(1/2+{args.t}i) = {em.value} (abs_err {em.abs_err:.3g})",
+        f"zeta(1/2+{args.t}i) = {em.value} (abs_err {em.err:.3g})",
         f"afe bound 2|S|+{args.slack} = {bound:.6f} (slack: unquantified constant)",
     ]
     return report
@@ -390,8 +380,10 @@ def _load_config(path: str) -> dict:
             line = line.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} in {path} (known: {', '.join(CONFIG_KEYS)})")
+            settings[key] = value
     return settings
 
 
@@ -405,8 +397,6 @@ def _global_flags() -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     flags.add_argument("--config", help="flat key=value config file (flags win)")
     flags.add_argument("--seed", type=int, help="PRNG seed (default 0)")
-    flags.add_argument("--threads", type=int,
-                       help=f"worker hint; never changes results (default ${THREADS_ENV} or 1)")
     flags.add_argument("--out", help="output file (default stdout)")
     flags.add_argument("--format", choices=("csv", "json"))
     flags.add_argument("--timing", action="store_true", help="populate the seconds column")
@@ -417,8 +407,8 @@ def _global_flags() -> argparse.ArgumentParser:
 def _build_parser() -> argparse.ArgumentParser:
     flags = _global_flags()
     # No abbreviations anywhere: `zeta value --t` must reach the leaf
-    # instead of matching --threads and --timing as a prefix, and a global
-    # flag must parse the same before and after the subcommand.
+    # instead of matching --timing as a prefix, and a global flag must parse
+    # the same before and after the subcommand.
     parser = argparse.ArgumentParser(
         prog="zetalab",
         description="Desk-scale laboratory for exponential sums, mean values, "
@@ -437,7 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=_cmd_pairs_word)
     s = ps.add_parser("search", **leaf, help="exhaustive word search")
     s.add_argument("--max-len", type=int, default=6)
-    s.add_argument("--objective", choices=pairs.OBJECTIVES, default="zeta_exponent")
+    # `affine` needs coefficients, which only the library can pass.
+    s.add_argument("--objective", choices=("zeta_exponent", "k_plus_l"), default="zeta_exponent")
     s.add_argument("--seed-pair", default=None)
     s.add_argument("--no-axiom", action="store_true")
     s.set_defaults(func=_cmd_pairs_search)
@@ -515,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--T", type=float, required=True)
     d.add_argument("--M", type=int, required=True)
     d.add_argument("--kind", choices=("log", "monomial"), default="log")
-    d.add_argument("--exponent", type=_parse_fraction, default=None)
+    d.add_argument("--exponent", type=Fraction, default=None)
     d.add_argument("--radians", action="store_true",
                    help="interpret --T as radians t (cycles T = t/(2 pi))")
     d.set_defaults(func=_cmd_expsum_dyadic)
@@ -524,14 +515,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_defaults(args) -> None:
-    """Fill in the global flags left unset: config file, then environment,
-    then built-in defaults."""
+    """Fill in the global flags left unset: config file, then built-in
+    defaults."""
     config = _load_config(args.config) if "config" in args else {}
     if "seed" not in args:
         args.seed = int(config.get("seed", 0))
-    if "threads" not in args:
-        env = os.environ.get(THREADS_ENV)
-        args.threads = int(config.get("threads", env if env else 1))
     if "format" not in args:
         args.format = config.get("format", "csv")
         if args.format not in ("csv", "json"):

@@ -203,9 +203,6 @@ class RatioReport:
     rows: tuple[RatioRow, ...]
     slope: float
     slope_stderr: float
-    ensemble: str
-    samples: int
-    seed: int
 
     def __post_init__(self):
         for row in self.rows:
@@ -259,7 +256,7 @@ def ratio_scan(
         stderr = math.sqrt(spread + (math.fsum(errs) / trials) ** 2)
         rows.append(RatioRow(N, mean_ratio * rhs, rhs, mean_ratio, stderr))
     slope, slope_err = fit_loglog([r.N for r in rows], [r.ratio for r in rows])
-    return RatioReport(tuple(rows), slope, slope_err, ensemble, samples, seed)
+    return RatioReport(tuple(rows), slope, slope_err)
 
 
 def bilinear_scan(Ns, samples: int = 1 << 14, seed: int = 0, ensemble: str = ENSEMBLE_ONES):

@@ -36,7 +36,8 @@ PHASE_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class ComplexValue:
-    """A complex sum with an absolute bound on accumulated rounding error."""
+    """A complex value with an absolute error bound: the rounding of a sum,
+    plus the truncation error where a series is cut off."""
 
     re: float
     im: float

@@ -28,7 +28,7 @@ def in_region(k: Fraction, l: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class ExponentPair:
-    """An exponent pair (k, l) plus the word that produced it from `seed`.
+    """An exponent pair (k, l) plus the word that produced it from a seed pair.
 
     Epsilon losses are never stored; reports append them textually where
     they matter.
@@ -37,13 +37,10 @@ class ExponentPair:
     k: Fraction
     l: Fraction
     word: str = ""
-    seed: tuple[Fraction, Fraction] | None = None
 
     def __post_init__(self):
         if not in_region(self.k, self.l):
             raise ValueError(f"pair ({self.k}, {self.l}) outside the admissible region")
-        if self.seed is None:
-            object.__setattr__(self, "seed", (self.k, self.l))
 
     @property
     def monotone(self) -> bool:
@@ -54,8 +51,8 @@ class ExponentPair:
         return (self.k, self.l)
 
 
-def make_pair(k, l, word: str = "", seed=None) -> ExponentPair:
-    return ExponentPair(Fraction(k), Fraction(l), word, seed)
+def make_pair(k, l, word: str = "") -> ExponentPair:
+    return ExponentPair(Fraction(k), Fraction(l), word)
 
 
 #: The trivial seed pair.
@@ -68,13 +65,13 @@ PAIR_13_84 = make_pair(Fraction(13, 84), Fraction(55, 84), word="X")
 
 def apply_B(p: ExponentPair) -> ExponentPair:
     """B-process: (k, l) -> (l - 1/2, k + 1/2). An involution preserving k+l."""
-    return ExponentPair(p.l - HALF, p.k + HALF, "B" + p.word, p.seed)
+    return ExponentPair(p.l - HALF, p.k + HALF, "B" + p.word)
 
 
 def apply_A(p: ExponentPair) -> ExponentPair:
     """A-process: (k, l) -> (k/(2k+2), (k+l+1)/(2k+2))."""
     d = 2 * p.k + 2
-    return ExponentPair(p.k / d, (p.k + p.l + 1) / d, "A" + p.word, p.seed)
+    return ExponentPair(p.k / d, (p.k + p.l + 1) / d, "A" + p.word)
 
 
 def parse_word(text: str) -> str:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .pairs import PAIR_13_84, ExponentPair, apply_word
+
 HALF = Fraction(1, 2)
 CRITICAL_EXPONENT = Fraction(13, 84)
 
@@ -81,13 +83,21 @@ class PiecewiseBound:
         raise KeyError(tag)
 
 
+def pair_piece(
+    tag: str, pair: ExponentPair, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool
+) -> Piece:
+    """The bound |S| << T^k M^(l - k) of an exponent pair (k, l) as the piece
+    p = k + (l - k) a on the given alpha interval."""
+    return Piece(tag, lo, hi, lo_closed, hi_closed, pair.k, pair.l - pair.k)
+
+
 def exponent_bound_pieces() -> PiecewiseBound:
     """The seven affine bounds on the exponent p with |S| << T^(p + eps).
 
     Three cases of the sixth-power sieve bound, the synthesized main bound
-    alpha/2 + 13/84 on [17/42, 1/2], the resonance-method bound, the
-    classical exponent-pair bound from ABA^2B(0,1) = (1/9, 13/18), and the
-    trivial bound p = alpha.
+    alpha/2 + 13/84 on [17/42, 1/2] from the pair (13/84, 55/84), the
+    resonance-method bound, the classical exponent-pair bound from
+    ABA^2B(0,1) = (1/9, 13/18), and the trivial bound p = alpha.
     """
     F = Fraction
     pieces = (
@@ -98,11 +108,11 @@ def exponent_bound_pieces() -> PiecewiseBound:
         # |S|^6 << M^2 T^(4/3): p = a/3 + 2/9 on [1/3, 5/12)
         Piece(TAG_SIEVE_LOW, F(1, 3), F(5, 12), True, False, F(2, 9), F(1, 3)),
         # |S| << M^(1/2) T^(13/84): p = a/2 + 13/84 on [17/42, 1/2]
-        Piece(TAG_MAIN, F(17, 42), HALF, True, True, CRITICAL_EXPONENT, HALF),
+        pair_piece(TAG_MAIN, PAIR_13_84, F(17, 42), HALF, True, True),
         # |S| << T^((4 + 103 a)/128) on (12/31, 1]
         Piece(TAG_RESONANCE, F(12, 31), F(1), False, True, F(1, 32), F(103, 128)),
         # |S| << M^(11/18) T^(1/9) on [0, 1]
-        Piece(TAG_PAIR, F(0), F(1), True, True, F(1, 9), F(11, 18)),
+        pair_piece(TAG_PAIR, apply_word("ABAAB"), F(0), F(1), True, True),
         # |S| <= M
         Piece(TAG_TRIVIAL, F(0), F(1), True, True, F(0), F(1)),
     )
@@ -152,7 +162,6 @@ class CoverageReport:
     """Result of the exact critical-line coverage verification."""
 
     crossovers: dict
-    grid_denominator: int
     points_checked: int
     failures: tuple
     coverage: bool
@@ -208,7 +217,6 @@ def verify_critical_line_coverage(max_denominator: int = 1000) -> CoverageReport
                 failures.append(a)
     return CoverageReport(
         crossovers=crossovers,
-        grid_denominator=max_denominator,
         points_checked=checked,
         failures=tuple(failures),
         coverage=not failures,

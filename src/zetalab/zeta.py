@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
+from .expsum import ComplexValue
 from .numerics import MACHINE_EPS
 
 CRITICAL_GROWTH_EXPONENT = 13.0 / 84.0
@@ -46,35 +47,14 @@ _BERNOULLI = (
 )
 
 
-@dataclass(frozen=True)
-class ZetaValue:
-    """A zeta (or partial-sum) value with an absolute error estimate that
-    combines the truncation bound with a rounding model."""
-
-    re: float
-    im: float
-    abs_err: float
-
-    def __post_init__(self):
-        if self.abs_err < 0:
-            raise ValueError("abs_err must be nonnegative")
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __abs__(self) -> float:
-        return abs(self.value)
-
-
 def zeta_euler_maclaurin(
     s: complex, terms: int, bernoulli_terms: int = DEFAULT_BERNOULLI_TERMS
-) -> ZetaValue:
+) -> ComplexValue:
     """zeta(s) by Euler-Maclaurin with `terms` head terms and the given number
     of Bernoulli corrections.
 
     Valid for Re(s) > 0, s != 1. Requires terms >= 10 + |Im s|/2 so the
-    correction series decreases; abs_err adds the classical truncation bound
+    correction series decreases; err adds the classical truncation bound
     (|s+2K+1|/(sigma+2K+1) times the first omitted term) to a conservative
     rounding model for the head sum.
     """
@@ -114,14 +94,14 @@ def zeta_euler_maclaurin(
 
     sum_abs = float((n ** (-sigma)).sum()) + abs(cmath.exp((1 - s) * log_m) / (s - 1)) + abs(m_pow)
     rounding = MACHINE_EPS * sum_abs * (4.0 + 4.0 * t * math.log(M + 1.0))
-    return ZetaValue(total.real, total.imag, trunc + rounding)
+    return ComplexValue(total.real, total.imag, trunc + rounding)
 
 
 def default_oracle_terms(t: float) -> int:
     return int(abs(t) / 2) + 40
 
 
-def zeta_em_oracle(t: float, terms: int | None = None) -> ZetaValue:
+def zeta_em_oracle(t: float, terms: int | None = None) -> ComplexValue:
     """zeta(1/2 + i t) via Euler-Maclaurin; terms defaults to ~ t/2 + 40."""
     if terms is None:
         terms = default_oracle_terms(t)
@@ -133,11 +113,11 @@ def zeta_em_oracle(t: float, terms: int | None = None) -> ZetaValue:
     return zeta_euler_maclaurin(complex(0.5, t), terms)
 
 
-def afe_main_sum(t: float) -> ZetaValue:
+def afe_main_sum(t: float) -> ComplexValue:
     """Main sum S(t) = sum_{n <= sqrt(t/2pi)} n^{-1/2 + it}.
 
     Bound witness only: |zeta(1/2+it)| <= 2|S(t)| + C with C an unquantified
-    constant (slack handled by the consistency checks). abs_err covers
+    constant (slack handled by the consistency checks). err covers
     rounding of this sum, nothing else. Requires t >= 2*pi so the sum is
     nonempty.
     """
@@ -154,7 +134,7 @@ def afe_main_sum(t: float) -> ZetaValue:
     im = math.fsum(vals.imag.tolist())
     sum_abs = float(weights.sum())
     err = MACHINE_EPS * sum_abs * (2.0 + 3.0 * abs(t) * math.log(m + 1.0))
-    return ZetaValue(re, im, err)
+    return ComplexValue(re, im, err)
 
 
 def afe_upper_bound(t: float, slack: float = DEFAULT_SLACK) -> float:
@@ -168,7 +148,7 @@ def afe_consistency_scan(
     points: int = 200,
     slack: float = DEFAULT_SLACK,
 ):
-    """Check 2|S(t)| + slack >= |zeta(t)| - abs_err on a log-spaced grid.
+    """Check 2|S(t)| + slack >= |zeta(t)| - err on a log-spaced grid.
 
     Returns (rows, violations); rows are (t, bound, oracle_floor). Violations
     are reported, never silently swallowed.
@@ -181,7 +161,7 @@ def afe_consistency_scan(
     for t in ts.tolist():
         bound = afe_upper_bound(t, slack)
         em = zeta_em_oracle(t)
-        floor = abs(em.value) - em.abs_err
+        floor = abs(em.value) - em.err
         rows.append((t, bound, floor))
         if bound < floor:
             violations.append((t, bound, floor))
@@ -218,10 +198,6 @@ def zero_bracket(lo: float, hi: float) -> bool:
 class GrowthScan:
     """Rows (t, |zeta|, |zeta|/t^{13/84}, abs_err) on a jittered log grid."""
 
-    t_min: float
-    t_max: float
-    points: int
-    seed: int
     rows: tuple
     running_max: float
 
@@ -262,8 +238,8 @@ def growth_scan(
             az, err = 1.0, 0.0
         else:
             em = zeta_em_oracle(t)
-            az, err = abs(em.value), em.abs_err
+            az, err = abs(em.value), em.err
         ratio = az / t**CRITICAL_GROWTH_EXPONENT
         running = max(running, ratio)
         rows.append((t, az, ratio, err))
-    return GrowthScan(t_min, t_max, points, seed, tuple(rows), running)
+    return GrowthScan(tuple(rows), running)

@@ -2,10 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
-from zetalab.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+import pytest
+
+from zetalab.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_USAGE, _global_flags, main
 
 
 def run_cli(args, tmp_path=None):
@@ -143,7 +147,7 @@ def test_zeta_scan_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["zeta", "scan", "--t-min", "10", "--t-max", "1000", "--points", "40", "--seed", "9"]
     assert run_cli(["--out", str(a), "--seed", "9"] + args[0:1] + args[1:])[0] == EXIT_OK
-    assert run_cli(["--out", str(b), "--seed", "9", "--threads", "4"] + args[0:1] + args[1:])[0] == EXIT_OK
+    assert run_cli(["--out", str(b), "--seed", "9"] + args[0:1] + args[1:])[0] == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -152,7 +156,7 @@ def test_decouple_csv_and_determinism(tmp_path):
     base = ["decouple", "parabola", "--Ns", "8,16,32", "--ensemble", "random_signs",
             "--samples", "2048", "--seed", "5"]
     assert run_cli(["--out", str(a)] + base)[0] == EXIT_OK
-    assert run_cli(["--out", str(b), "--threads", "8"] + base)[0] == EXIT_OK
+    assert run_cli(["--out", str(b)] + base)[0] == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "d,N,ensemble,lhs,rhs,ratio,stderr,samples,seed"
@@ -161,14 +165,14 @@ def test_decouple_csv_and_determinism(tmp_path):
 def test_quadrature_determinism_across_threads(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["meanvalue", "quadrature", "--N", "4", "--r", "6", "--samples", "4000", "--seed", "2"]
-    assert run_cli(["--out", str(a), "--threads", "1"] + base)[0] == EXIT_OK
-    assert run_cli(["--out", str(b), "--threads", "16"] + base)[0] == EXIT_OK
+    assert run_cli(["--out", str(a)] + base)[0] == EXIT_OK
+    assert run_cli(["--out", str(b)] + base)[0] == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "lab.cfg"
-    cfg.write_text("seed=7\nthreads=3\nformat=json\n")
+    cfg.write_text("seed=7\nformat=json\n")
     dest = tmp_path / "o.json"
     code, _, err = run_cli(
         ["--config", str(cfg), "--out", str(dest), "zeta", "scan",
@@ -188,23 +192,49 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert "# seed=1" in err2
 
 
-def test_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZETALAB_THREADS", "5")
-    code, _, err = run_cli(["pairs", "word", "--word", "AB"])
-    assert code == EXIT_OK
-    assert "# threads=5" in err
+@pytest.mark.parametrize("line", ["sede=7", "threads=3"])
+def test_config_unknown_key_is_usage_error(tmp_path, line):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"seed=7\n{line}\n")
+    code, out, err = run_cli(["--config", str(cfg), "pairs", "word", "--word", "AB"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert repr(line.split("=")[0]) in err
 
 
 def test_global_flags_parse_alike_before_and_after_subcommand():
     # abbreviations are refused everywhere, so a global flag means the same
     # on both sides of the subcommand
     word = ["pairs", "word", "--word", "AB"]
-    assert run_cli(["--thr", "3"] + word)[0] == EXIT_USAGE
-    assert run_cli(word + ["--thr", "3"])[0] == EXIT_USAGE
-    for argv in (["--threads", "3"] + word, word + ["--threads", "3"]):
+    assert run_cli(["--form", "json"] + word)[0] == EXIT_USAGE
+    assert run_cli(word + ["--form", "json"])[0] == EXIT_USAGE
+    for argv in (["--seed", "3"] + word, word + ["--seed", "3"]):
         code, _, err = run_cli(argv)
         assert code == EXIT_OK
-        assert "# threads=3" in err
+        assert "# seed=3" in err
+
+
+def test_threads_flag_is_refused():
+    word = ["pairs", "word", "--word", "AB"]
+    assert run_cli(["--threads", "2"] + word)[0] == EXIT_USAGE
+    assert run_cli(word + ["--threads", "2"])[0] == EXIT_USAGE
+
+
+def test_readme_lists_the_global_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Global flags", 1)[1].split(".", 1)[0]
+    listed = set(re.findall(r"`(--[a-z-]+)", sentence))
+    defined = {opt for action in _global_flags()._actions for opt in action.option_strings}
+    assert listed == defined
+
+
+def test_pairs_search_offers_only_working_objectives():
+    # `affine` would need coefficients, which the CLI cannot pass
+    assert run_cli(["pairs", "search", "--max-len", "2", "--objective", "affine"])[0] == EXIT_USAGE
+    for objective in ("zeta_exponent", "k_plus_l"):
+        code, out, _ = run_cli(["pairs", "search", "--max-len", "2", "--objective", objective])
+        assert code == EXIT_OK
+        assert f" {objective}=" in out
 
 
 def test_plot_script_references_csv(tmp_path):
@@ -224,7 +254,7 @@ def test_plot_script_references_csv(tmp_path):
 
 
 def test_zeta_value_short_leaf_flag(tmp_path):
-    # --t is a prefix of the global --threads and --timing; the leaf's own
+    # --t is a prefix of the global --timing; the leaf's own
     # flag must win, with global flags before and after the subcommand
     dest = tmp_path / "v.json"
     code, out, _ = run_cli(["--seed", "1", "zeta", "value", "--t", "100", "--out", str(dest),

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetalab import meanvalue
@@ -200,10 +200,17 @@ def test_windowed_diagonal_lower_bound():
         assert count_windowed(N).integer_value >= diagonal_count(N, 6) >= N**6
 
 
-def test_windowed_monotone_in_windows():
-    base = count_windowed(6, 0.2, 0.2).integer_value
-    assert count_windowed(6, 0.4, 0.2).integer_value >= base
-    assert count_windowed(6, 0.2, 0.4).integer_value >= base
+_window = st.one_of(st.floats(0.01, 2.0), st.just(math.inf))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.tuples(_window, _window).map(sorted), st.tuples(_window, _window).map(sorted))
+@example(6, [0.2, 0.4], [0.2, 0.4])
+def test_windowed_monotone_in_windows(N, w3, w4):
+    # a pair inside the smaller windows is inside the larger ones
+    base = count_windowed(N, w3[0], w4[0]).integer_value
+    assert count_windowed(N, w3[1], w4[0]).integer_value >= base
+    assert count_windowed(N, w3[0], w4[1]).integer_value >= base
 
 
 def test_windowed_half_swap_symmetry():

@@ -49,7 +49,6 @@ def test_word_anchor():
     p = apply_word("ABAAB")
     assert p.as_tuple() == (F(1, 9), F(13, 18))
     assert p.word == "ABAAB"
-    assert p.seed == (F(0), F(1))
 
 
 def test_empty_word_is_identity():

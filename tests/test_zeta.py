@@ -8,7 +8,6 @@ import pytest
 from zetalab.errors import GuardError
 from zetalab.zeta import (
     GrowthScan,
-    ZetaValue,
     afe_consistency_scan,
     afe_main_sum,
     afe_upper_bound,
@@ -26,15 +25,15 @@ ZETA_HALF = -1.4603545088  # classical value of zeta(1/2), 10 digits
 
 def test_calibration_at_two():
     res = zeta_euler_maclaurin(complex(2.0, 0.0), 60)
-    assert abs(res.value - math.pi**2 / 6) <= res.abs_err
+    assert abs(res.value - math.pi**2 / 6) <= res.err
 
 
 def test_value_at_half():
     res = zeta_em_oracle(0.0)
-    assert abs(res.value - ZETA_HALF) <= res.abs_err + 5e-10
+    assert abs(res.value - ZETA_HALF) <= res.err + 5e-10
     # independent term count agrees within both error bounds
     other = zeta_euler_maclaurin(complex(0.5, 0.0), 200)
-    assert abs(res.value - other.value) <= res.abs_err + other.abs_err
+    assert abs(res.value - other.value) <= res.err + other.err
 
 
 @pytest.mark.parametrize("t", [5.0, 14.134725, 100.0, 1000.0])
@@ -43,20 +42,20 @@ def test_oracle_against_mpmath(t):
     mp.mp.dps = 30
     res = zeta_em_oracle(t)
     true = complex(mp.zeta(mp.mpc(0.5, t)))
-    assert abs(res.value - true) <= res.abs_err
+    assert abs(res.value - true) <= res.err
 
 
 def test_conjugate_symmetry():
     a = zeta_euler_maclaurin(complex(0.5, 50.0), 120)
     b = zeta_euler_maclaurin(complex(0.5, -50.0), 120)
-    assert abs(b.value - a.value.conjugate()) <= 2.0 * (a.abs_err + b.abs_err)
+    assert abs(b.value - a.value.conjugate()) <= 2.0 * (a.err + b.err)
 
 
 def test_doubling_terms_within_reported_error():
     for t in (20.0, 300.0):
         base = zeta_em_oracle(t)
         fine = zeta_em_oracle(t, terms=2 * default_oracle_terms(t))
-        assert abs(base.value - fine.value) <= base.abs_err
+        assert abs(base.value - fine.value) <= base.err
 
 
 def test_em_validation():
@@ -92,7 +91,7 @@ def test_afe_main_sum_against_high_precision():
 
 def test_afe_one_sided_bound_at_100():
     em = zeta_em_oracle(100.0)
-    assert afe_upper_bound(100.0, slack=2.0) >= abs(em.value) - em.abs_err
+    assert afe_upper_bound(100.0, slack=2.0) >= abs(em.value) - em.err
 
 
 def test_afe_consistency_scan_clean():
@@ -154,11 +153,6 @@ def test_growth_scan_guards():
         growth_scan(10.0, 100.0, 1)
 
 
-def test_zeta_value_validation():
-    with pytest.raises(ValueError):
-        ZetaValue(0.0, 0.0, -1.0)
-
-
 def test_growth_scan_row_monotonicity_enforced():
     with pytest.raises(ValueError):
-        GrowthScan(10.0, 20.0, 2, 0, ((15.0, 1.0, 1.0, 0.0), (12.0, 1.0, 1.0, 0.0)), 1.0)
+        GrowthScan(((15.0, 1.0, 1.0, 0.0), (12.0, 1.0, 1.0, 0.0)), 1.0)
