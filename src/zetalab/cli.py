@@ -5,9 +5,12 @@ optional plot-script generation.
 Determinism contract: for identical flags and seed, the emitted data files
 are byte-identical (computations run on a single thread with fixed reduction
 shapes). Run metadata, including wall time, goes to stderr only, so it never
-perturbs the data files. The `seconds` CSV column is populated only under
---timing for the same reason. A --config file may set only the keys in
-CONFIG_KEYS; any other key is a usage error.
+perturbs the data files. The `seconds` column of the meanvalue leaves is
+populated only under their --timing flag for the same reason. Stdout holds
+one CSV or JSON document: without --out, a leaf's prose lines go to stderr;
+with --out, they go to stdout. A --config file holds `key=value` lines for
+the keys in CONFIG_KEYS; any other key, or a line without `=`, is a usage
+error.
 
 Exit codes: 0 success, 2 usage error, 3 guard violation (the guard name is
 printed), 4 I/O failure.
@@ -114,7 +117,7 @@ def emit(report: Report, args) -> None:
     else:
         sys.stdout.write(text)
     for line in report.text:
-        print(line)
+        print(line, file=sys.stdout if args.out else sys.stderr)
     if args.plot_script:
         if not args.out:
             raise ValueError("--plot-script requires --out (the script references the data file)")
@@ -127,9 +130,9 @@ def emit(report: Report, args) -> None:
         print(f"# {key}={meta[key]}", file=sys.stderr)
 
 
-def _parse_floats(text: str, n: int | None = None) -> list[float]:
+def _parse_floats(text: str, n: int) -> list[float]:
     vals = [float(v) for v in text.split(",") if v != ""]
-    if n is not None and len(vals) != n:
+    if len(vals) != n:
         raise ValueError(f"expected {n} comma-separated values, got {len(vals)}")
     return vals
 
@@ -290,25 +293,19 @@ def _cmd_meanvalue(args) -> Report:
 
 
 def _cmd_decouple(args) -> Report:
-    rows = []
     ns = _parse_ints(args.Ns)
-    if args.mode == "parabola":
-        if ns:
-            rep = decouple.ratio_scan(ns, args.ensemble, args.trials, args.seed, args.samples)
-            for r in rep.rows:
-                rows.append((2, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, args.samples, args.seed))
-            meta = {"command": "decouple parabola", "slope": rep.slope, "slope_stderr": rep.slope_stderr}
+    meta = {"command": f"decouple {args.mode}", "slope": None}
+    rows = []
+    if ns:
+        if args.mode == "parabola":
+            d, rep = 2, decouple.ratio_scan(ns, args.ensemble, args.trials, args.seed, args.samples)
         else:
-            meta = {"command": "decouple parabola", "slope": None}
-    else:
-        if ns:
-            results, slope, slope_err = decouple.bilinear_scan(ns, args.samples, args.seed, args.ensemble)
-            for N, r in results:
-                rows.append((4, N, args.ensemble, r.lhs, r.benchmark, r.ratio, r.stderr, args.samples, args.seed))
-            meta = {"command": "decouple bilinear", "slope": slope, "slope_stderr": slope_err,
-                    "status": "exploratory"}
-        else:
-            meta = {"command": "decouple bilinear", "slope": None}
+            d, rep = 4, decouple.bilinear_scan(ns, args.samples, args.seed, args.ensemble)
+        rows = [(d, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, args.samples, args.seed)
+                for r in rep.rows]
+        meta.update(slope=rep.slope, slope_stderr=rep.slope_stderr)
+        if args.mode == "bilinear":
+            meta["status"] = "exploratory"
     meta["plot_axes"] = ("N", "ratio")
     return Report(columns=DECOUPLE_COLUMNS, rows=rows, meta=meta)
 
@@ -376,10 +373,12 @@ def _cmd_expsum_dyadic(args) -> Report:
 def _load_config(path: str) -> dict:
     settings = {}
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"config line {number} of {path} is not key=value: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r} in {path} (known: {', '.join(CONFIG_KEYS)})")
@@ -399,16 +398,15 @@ def _global_flags() -> argparse.ArgumentParser:
     flags.add_argument("--seed", type=int, help="PRNG seed (default 0)")
     flags.add_argument("--out", help="output file (default stdout)")
     flags.add_argument("--format", choices=("csv", "json"))
-    flags.add_argument("--timing", action="store_true", help="populate the seconds column")
     flags.add_argument("--plot-script", help="also write a plot script (requires --out)")
     return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
     flags = _global_flags()
-    # No abbreviations anywhere: `zeta value --t` must reach the leaf
-    # instead of matching --timing as a prefix, and a global flag must parse
-    # the same before and after the subcommand.
+    # No abbreviations anywhere: a global flag must parse the same before
+    # and after the subcommand, and a prefix such as `--form` is refused
+    # rather than read as `--format`.
     parser = argparse.ArgumentParser(
         prog="zetalab",
         description="Desk-scale laboratory for exponential sums, mean values, "
@@ -427,8 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=_cmd_pairs_word)
     s = ps.add_parser("search", **leaf, help="exhaustive word search")
     s.add_argument("--max-len", type=int, default=6)
-    # `affine` needs coefficients, which only the library can pass.
-    s.add_argument("--objective", choices=("zeta_exponent", "k_plus_l"), default="zeta_exponent")
+    s.add_argument("--objective", choices=pairs.OBJECTIVES, default="zeta_exponent")
     s.add_argument("--seed-pair", default=None)
     s.add_argument("--no-axiom", action="store_true")
     s.set_defaults(func=_cmd_pairs_search)
@@ -454,6 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
         m = ps.add_parser(mode, **leaf)
         m.add_argument("--N", type=int, default=None)
         m.add_argument("--Ns", default=None, help="comma list; overrides --N")
+        m.add_argument("--timing", action="store_true", help="populate the seconds column")
         if mode == "count":
             m.add_argument("--window3", type=float, default=None)
             m.add_argument("--window4", type=float, default=None)
@@ -526,8 +524,6 @@ def _resolve_defaults(args) -> None:
             raise ValueError(f"config format must be csv or json, got {args.format!r}")
     if "out" not in args:
         args.out = config.get("out") or None
-    if "timing" not in args:
-        args.timing = False
     if "plot_script" not in args:
         args.plot_script = None
 

@@ -6,16 +6,19 @@ coefficients, which anchors every statistical estimate here. The
 four-dimensional bilinear probe for the curve (t, t^2, t^{3/2}, t^{1/2}) is
 exploratory: it averages over the centered N-cube rather than the full
 period domain, so only a wide-tolerance slope consistency check is claimed.
+Both probes report `RatioRow`s and a `RatioReport` with the fitted slope of
+log(ratio) against log(N).
 
 Sampling is randomized low-discrepancy (Halton points under independent
 uniform shifts), which keeps estimators unbiased while the replicate spread
-yields an honest stderr; everything is deterministic for a fixed seed.
+yields an honest stderr (REPLICATES shifts); everything is deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .meanvalue import vinogradov_count
 from .numerics import fit_loglog, halton
 
 BILINEAR_MAX_N = 64
-DEFAULT_REPLICATES = 8
+REPLICATES = 8
 
 ENSEMBLE_ONES = "ones"
 ENSEMBLE_SIGNS = "random_signs"
@@ -42,7 +45,8 @@ def default_intervals(N: int) -> tuple[tuple[int, int], tuple[int, int]]:
 @dataclass(frozen=True)
 class DecouplingExperiment:
     """Configuration of one probe: dimension, size, curve, coefficient
-    ensemble, sampling budget and seed, and (for d=4) the two intervals."""
+    ensemble, sampling budget and seed. For d=4 `intervals` holds the two
+    index ranges `default_intervals(N)`; for d=2 it is None."""
 
     d: int
     N: int
@@ -50,7 +54,7 @@ class DecouplingExperiment:
     ensemble: str = ENSEMBLE_ONES
     samples: int = 1 << 14
     seed: int = 0
-    intervals: tuple[tuple[int, int], tuple[int, int]] | None = None
+    intervals: tuple[tuple[int, int], tuple[int, int]] | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.d not in (2, 4):
@@ -62,13 +66,7 @@ class DecouplingExperiment:
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.d == 4:
-            iv = self.intervals if self.intervals is not None else default_intervals(self.N)
-            (a1, b1), (a2, b2) = iv
-            if not (1 <= a1 <= b1 < a2 <= b2 <= self.N):
-                raise ValueError("intervals must be ordered subranges of {1..N}")
-            if a2 - b1 < self.N // 4:
-                raise ValueError("intervals must be separated by a positive fraction of N")
-            object.__setattr__(self, "intervals", iv)
+            object.__setattr__(self, "intervals", default_intervals(self.N))
 
     def coefficients(self) -> np.ndarray:
         """Deterministic coefficient vector for the configured ensemble."""
@@ -80,23 +78,23 @@ class DecouplingExperiment:
         return np.exp((2j * np.pi) * rng.random(self.N))
 
 
-def qmc_mean(f, dim: int, samples: int, seed: int, replicates: int = DEFAULT_REPLICATES):
+def qmc_mean(f, dim: int, samples: int, seed: int):
     """Unbiased randomized-QMC mean of f over [0,1)^dim.
 
-    One Halton block is reused under `replicates` independent uniform shifts;
+    One Halton block is reused under REPLICATES independent uniform shifts;
     the estimate is the replicate average and the stderr the replicate
-    spread over sqrt(replicates).
+    spread over sqrt(REPLICATES).
     """
     rng = np.random.default_rng(seed)
-    per = max(samples // replicates, 1)
+    per = max(samples // REPLICATES, 1)
     base = halton(dim, per)
     means = []
-    for _ in range(replicates):
+    for _ in range(REPLICATES):
         shift = rng.random(dim)
         means.append(float(np.mean(f((base + shift) % 1.0))))
-    est = math.fsum(means) / replicates
-    var = math.fsum((m - est) ** 2 for m in means) / (replicates - 1)
-    return est, math.sqrt(var / replicates)
+    est = math.fsum(means) / REPLICATES
+    var = math.fsum((m - est) ** 2 for m in means) / (REPLICATES - 1)
+    return est, math.sqrt(var / REPLICATES)
 
 
 def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: int = 0):
@@ -130,29 +128,33 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
     return value, stderr / (6.0 * mean ** (5.0 / 6.0))
 
 
-def parabola_rhs(coeffs) -> float:
-    """The l^2 norm of the coefficients (the decoupled side)."""
-    a = np.asarray(coeffs, dtype=np.complex128)
-    if a.size == 0:
-        raise ValueError("coefficients must be nonempty")
-    return float(np.linalg.norm(a))
+@dataclass(frozen=True)
+class RatioRow:
+    N: int
+    lhs: float
+    rhs: float
+    ratio: float
+    stderr: float
 
 
 @dataclass(frozen=True)
-class BilinearResult:
-    lhs: float
-    stderr: float
-    benchmark: float  # sqrt(N) * max|a|
+class RatioReport:
+    """Per-N left/right sides with the fitted slope of log(ratio) vs log(N)."""
 
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.benchmark
+    rows: tuple[RatioRow, ...]
+    slope: float
+    slope_stderr: float
+
+    def __post_init__(self):
+        for row in self.rows:
+            if not (row.lhs > 0 and row.rhs > 0):
+                raise ValueError("report rows must have positive sides")
 
 
-def bilinear_d4_ratio(exp: DecouplingExperiment) -> BilinearResult:
+def bilinear_d4_ratio(exp: DecouplingExperiment) -> RatioRow:
     """L^12 average over the centered N-cube of the geometric mean of the two
     interval sums on the curve (t, t^2, t^{3/2}, t^{1/2}), reported against
-    the sqrt(N) * max|a| benchmark. Exploratory probe (the sharp statement
+    rhs = sqrt(N) * max|a|. Exploratory probe (the sharp statement
     lives on a much larger domain); wide tolerance only.
 
     With the default quarter intervals each sum holds q = N // 4 terms. At
@@ -180,34 +182,21 @@ def bilinear_d4_ratio(exp: DecouplingExperiment) -> BilinearResult:
         return (s1.real**2 + s1.imag**2) ** 3 * (s2.real**2 + s2.imag**2) ** 3
 
     mean, stderr = qmc_mean(f, 4, exp.samples, exp.seed)
-    benchmark = math.sqrt(N) * float(np.max(np.abs(a)))
+    rhs = math.sqrt(N) * float(np.max(np.abs(a)))
     if mean <= 0.0:
-        return BilinearResult(0.0, 0.0, benchmark)
+        return RatioRow(N, 0.0, rhs, 0.0, 0.0)
     lhs = mean ** (1.0 / 12.0)
-    return BilinearResult(lhs, stderr / (12.0 * mean ** (11.0 / 12.0)), benchmark)
+    return RatioRow(N, lhs, rhs, lhs / rhs, stderr / (12.0 * mean ** (11.0 / 12.0)))
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    N: int
-    lhs: float
-    rhs: float
-    ratio: float
-    stderr: float
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Per-N left/right sides with the fitted slope of log(ratio) vs log(N)."""
-
-    rows: tuple[RatioRow, ...]
-    slope: float
-    slope_stderr: float
-
-    def __post_init__(self):
-        for row in self.rows:
-            if not (row.lhs > 0 and row.rhs > 0):
-                raise ValueError("report rows must have positive sides")
+def _distinct_ns(Ns, minimum: int) -> list[int]:
+    """The N list of a scan, sorted: at least `minimum` distinct values."""
+    ns = sorted(int(N) for N in Ns)
+    if len(ns) < minimum:
+        raise ValueError(f"need at least {minimum} values of N")
+    if len(set(ns)) != len(ns):
+        raise ValueError("N values must be distinct")
+    return ns
 
 
 def ratio_scan(
@@ -223,24 +212,19 @@ def ratio_scan(
     identity); random ensembles average `trials` deterministic draws of the
     randomized-QMC estimate.
     """
-    ns = [int(N) for N in Ns]
-    if len(ns) < 3:
-        raise ValueError("need at least 3 values of N")
-    if len(set(ns)) != len(ns):
-        raise ValueError("N values must be distinct")
+    ns = _distinct_ns(Ns, 3)
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows = []
-    for N in sorted(ns):
+    for N in ns:
+        # every ensemble is unit-modulus: rhs = sqrt(N) for all draws
+        rhs = math.sqrt(N)
         if ensemble == ENSEMBLE_ONES:
             lhs, err = parabola_l6_lhs(np.ones(N, dtype=np.complex128), exact=True)
-            rhs = math.sqrt(N)
             rows.append(RatioRow(N, lhs, rhs, lhs / rhs, err))
             continue
-        # unit-modulus ensembles share rhs = sqrt(N) across draws
-        rhs = math.sqrt(N)
         ratios = []
         errs = []
         for trial in range(trials):
@@ -259,7 +243,9 @@ def ratio_scan(
     return RatioReport(tuple(rows), slope, slope_err)
 
 
-def bilinear_scan(Ns, samples: int = 1 << 14, seed: int = 0, ensemble: str = ENSEMBLE_ONES):
+def bilinear_scan(
+    Ns, samples: int = 1 << 14, seed: int = 0, ensemble: str = ENSEMBLE_ONES
+) -> RatioReport:
     """Bilinear d=4 probe across several N: rows plus the slope of
     log(lhs / sqrt(N)) against log(N).
 
@@ -274,12 +260,9 @@ def bilinear_scan(Ns, samples: int = 1 << 14, seed: int = 0, ensemble: str = ENS
     threshold the probe should meet is an open question: none is derived
     here or in the accompanying documents.
     """
-    ns = sorted(int(N) for N in Ns)
-    if len(ns) < 2:
-        raise ValueError("need at least 2 values of N")
-    results = []
-    for N in ns:
-        exp = DecouplingExperiment(4, N, "quadruple", ensemble, samples, seed)
-        results.append((N, bilinear_d4_ratio(exp)))
-    slope, slope_err = fit_loglog([n for n, _ in results], [r.ratio for _, r in results])
-    return results, slope, slope_err
+    rows = tuple(
+        bilinear_d4_ratio(DecouplingExperiment(4, N, "quadruple", ensemble, samples, seed))
+        for N in _distinct_ns(Ns, 2)
+    )
+    slope, slope_err = fit_loglog([r.N for r in rows], [r.ratio for r in rows])
+    return RatioReport(rows, slope, slope_err)

@@ -1,7 +1,7 @@
 """Numerically stable evaluation of the exponential sums used across the
-package: quadruple-phase sums, dyadic-block sums with log or monomial phase,
-and `phase_sums`, the batched kernel that evaluates one sum at many
-frequency points.
+package: quadruple-phase sums with unit coefficients, dyadic-block sums with
+log or monomial phase, and `phase_sums`, the batched kernel that evaluates
+one sum, with or without coefficients, at many frequency points.
 
 Conventions. e(z) = exp(2*pi*i*z). Phase arguments are reduced mod 1 before
 evaluating e(.); for the polynomial part n*x1 + n^2*x2 the reduction is done
@@ -96,11 +96,10 @@ def phase_sums(phi, coeffs, X) -> np.ndarray:
     return out
 
 
-def eval_quadruple_sum(N: int, x: Sequence[float], coeffs=None) -> ComplexValue:
-    """Sum_{1<=n<=N} a_n e(n x1 + n^2 x2 + sqrt(N) n^{3/2} x3 + sqrt(N) n^{1/2} x4).
+def eval_quadruple_sum(N: int, x: Sequence[float]) -> ComplexValue:
+    """Sum_{1<=n<=N} e(n x1 + n^2 x2 + sqrt(N) n^{3/2} x3 + sqrt(N) n^{1/2} x4).
 
-    Coefficients default to a_n = 1 and must have length N otherwise. The
-    polynomial phases are reduced mod 1 exactly; the half-integer power
+    The polynomial phases are reduced mod 1 exactly; the half-integer power
     phases are double precision, each off by about eps * sqrt(N) n^{3/2} |x3|
     cycles. `err` bounds the summation rounding only, not this phase
     rounding: at N = 2**20 those phases reach 2**40 |x3|, and for x3 of
@@ -123,15 +122,7 @@ def eval_quadruple_sum(N: int, x: Sequence[float], coeffs=None) -> ComplexValue:
     phase = frac_poly_phase(n, x1, x2)
     phase = (phase + ((x3 * root_n) * (nf * sqrt_n)) % 1.0 + ((x4 * root_n) * sqrt_n) % 1.0) % 1.0
     values = np.exp((2j * math.pi) * phase)
-    if coeffs is not None:
-        a = np.asarray(coeffs, dtype=np.complex128)
-        if a.shape != (N,):
-            raise ValueError(f"coeffs must have length {N}, got shape {a.shape}")
-        values = values * a
-        weight = float(np.abs(a).sum())
-    else:
-        weight = float(N)
-    return _sum_terms(values, weight)
+    return _sum_terms(values, float(N))
 
 
 def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> ComplexValue:

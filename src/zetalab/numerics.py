@@ -75,11 +75,11 @@ def radical_inverse(base: int, index: np.ndarray) -> np.ndarray:
     return x
 
 
-def halton(dim: int, count: int, start: int = 0) -> np.ndarray:
-    """`count` Halton points in [0,1)^dim, starting after index `start`."""
+def halton(dim: int, count: int) -> np.ndarray:
+    """The first `count` Halton points in [0,1)^dim, from index 1."""
     if dim > len(_PRIMES):
         raise ValueError(f"halton supports at most {len(_PRIMES)} dimensions")
-    idx = np.arange(start + 1, start + count + 1)
+    idx = np.arange(1, count + 1)
     return np.column_stack([radical_inverse(_PRIMES[d], idx) for d in range(dim)])
 
 

@@ -18,7 +18,7 @@ HALF = Fraction(1, 2)
 
 MAX_WORD_SEARCH_LEN = 20
 
-OBJECTIVES = ("zeta_exponent", "k_plus_l", "affine")
+OBJECTIVES = ("zeta_exponent", "k_plus_l")
 
 
 def in_region(k: Fraction, l: Fraction) -> bool:
@@ -121,14 +121,11 @@ class SearchResult:
     value: Fraction
 
 
-def _objective(name: str, coefficients) -> Callable[[ExponentPair], Fraction]:
+def _objective(name: str) -> Callable[[ExponentPair], Fraction]:
     if name == "zeta_exponent":
         return zeta_exponent
     if name == "k_plus_l":
         return lambda p: p.k + p.l
-    if name == "affine":
-        c1, c2 = (Fraction(c) for c in coefficients)
-        return lambda p: c1 * p.k + c2 * p.l
     raise ValueError(f"unknown objective {name!r} (expected one of {OBJECTIVES})")
 
 
@@ -136,7 +133,6 @@ def search_words(
     max_len: int,
     seeds: Sequence[ExponentPair] | None = None,
     objective: str = "zeta_exponent",
-    coefficients: tuple = (1, 1),
     include_axiom: bool = True,
 ) -> SearchResult:
     """Exact global minimum of the objective over all words of length <= max_len.
@@ -154,7 +150,7 @@ def search_words(
             "pairs.search_words.max_len",
             f"max_len={max_len} exceeds the word-search guard {MAX_WORD_SEARCH_LEN}",
         )
-    score = _objective(objective, coefficients)
+    score = _objective(objective)
     pool = list(seeds) if seeds is not None else [BASE_PAIR]
     if include_axiom:
         pool = pool + [PAIR_13_84]

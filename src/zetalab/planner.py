@@ -245,8 +245,9 @@ class Scenario:
     def alpha(self) -> float:
         return math.log(self.M) / math.log(self.T)
 
-    def alpha_fraction(self, max_denominator: int = 10**4) -> Fraction:
-        return Fraction(self.alpha).limit_denominator(max_denominator)
+    def alpha_fraction(self) -> Fraction:
+        """alpha as the nearest fraction with denominator at most 10^4."""
+        return Fraction(self.alpha).limit_denominator(10**4)
 
 
 def arc_modulus(T: float, M: int, N: float, c: float = 1.0) -> int:

@@ -4,9 +4,9 @@ The approximate-functional-equation main sum S(t) = sum_{n <= sqrt(t/2pi)}
 n^{-1/2+it} witnesses the one-sided bound |zeta(1/2+it)| <= 2|S(t)| + O(1);
 the O(1) is unquantified, so every check here is one-sided consistency with
 a configurable slack, never equality. The independent oracle is
-Euler-Maclaurin with explicit truncation control; growth scans tabulate
-|zeta(1/2+it)| / t^{13/84} as a consistency artifact (the asymptotic bound
-itself is not falsifiable at finite t).
+Euler-Maclaurin with BERNOULLI_TERMS corrections and an explicit truncation
+bound; growth scans tabulate |zeta(1/2+it)| / t^{13/84} as a consistency
+artifact (the asymptotic bound itself is not falsifiable at finite t).
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ SCAN_MAX_T = 1.0e6
 # About 64 bytes per Euler-Maclaurin head term: at most about 1.1 GB.
 ORACLE_MAX_TERMS = 1 << 24
 
-DEFAULT_BERNOULLI_TERMS = 8
+BERNOULLI_TERMS = 8
 DEFAULT_SLACK = 2.0
 
-# B_{2k} for k = 1..10
+# B_{2k} for k = 1..BERNOULLI_TERMS + 1 (the last bounds the truncation)
 _BERNOULLI = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -43,15 +43,12 @@ _BERNOULLI = (
     7.0 / 6.0,
     -3617.0 / 510.0,
     43867.0 / 798.0,
-    -174611.0 / 330.0,
 )
 
 
-def zeta_euler_maclaurin(
-    s: complex, terms: int, bernoulli_terms: int = DEFAULT_BERNOULLI_TERMS
-) -> ComplexValue:
-    """zeta(s) by Euler-Maclaurin with `terms` head terms and the given number
-    of Bernoulli corrections.
+def zeta_euler_maclaurin(s: complex, terms: int) -> ComplexValue:
+    """zeta(s) by Euler-Maclaurin with `terms` head terms and BERNOULLI_TERMS
+    Bernoulli corrections.
 
     Valid for Re(s) > 0, s != 1. Requires terms >= 10 + |Im s|/2 so the
     correction series decreases; err adds the classical truncation bound
@@ -66,9 +63,7 @@ def zeta_euler_maclaurin(
         raise ValueError("Euler-Maclaurin route requires Re(s) > 0")
     if terms < 10 + t / 2:
         raise ValueError(f"terms={terms} insufficient; need at least 10 + |t|/2 = {10 + t / 2:.1f}")
-    K = bernoulli_terms
-    if not 1 <= K <= len(_BERNOULLI) - 1:
-        raise ValueError(f"bernoulli_terms must lie in [1, {len(_BERNOULLI) - 1}]")
+    K = BERNOULLI_TERMS
     M = int(terms)
     n = np.arange(1, M, dtype=np.float64)
     head = np.exp(-s * np.log(n))
@@ -183,9 +178,9 @@ def siegel_theta(t: float) -> float:
     )
 
 
-def z_function(t: float, terms: int | None = None) -> float:
+def z_function(t: float) -> float:
     """Z(t) = Re(e^{i theta(t)} zeta(1/2 + i t)), real up to evaluation error."""
-    zv = zeta_em_oracle(t, terms)
+    zv = zeta_em_oracle(t)
     return (cmath.exp(1j * siegel_theta(t)) * zv.value).real
 
 
@@ -207,19 +202,11 @@ class GrowthScan:
             raise ValueError("scan grid must be strictly increasing")
 
 
-def growth_scan(
-    t_min: float,
-    t_max: float,
-    points: int,
-    seed: int = 0,
-    constant_mode: bool = False,
-) -> GrowthScan:
+def growth_scan(t_min: float, t_max: float, points: int, seed: int = 0) -> GrowthScan:
     """Tabulate |zeta(1/2+it)| / t^{13/84} with the running maximum.
 
     The grid is log-spaced with seeded jitter inside each cell (hence still
     strictly increasing, and bit-reproducible for a fixed seed).
-    `constant_mode` replaces |zeta| by 1 to exercise the pipeline against the
-    closed form t^{-13/84}.
     """
     if not (SCAN_MIN_T <= t_min < t_max <= SCAN_MAX_T):
         raise GuardError(
@@ -234,11 +221,8 @@ def growth_scan(
     rows = []
     running = 0.0
     for t in ts.tolist():
-        if constant_mode:
-            az, err = 1.0, 0.0
-        else:
-            em = zeta_em_oracle(t)
-            az, err = abs(em.value), em.err
+        em = zeta_em_oracle(t)
+        az, err = abs(em.value), em.err
         ratio = az / t**CRITICAL_GROWTH_EXPONENT
         running = max(running, ratio)
         rows.append((t, az, ratio, err))

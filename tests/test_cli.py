@@ -1,5 +1,7 @@
 """CLI dispatch, exit codes, deterministic emission, config handling."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -13,8 +15,7 @@ from zetalab.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_USAGE, _global_flags,
 
 
 def run_cli(args, tmp_path=None):
-    """Run main() in-process, capturing stdout."""
-    import io
+    """Run main() in-process, capturing stdout and stderr."""
     from contextlib import redirect_stderr, redirect_stdout
 
     out, err = io.StringIO(), io.StringIO()
@@ -24,29 +25,56 @@ def run_cli(args, tmp_path=None):
 
 
 def test_pairs_word_output():
-    code, out, _ = run_cli(["pairs", "word", "--word", "ABAAB", "--seed-pair", "0,1"])
+    code, _, err = run_cli(["pairs", "word", "--word", "ABAAB", "--seed-pair", "0,1"])
     assert code == EXIT_OK
-    assert "k=1/9 l=13/18 theta=1/6" in out
+    assert "k=1/9 l=13/18 theta=1/6" in err
 
 
 def test_pairs_word_normalizes():
-    code, out, _ = run_cli(["pairs", "word", "--word", "ABA2B"])
+    code, _, err = run_cli(["pairs", "word", "--word", "ABA2B"])
     assert code == EXIT_OK
-    assert "k=1/9 l=13/18 theta=1/6" in out
+    assert "k=1/9 l=13/18 theta=1/6" in err
 
 
 def test_planner_coverage_output():
-    code, out, _ = run_cli(["planner", "coverage", "--denominator-bound", "100"])
+    code, _, err = run_cli(["planner", "coverage", "--denominator-bound", "100"])
     assert code == EXIT_OK
     for fragment in ("332/819", "11/28", "13/42", "17/42", "COVERAGE=PASS"):
-        assert fragment in out
+        assert fragment in err
 
 
 def test_planner_plan_output():
-    code, out, _ = run_cli(["planner", "plan", "--T", "1e6", "--M", "1000"])
+    code, _, err = run_cli(["planner", "plan", "--T", "1e6", "--M", "1000"])
     assert code == EXIT_OK
-    assert "regime=main" in out
-    assert "17/42" in out
+    assert "regime=main" in err
+    assert "17/42" in err
+
+
+# The six leaves that print prose lines next to their data.
+PROSE_LEAVES = (
+    ["pairs", "word", "--word", "AB"],
+    ["pairs", "search", "--max-len", "2"],
+    ["planner", "coverage", "--denominator-bound", "20"],
+    ["planner", "plan", "--T", "1e6", "--M", "1000"],
+    ["zeta", "value", "--t", "100"],
+    ["zeta", "afe", "--t-min", "10", "--t-max", "100", "--points", "3"],
+)
+
+
+@pytest.mark.parametrize("leaf", PROSE_LEAVES, ids=lambda leaf: " ".join(leaf[:2]))
+def test_stdout_holds_one_data_document(leaf):
+    code, out, err = run_cli(leaf + ["--format", "json"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    columns = payload["columns"]
+    assert payload["rows"]
+    assert any(not line.startswith("# ") for line in err.splitlines())  # the prose
+    code, out, _ = run_cli(leaf)
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == columns
+    assert len(rows) == 1 + len(payload["rows"])
+    assert all(len(row) == len(columns) for row in rows)
 
 
 def test_planner_envelope_csv(tmp_path):
@@ -115,11 +143,15 @@ def test_meanvalue_csv_schema(tmp_path):
 def test_meanvalue_timing_column(tmp_path):
     dest = tmp_path / "mv.csv"
     code, _, _ = run_cli(
-        ["--out", str(dest), "--timing", "meanvalue", "kernel", "--N", "4", "--r", "1"]
+        ["--out", str(dest), "meanvalue", "kernel", "--N", "4", "--r", "1", "--timing"]
     )
     assert code == EXIT_OK
     fields = dest.read_text().splitlines()[1].split(",")
     assert float(fields[-1]) >= 0.0
+    # the seconds column is all --timing changes, so no other leaf takes it
+    assert run_cli(["--timing", "pairs", "word", "--word", "AB"])[0] == EXIT_USAGE
+    assert run_cli(["pairs", "word", "--word", "AB", "--timing"])[0] == EXIT_USAGE
+    assert run_cli(["--timing", "meanvalue", "kernel", "--N", "4", "--r", "1"])[0] == EXIT_USAGE
 
 
 def test_empty_scan_emits_header_only(tmp_path):
@@ -162,6 +194,36 @@ def test_decouple_csv_and_determinism(tmp_path):
     assert header == "d,N,ensemble,lhs,rhs,ratio,stderr,samples,seed"
 
 
+@pytest.mark.parametrize("mode", ["parabola", "bilinear"])
+def test_decouple_rows_match_the_library(mode):
+    from zetalab import decouple
+
+    if mode == "parabola":
+        ns, ensemble = [4, 5, 6], "random_signs"
+        report = decouple.ratio_scan(ns, ensemble, 1, 0, 2048)
+    else:
+        ns, ensemble = [8, 12], "ones"
+        report = decouple.bilinear_scan(ns, 2048, 0)
+    code, out, _ = run_cli(["decouple", mode, "--Ns", ",".join(map(str, ns)), "--ensemble", ensemble,
+                            "--samples", "2048", "--seed", "0", "--format", "json"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["meta"]["slope"] == report.slope
+    assert payload["meta"]["slope_stderr"] == report.slope_stderr
+    assert len(payload["rows"]) == len(report.rows)
+    for got, want in zip(payload["rows"], report.rows):
+        assert got["N"] == want.N
+        for key in ("lhs", "rhs", "ratio", "stderr"):
+            assert got[key] == getattr(want, key)
+
+
+def test_decouple_repeated_n_is_usage_error():
+    for mode in ("parabola", "bilinear"):
+        code, _, err = run_cli(["decouple", mode, "--Ns", "8,8,16", "--samples", "256"])
+        assert code == EXIT_USAGE
+        assert "distinct" in err
+
+
 def test_quadrature_determinism_across_threads(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["meanvalue", "quadrature", "--N", "4", "--r", "6", "--samples", "4000", "--seed", "2"]
@@ -190,6 +252,16 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert code == EXIT_OK
     assert dest2.read_text().startswith("t,abs_zeta")
     assert "# seed=1" in err2
+
+
+@pytest.mark.parametrize("line", ["seed 7", "format"])
+def test_config_line_without_equals_is_usage_error(tmp_path, line):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"# lab settings\n\nformat=json\n{line}\n")
+    code, out, err = run_cli(["--config", str(cfg), "pairs", "word", "--word", "AB"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "kind=usage" in err and "line 4" in err and repr(line) in err
 
 
 @pytest.mark.parametrize("line", ["sede=7", "threads=3"])
@@ -229,12 +301,11 @@ def test_readme_lists_the_global_flags():
 
 
 def test_pairs_search_offers_only_working_objectives():
-    # `affine` would need coefficients, which the CLI cannot pass
     assert run_cli(["pairs", "search", "--max-len", "2", "--objective", "affine"])[0] == EXIT_USAGE
     for objective in ("zeta_exponent", "k_plus_l"):
-        code, out, _ = run_cli(["pairs", "search", "--max-len", "2", "--objective", objective])
+        code, _, err = run_cli(["pairs", "search", "--max-len", "2", "--objective", objective])
         assert code == EXIT_OK
-        assert f" {objective}=" in out
+        assert f" {objective}=" in err
 
 
 def test_plot_script_references_csv(tmp_path):
@@ -254,8 +325,8 @@ def test_plot_script_references_csv(tmp_path):
 
 
 def test_zeta_value_short_leaf_flag(tmp_path):
-    # --t is a prefix of the global --timing; the leaf's own
-    # flag must win, with global flags before and after the subcommand
+    # the leaf's own --t must parse with global flags before and after
+    # the subcommand
     dest = tmp_path / "v.json"
     code, out, _ = run_cli(["--seed", "1", "zeta", "value", "--t", "100", "--out", str(dest),
                             "--format", "json"])
@@ -301,4 +372,5 @@ def test_console_entry_point_subprocess():
         env=env,
     )
     assert proc.returncode == 0
-    assert "k=1/9 l=13/18 theta=1/6" in proc.stdout
+    assert proc.stdout.startswith("word,k,l,theta,monotone\n")
+    assert "k=1/9 l=13/18 theta=1/6" in proc.stderr

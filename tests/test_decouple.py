@@ -8,11 +8,11 @@ import pytest
 
 from zetalab.decouple import (
     DecouplingExperiment,
+    RatioReport,
     bilinear_d4_ratio,
     bilinear_scan,
     default_intervals,
     parabola_l6_lhs,
-    parabola_rhs,
     qmc_mean,
     ratio_scan,
 )
@@ -72,21 +72,11 @@ def test_lhs_triangle_inequality():
     assert lhs <= float(np.abs(a).sum()) + 3 * err
 
 
-def test_rhs_values():
-    assert parabola_rhs(np.ones(9)) == pytest.approx(3.0)
-    assert parabola_rhs(np.array([1.0])) == pytest.approx(1.0)
-    assert parabola_rhs(np.array([3.0, 4.0])) == pytest.approx(5.0)
-    assert parabola_rhs(np.zeros(4)) == 0.0
-    with pytest.raises(ValueError):
-        parabola_rhs(np.array([]))
-
-
 def test_scaling_invariance():
     a = np.ones(8, dtype=complex)
     base, _ = parabola_l6_lhs(a, samples=1 << 12, seed=4)
     doubled, _ = parabola_l6_lhs(2.0 * a, samples=1 << 12, seed=4)
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
-    assert parabola_rhs(2.0 * a) == pytest.approx(2.0 * parabola_rhs(a), rel=1e-12)
 
 
 def test_integrand_at_zero_is_coefficient_sum():
@@ -105,8 +95,6 @@ def test_experiment_validation():
         DecouplingExperiment(2, 3)
     with pytest.raises(ValueError):
         DecouplingExperiment(2, 16, ensemble="bogus")
-    with pytest.raises(ValueError):
-        DecouplingExperiment(4, 16, intervals=((1, 10), (11, 16)))  # too close
     exp = DecouplingExperiment(4, 16)
     assert exp.intervals == default_intervals(16)
     (a1, b1), (a2, b2) = exp.intervals
@@ -151,7 +139,8 @@ def test_bilinear_deterministic_and_positive():
     r1 = bilinear_d4_ratio(exp)
     r2 = bilinear_d4_ratio(exp)
     assert r1 == r2
-    assert r1.lhs > 0 and r1.benchmark == pytest.approx(4.0)
+    assert r1.N == 16 and r1.lhs > 0 and r1.rhs == pytest.approx(4.0)
+    assert r1.ratio == r1.lhs / r1.rhs
 
 
 def test_bilinear_guards():
@@ -189,6 +178,19 @@ def test_ratio_scan_random_signs_deterministic():
 
 
 def test_bilinear_scan_slope_reporting():
-    results, slope, err = bilinear_scan([8, 16], samples=4096, seed=0)
-    assert len(results) == 2
-    assert math.isfinite(slope) and err >= 0
+    report = bilinear_scan([16, 8], samples=4096, seed=0)
+    assert isinstance(report, RatioReport)
+    assert [row.N for row in report.rows] == [8, 16]
+    assert math.isfinite(report.slope) and report.slope_stderr >= 0
+    for row in report.rows:
+        assert row == bilinear_d4_ratio(DecouplingExperiment(4, row.N, "quadruple", samples=4096))
+
+
+def test_bilinear_scan_validation():
+    # the N-list check of ratio_scan, with a minimum of 2: a repeated N
+    # would add an identical row to the fit
+    with pytest.raises(ValueError, match="distinct"):
+        bilinear_scan([8, 8, 16], samples=256)
+    with pytest.raises(ValueError, match="at least 2"):
+        bilinear_scan([8], samples=256)
+    assert len(bilinear_scan([8, 12], samples=256).rows) == 2

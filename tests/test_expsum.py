@@ -69,8 +69,6 @@ def test_quadruple_input_validation():
         eval_quadruple_sum(0, (0, 0, 0, 0))
     with pytest.raises(ValueError):
         eval_quadruple_sum(4, (float("nan"), 0, 0, 0))
-    with pytest.raises(ValueError):
-        eval_quadruple_sum(4, (0, 0, 0, 0), coeffs=[1.0, 1.0])
     with pytest.raises(GuardError) as exc:
         eval_quadruple_sum(MAX_QUADRUPLE_N + 1, (0, 0, 0, 0))
     assert exc.value.guard == "expsum.quadruple.N"
@@ -119,11 +117,9 @@ def test_periodicity_integer_shifts(N, k1, k2):
     st.tuples(*[st.floats(-4, 4, allow_nan=False) for _ in range(4)]),
 )
 def test_conjugation(N, x):
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    pos = eval_quadruple_sum(N, x, coeffs=a)
-    neg = eval_quadruple_sum(N, tuple(-v for v in x), coeffs=np.conj(a))
-    assert abs(neg.value - pos.value.conjugate()) < 1e-10 * (1 + float(np.abs(a).sum()))
+    pos = eval_quadruple_sum(N, x)
+    neg = eval_quadruple_sum(N, tuple(-v for v in x))
+    assert abs(neg.value - pos.value.conjugate()) < 1e-10 * (1 + N)
 
 
 def test_dyadic_zero_phase_counts_terms():
