@@ -119,8 +119,6 @@ def emit(report: Report, args) -> None:
     for line in report.text:
         print(line, file=sys.stdout if args.out else sys.stderr)
     if args.plot_script:
-        if not args.out:
-            raise ValueError("--plot-script requires --out (the script references the data file)")
         xcol, ycol = report.meta.get("plot_axes", (report.columns[0], report.columns[-1]))
         with open(args.plot_script, "w", newline="") as fh:
             fh.write(_PLOT_TEMPLATE.format(data=args.out, cols=",".join(report.columns), xcol=xcol, ycol=ycol))
@@ -259,6 +257,8 @@ def _cmd_meanvalue(args) -> Report:
     if args.Ns is None and args.N is None:
         raise ValueError("one of --N or --Ns is required")
     ns = _parse_ints(args.Ns) if args.Ns is not None else [args.N]
+    if not ns:
+        raise ValueError("--Ns lists no value of N")
     for N in ns:
         started = time.perf_counter()
         if args.mode == "count":
@@ -294,18 +294,15 @@ def _cmd_meanvalue(args) -> Report:
 
 def _cmd_decouple(args) -> Report:
     ns = _parse_ints(args.Ns)
-    meta = {"command": f"decouple {args.mode}", "slope": None}
-    rows = []
-    if ns:
-        if args.mode == "parabola":
-            d, rep = 2, decouple.ratio_scan(ns, args.ensemble, args.trials, args.seed, args.samples)
-        else:
-            d, rep = 4, decouple.bilinear_scan(ns, args.samples, args.seed, args.ensemble)
-        rows = [(d, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, args.samples, args.seed)
-                for r in rep.rows]
-        meta.update(slope=rep.slope, slope_stderr=rep.slope_stderr)
-        if args.mode == "bilinear":
-            meta["status"] = "exploratory"
+    if args.mode == "parabola":
+        d, rep = 2, decouple.ratio_scan(ns, args.ensemble, args.trials, args.seed, args.samples)
+    else:
+        d, rep = 4, decouple.bilinear_scan(ns, args.samples, args.seed, args.ensemble)
+    rows = [(d, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, args.samples, args.seed)
+            for r in rep.rows]
+    meta = {"command": f"decouple {args.mode}", "slope": rep.slope, "slope_stderr": rep.slope_stderr}
+    if args.mode == "bilinear":
+        meta["status"] = "exploratory"
     meta["plot_axes"] = ("N", "ratio")
     return Report(columns=DECOUPLE_COLUMNS, rows=rows, meta=meta)
 
@@ -325,10 +322,11 @@ def _cmd_zeta_scan(args) -> Report:
 
 
 def _cmd_zeta_value(args) -> Report:
+    # the AFE bound refuses t < 2 pi, so it runs before the oracle
+    bound = zeta.afe_upper_bound(args.t, args.slack)
     em = zeta.zeta_em_oracle(args.t, args.terms)
     rows = [(args.t, abs(em.value), abs(em.value) / args.t ** zeta.CRITICAL_GROWTH_EXPONENT, em.err)]
     report = Report(columns=ZETA_COLUMNS, rows=rows, meta={"command": "zeta value"})
-    bound = zeta.afe_upper_bound(args.t, args.slack)
     report.text = [
         f"zeta(1/2+{args.t}i) = {em.value} (abs_err {em.err:.3g})",
         f"afe bound 2|S|+{args.slack} = {bound:.6f} (slack: unquantified constant)",
@@ -472,7 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
         m.add_argument("--Ns", default="16,32,64,128" if mode == "parabola" else "8,16,32")
         m.add_argument("--ensemble", choices=decouple.ENSEMBLES, default="ones")
         m.add_argument("--samples", type=int, default=1 << 14)
-        m.add_argument("--trials", type=int, default=1)
+        if mode == "parabola":
+            m.add_argument("--trials", type=int, default=1)
         m.set_defaults(func=_cmd_decouple, mode=mode)
 
     p = sub.add_parser("zeta", help="critical-line evaluation and scans")
@@ -526,6 +525,8 @@ def _resolve_defaults(args) -> None:
         args.out = config.get("out") or None
     if "plot_script" not in args:
         args.plot_script = None
+    if args.plot_script and not args.out:
+        raise ValueError("--plot-script requires --out (the script references the data file)")
 
 
 def main(argv=None) -> int:

@@ -20,9 +20,11 @@ consecutive bands of the linear sum s1, which no group crosses, and each
 route reduces a band to an exact integer or to kernel group sums before
 the next band is made, so memory is bounded by one band (SHARD_ROWS
 multisets), not by the C(N + r - 1, r) of the whole table. No route walks
-the groups in Python: the kernel route reduces the groups of a band by size
-bucket, all groups of one size at once (`_kernel_group_sums`). A
-Monte-Carlo quadrature provides the independent statistical route.
+the groups in Python: the windowed and kernel routes sort a band once on
+the key and the 3/2-power sum (`_sweep_order`) and sweep the pairs (i, i + k)
+of all groups at each offset k at once, so the kernel route evaluates each
+unordered pair once. A Monte-Carlo quadrature provides the independent
+statistical route.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from .errors import GuardError
 from .expsum import phase_sums
 
 WINDOWED_MAX_N = 48
-# r = 6 takes 15 s at N = 32 and 19 s at N = 33, both near 100 MB peak RSS
-# on a 2-core host: the guard keeps one call within about 15 s, as the
-# windowed guard does (14-18 s at N = 48).
+# r = 6 takes 11-12 s and 73 MB peak RSS at N = 32 on a 2-core host: the guard
+# keeps one call within about 15 s, as the windowed guard does (14-18 s at N = 48).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
 VINOGRADOV_MAX_N = 256
 MIN_SAMPLES = 1000
@@ -188,28 +189,14 @@ def _power_sums(cols: np.ndarray):
 
 def _orderings(cols: np.ndarray) -> np.ndarray:
     """Number of distinct orderings of each sorted tuple:
-    size! / prod(multiplicities!), read off which neighbours are equal."""
-    size = len(cols)
-    mask = np.zeros(cols.shape[1], dtype=np.int64)
-    for j in range(size - 1):
-        mask |= (cols[j] == cols[j + 1]).astype(np.int64) << j
-    denom = np.array(
-        [_pattern_denominator(m, size) for m in range(1 << (size - 1))], dtype=np.int64
-    )
-    return math.factorial(size) // denom[mask]
-
-
-def _pattern_denominator(mask: int, size: int) -> int:
-    """prod(run_length!) over runs of equal entries encoded by `mask`."""
-    total = 1
-    run = 1
-    for j in range(size - 1):
-        if (mask >> j) & 1:
-            run += 1
-        else:
-            total *= math.factorial(run)
-            run = 1
-    return total * math.factorial(run)
+    size! / prod(multiplicities!), read off the runs of equal neighbours
+    (a run reaching length m multiplies the denominator by m)."""
+    run = np.ones(cols.shape[1], dtype=np.int64)
+    denom = np.ones(cols.shape[1], dtype=np.int64)
+    for j in range(1, len(cols)):
+        run = np.where(cols[j] == cols[j - 1], run + 1, 1)
+        denom *= run
+    return math.factorial(len(cols)) // denom
 
 
 def _group_starts(key: np.ndarray) -> np.ndarray:
@@ -275,18 +262,25 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
     return CountResult(float(total), True, 0.0, METHOD_WINDOWED, total)
 
 
-def _window_pair_count(key, d3, d4, w, w3: float, w4: float) -> int:
-    """Weighted ordered pairs (i, j) of one shard with equal key inside the
-    windows. After sorting on (key, d3), the pairs at offset k = 1, 2, ...
-    are tested in both directions, since fl(d3 +- w3) makes the d3 test
-    asymmetric; a row drops out at the first offset that leaves its group
-    or both d3 windows, because d3 only grows along a group."""
+def _sweep_order(key: np.ndarray, d3: np.ndarray):
+    """(order, end): the rows of one shard sorted on (key, d3), and for each
+    row in that order the index one past the last row of its group. Both
+    pairwise routes sweep the pairs (i, i + k) of a group in this order."""
     order = np.argsort(d3)
     order = order[np.argsort(key[order], kind="stable")]
-    key, d3, d4, w = key[order], d3[order], d4[order], w[order]
-    starts = _group_starts(key)
+    starts = _group_starts(key[order])
     ends = np.append(starts[1:], key.size)
-    end = np.repeat(ends, ends - starts)
+    return order, np.repeat(ends, ends - starts)
+
+
+def _window_pair_count(key, d3, d4, w, w3: float, w4: float) -> int:
+    """Weighted ordered pairs (i, j) of one shard with equal key inside the
+    windows. In sweep order (`_sweep_order`), the pairs at offset k = 1, 2,
+    ... are tested in both directions, since fl(d3 +- w3) makes the d3 test
+    asymmetric; a row drops out at the first offset that leaves its group
+    or both d3 windows, because d3 only grows along a group."""
+    order, end = _sweep_order(key, d3)
+    d3, d4, w = d3[order], d4[order], w[order]
     total = int(np.dot(w, w))
     i = np.arange(key.size)
     k = 1
@@ -314,14 +308,12 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
     """Exact (up to rounding) kernel-sum evaluation of the moment integral.
 
     Groups r-multisets by the exact key (sum, sum of squares), shard by
-    shard (`_shards`), each group in lexicographic order; each ordered pair
+    shard (`_shards`), in sweep order (`_sweep_order`); each ordered pair
     within a group contributes the product of orderings times the two
     interval kernels in the scaled power-sum defects. The groups of a shard
-    are reduced by size bucket (`_kernel_group_sums`): each group sum is the
-    float64 sum of its k x k block, taken as one contiguous row, so it
-    rests on numpy's pairwise summation order for a row, which numpy does
-    not promise; a test pins the sums bit for bit against the per-group
-    loop. The accumulation over all groups of all shards is exactly rounded
+    are reduced by the offset sweep of the windowed count
+    (`_kernel_group_sums`), which evaluates each unordered pair once. The
+    accumulation over all groups of all shards is exactly rounded
     (math.fsum), so the value depends neither on the shards nor on the
     order of the groups.
     """
@@ -337,38 +329,35 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
     scale4 = 1.0 / (spec.Delta * spec.N**0.5)
     group_sums = []
     for lo, cols in _shards(spec.N, r):
-        key = _group_key(cols, lo, spec.N)
-        order = np.argsort(key, kind="stable")
-        cols = cols[:, order]
         d3, d4 = _power_sums(cols)
-        wf = _orderings(cols).astype(np.float64)
-        starts = _group_starts(key[order])
-        group_sums += _kernel_group_sums(d3, d4, wf, starts, scale3, scale4).tolist()
+        order, end = _sweep_order(_group_key(cols, lo, spec.N), d3)
+        wf = _orderings(cols)[order].astype(np.float64)
+        d3, d4 = d3[order], d4[order]
+        del cols, order  # the sweep sets the peak RSS: hold only its inputs
+        group_sums += _kernel_group_sums(d3, d4, wf, end, scale3, scale4).tolist()
     value = math.fsum(group_sums)
     return CountResult(value, True, 0.0, METHOD_KERNEL, None)
 
 
-def _kernel_group_sums(d3, d4, wf, starts, scale3, scale4) -> np.ndarray:
+def _kernel_group_sums(d3, d4, wf, end, scale3, scale4) -> np.ndarray:
     """Sum over the ordered pairs of each group of w_i w_j k3 k4, for the
-    groups of one shard that begin at `starts`, in group order. Singletons
-    are 4 w^2; the k x k blocks of all groups of one size k are formed at
-    once and each summed as one contiguous row of k^2 values, which numpy
-    reduces in the same pairwise order as the block alone."""
-    sizes = np.diff(starts, append=d3.size)
-    sums = 4.0 * wf[starts] ** 2
-    # the group sizes above 1 that occur (np.unique would import numpy.ma,
-    # about 1 MB of resident memory)
-    present = np.bincount(sizes)
-    present[:2] = 0
-    for k in np.flatnonzero(present).tolist():
-        pick = sizes == k
-        idx = starts[pick][:, None] + np.arange(k)
-        d3g, d4g, wg = d3[idx], d4[idx], wf[idx]
-        k3 = _interval_kernel((d3g[:, :, None] - d3g[:, None, :]) * scale3)
-        k4 = _interval_kernel((d4g[:, :, None] - d4g[:, None, :]) * scale4)
-        blocks = (wg[:, :, None] * wg[:, None, :]) * k3 * k4
-        sums[pick] = blocks.reshape(-1, k * k).sum(axis=1)
-    return sums
+    groups of one shard in sweep order, in group order. Each sum starts at
+    the diagonal, 4 w^2 per row, and adds 2 (w_i w_j) k3 k4 for the pairs
+    (i, i + k) at offsets k = 1, 2, ...: fl(a - b) = -fl(b - a) and sinc is
+    even, so both directions of a pair have the same bits, and doubling is
+    exact. The sums are binned by the group end."""
+    sums = np.bincount(end, weights=4.0 * wf * wf, minlength=end.size + 1)
+    i = np.arange(end.size)
+    k = 1
+    while True:
+        i = i[i + k < end[i]]
+        if not i.size:
+            return sums[end[_group_starts(end)]]
+        j = i + k
+        k3 = _interval_kernel((d3[i] - d3[j]) * scale3)
+        k4 = _interval_kernel((d4[i] - d4[j]) * scale4)
+        sums += np.bincount(end[i], weights=2.0 * ((wf[i] * wf[j]) * k3 * k4), minlength=end.size + 1)
+        k += 1
 
 
 def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> CountResult:

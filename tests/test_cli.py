@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from zetalab import zeta
 from zetalab.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_USAGE, _global_flags, main
 
 
@@ -154,11 +155,17 @@ def test_meanvalue_timing_column(tmp_path):
     assert run_cli(["--timing", "meanvalue", "kernel", "--N", "4", "--r", "1"])[0] == EXIT_USAGE
 
 
-def test_empty_scan_emits_header_only(tmp_path):
+def test_empty_ns_is_usage_error(tmp_path):
+    # an empty N list is refused like a one-value list, with no data written
     dest = tmp_path / "empty.csv"
-    code, _, _ = run_cli(["--out", str(dest), "meanvalue", "count", "--Ns", ""])
-    assert code == EXIT_OK
-    assert dest.read_text() == "method,N,r,delta,Delta,window3,window4,value,stderr,seconds\n"
+    leaves = [["decouple", "parabola"], ["decouple", "bilinear"]]
+    leaves += [["meanvalue", mode] for mode in ("count", "kernel", "quadrature", "vinogradov")]
+    for leaf in leaves:
+        for ns in ("", ","):
+            code, out, err = run_cli(["--out", str(dest)] + leaf + ["--Ns", ns])
+            assert code == EXIT_USAGE
+            assert "kind=usage" in err
+            assert out == "" and not dest.exists()
 
 
 def test_json_schema(tmp_path):
@@ -222,6 +229,13 @@ def test_decouple_repeated_n_is_usage_error():
         code, _, err = run_cli(["decouple", mode, "--Ns", "8,8,16", "--samples", "256"])
         assert code == EXIT_USAGE
         assert "distinct" in err
+
+
+def test_bilinear_trials_is_refused():
+    # bilinear_scan takes no trial count; only the parabola leaf has --trials
+    base = ["decouple", "bilinear", "--Ns", "8,12", "--samples", "256"]
+    assert run_cli(base + ["--trials", "3"])[0] == EXIT_USAGE
+    assert run_cli(base)[0] == EXIT_OK
 
 
 def test_quadrature_determinism_across_threads(tmp_path):
@@ -319,9 +333,24 @@ def test_plot_script_references_csv(tmp_path):
     body = script.read_text()
     assert str(dest) in body
     assert "matplotlib" in body
-    # plot script without --out is a usage error
-    code, _, _ = run_cli(["--plot-script", str(script), "pairs", "word", "--word", "AB"])
+    # plot script without --out is a usage error, refused before the leaf runs
+    code, out, err = run_cli(["--plot-script", str(script), "pairs", "word", "--word", "AB"])
     assert code == EXIT_USAGE
+    assert out == ""
+    assert "requires --out" in err
+
+
+@pytest.mark.parametrize("t", ["0", "3"])
+def test_zeta_value_below_two_pi_is_usage_error(monkeypatch, t):
+    # the AFE main sum is empty below 2 pi: refused before the oracle runs
+    def oracle(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(zeta, "zeta_em_oracle", oracle)
+    code, out, err = run_cli(["zeta", "value", "--t", t])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "2*pi" in err
 
 
 def test_zeta_value_short_leaf_flag(tmp_path):

@@ -24,6 +24,7 @@ from zetalab.meanvalue import (
     _power_sums,
     _shards,
     _sum_counts,
+    _sweep_order,
     _window_pair_count,
     count_windowed,
     fit_growth_exponent,
@@ -116,29 +117,28 @@ def brute_kernel(N, r, delta, Delta):
 
 
 def kernel_shards(N, r):
-    """(d3, d4, wf, starts) of each shard of r-multisets, sorted by (s1, s2)
-    as the kernel route sorts them."""
+    """(d3, d4, wf, end) of each shard of r-multisets, in the sweep order of
+    the kernel route."""
     for lo, cols in _shards(N, r):
-        key = _group_key(cols, lo, N)
-        order = np.argsort(key, kind="stable")
-        cols = cols[:, order]
         d3, d4 = _power_sums(cols)
-        yield d3, d4, _orderings(cols).astype(np.float64), _group_starts(key[order])
+        order, end = _sweep_order(_group_key(cols, lo, N), d3)
+        yield d3[order], d4[order], _orderings(cols)[order].astype(np.float64), end
 
 
-def loop_group_sums(d3, d4, wf, starts, scale3, scale4):
-    """One float64 block sum per group, group by group: the per-group loop
-    that `_kernel_group_sums` replaces."""
-    sums = []
-    for a, b in zip(starts.tolist(), np.append(starts[1:], d3.size).tolist()):
-        if b - a == 1:
-            sums.append(4.0 * float(wf[a]) ** 2)
-            continue
-        d3g, d4g, wg = d3[a:b], d4[a:b], wf[a:b]
+def loop_group_sums(d3, d4, wf, end, scale3, scale4):
+    """One float64 sum of the whole k x k block per group, group by group:
+    the reference for `_kernel_group_sums`. Also returns, per group, the sum
+    of the absolute block entries and the group size."""
+    sums, mags, sizes = [], [], []
+    for a in _group_starts(end).tolist():
+        d3g, d4g, wg = d3[a:end[a]], d4[a:end[a]], wf[a:end[a]]
         k3 = _interval_kernel((d3g[:, None] - d3g[None, :]) * scale3)
         k4 = _interval_kernel((d4g[:, None] - d4g[None, :]) * scale4)
-        sums.append(float(((wg[:, None] * wg[None, :]) * k3 * k4).sum()))
-    return sums
+        block = (wg[:, None] * wg[None, :]) * k3 * k4
+        sums.append(float(block.sum()))
+        mags.append(float(np.abs(block).sum()))
+        sizes.append(d3g.size)
+    return sums, mags, sizes
 
 
 def decimal_windowed(N, digits=50):
@@ -350,22 +350,23 @@ def test_kernel_nondefault_scales_match_direct():
     (8, 6, 0.1, 0.3), (12, 6, 0.2, 0.5), (60, 3, 0.01, 0.1), (120, 3, 1e-3, 0.05), (24, 6, None, None),
 ])
 def test_kernel_route_matches_group_loop_bit_for_bit(N, r, delta, Delta):
-    # each group sum is a block summed as one row of a (G, k^2) array; this
-    # holds only while numpy sums a contiguous row in the same pairwise
-    # order as the lone block, which numpy does not promise. The group sums
-    # are compared one by one: a sum in another order moves hundreds of
-    # them by an ulp and still leaves the fsum total unchanged.
+    # the sweep sums the diagonal and twice each pair (i, i + k) in another
+    # order than the block, so each group sum is held to the block sum within
+    # the rounding bound of a k^2-term sum; the fsum totals agree bit for bit
     spec = MeanValueSpec(N, r, delta, Delta)
     scales = 1.0 / (spec.delta * N**1.5), 1.0 / (spec.Delta * N**0.5)
     loop_sums, largest = [], 0
     for shard in kernel_shards(N, r):
-        loop = loop_group_sums(*shard, *scales)
-        assert _kernel_group_sums(*shard, *scales).tolist() == loop
-        loop_sums += loop
-        largest = max(largest, np.diff(shard[3], append=shard[0].size).max())
+        sums, mags, sizes = loop_group_sums(*shard, *scales)
+        swept = _kernel_group_sums(*shard, *scales).tolist()
+        assert len(swept) == len(sums)
+        for got, want, mag, k in zip(swept, sums, mags, sizes):
+            assert abs(got - want) <= k * k * np.finfo(float).eps * mag
+        loop_sums += sums
+        largest = max(largest, max(sizes))
     assert moment_kernel_sum(spec).value == math.fsum(loop_sums)
     if (N, r) == (24, 6):
-        assert largest > 90  # blocks past numpy's 8192-element buffer
+        assert largest > 90  # groups past numpy's 8192-element buffer
 
 
 def test_kernel_value_pinned():
@@ -382,8 +383,8 @@ def test_kernel_group_sums_at_zero_scale_count_pairs(case):
     # add up to 4 times the ordered pairs sharing (s1, s2); every partial sum
     # is an integer below 2^53, hence exact
     r, N = case
-    sums = [v for d3, d4, wf, starts in kernel_shards(N, r)
-            for v in _kernel_group_sums(d3, d4, wf, starts, 0.0, 0.0).tolist()]
+    sums = [v for d3, d4, wf, end in kernel_shards(N, r)
+            for v in _kernel_group_sums(d3, d4, wf, end, 0.0, 0.0).tolist()]
     if r == 1:
         pairs = N
     elif r == 3:
