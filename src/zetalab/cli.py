@@ -3,10 +3,13 @@ with deterministic CSV/JSON emission, flat key=value config files, and
 optional plot-script generation.
 
 Determinism contract: for identical flags and seed, the emitted data files
-are byte-identical (computations run on a single thread with fixed reduction
-shapes). Run metadata, including wall time, goes to stderr only, so it never
-perturbs the data files. The `seconds` column of the meanvalue leaves is
-populated only under their --timing flag for the same reason. Stdout holds
+are byte-identical, independent of the core count, because each band of the
+grouped counts reduces exactly (an integer, or group sums that meet in one
+exactly rounded sum). Run metadata, including wall time, goes to stderr
+only, so it never perturbs the data files. The `seconds` column of the
+meanvalue leaves is populated only under their --timing flag for the same
+reason; the exact rows of `decouple parabola --ensemble ones` leave the
+`samples` and `seed` columns empty, since neither changes them. Stdout holds
 one CSV or JSON document: without --out, a leaf's prose lines go to stderr;
 with --out, they go to stdout. A --config file holds `key=value` lines for
 the keys in CONFIG_KEYS; any other key, or a line without `=`, is a usage
@@ -298,8 +301,10 @@ def _cmd_decouple(args) -> Report:
         d, rep = 2, decouple.ratio_scan(ns, args.ensemble, args.trials, args.seed, args.samples)
     else:
         d, rep = 4, decouple.bilinear_scan(ns, args.samples, args.seed, args.ensemble)
-    rows = [(d, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, args.samples, args.seed)
-            for r in rep.rows]
+    # exact rows depend on neither the sample count nor the seed
+    exact = args.mode == "parabola" and args.ensemble == decouple.ENSEMBLE_ONES
+    samples, seed = (None, None) if exact else (args.samples, args.seed)
+    rows = [(d, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, samples, seed) for r in rep.rows]
     meta = {"command": f"decouple {args.mode}", "slope": rep.slope, "slope_stderr": rep.slope_stderr}
     if args.mode == "bilinear":
         meta["status"] = "exploratory"

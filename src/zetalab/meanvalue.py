@@ -15,21 +15,24 @@ r-multisets; the remaining [-1,1] integrals contribute closed-form kernel
 factors sin(2 pi theta)/(pi theta) in the 3/2- and 1/2-power defects. The
 windowed count replaces the kernels by sharp windows. Both, and the
 Vinogradov count, group multisets by the exact integer key (sum, sum of
-squares). One engine serves all three: `_shards` streams the multisets in
-consecutive bands of the linear sum s1, which no group crosses, and each
-route reduces a band to an exact integer or to kernel group sums before
-the next band is made, so memory is bounded by one band (SHARD_ROWS
-multisets), not by the C(N + r - 1, r) of the whole table. No route walks
-the groups in Python: the windowed and kernel routes sort a band once on
-the key and the 3/2-power sum (`_sweep_order`) and sweep the pairs (i, i + k)
-of all groups at each offset k at once, so the kernel route evaluates each
-unordered pair once. A Monte-Carlo quadrature provides the independent
+squares). One engine serves all three: `_map_shards` cuts the multisets
+into consecutive bands of the linear sum s1, which no group crosses, and
+each route reduces a band to an exact integer or to kernel group sums. The
+bands run on one thread per core under a budget of SHARD_ROWS multisets in
+flight, so memory is bounded by that budget, not by the C(N + r - 1, r) of
+the whole table, and the results do not depend on the core count. No route
+walks the groups in Python: the windowed and kernel routes sort a band once
+on the key and the 3/2-power sum (`_sweep_order`) and sweep the pairs
+(i, i + k) of all groups at each offset k at once, so the kernel route
+evaluates each unordered pair once. A Monte-Carlo quadrature provides the independent
 statistical route.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +41,9 @@ from .errors import GuardError
 from .expsum import phase_sums
 
 WINDOWED_MAX_N = 48
-# r = 6 takes 11-12 s and 73 MB peak RSS at N = 32 on a 2-core host: the guard
-# keeps one call within about 15 s, as the windowed guard does (14-18 s at N = 48).
+# r = 6 takes 5.6-7 s and 67-69 MB peak RSS at N = 32 on a 2-core host: the guard
+# keeps one call within about 15 s, as the windowed guard does (14 s and 92 MB
+# at N = 48, where single s1 values fill the budget and the bands run one by one).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
 VINOGRADOV_MAX_N = 256
 MIN_SAMPLES = 1000
@@ -50,8 +54,9 @@ METHOD_QUADRATURE = "quadrature"
 METHOD_VINOGRADOV = "vinogradov"
 
 _SAMPLE_CHUNK = 1 << 15
-# Most multisets per shard of the grouped counts, unless one value of s1
-# alone holds more; the windowed count then peaks near 100 MB RSS.
+# Most multisets in flight across the threads of the grouped counts, each band
+# holding SHARD_ROWS // cores unless one value of s1 alone holds more; the
+# windowed count then peaks near 92 MB RSS.
 SHARD_ROWS = 1 << 18
 
 
@@ -158,13 +163,56 @@ def _band_tuples(N: int, size: int, lo: int, hi: int) -> np.ndarray:
     return np.stack(cols)
 
 
-def _shards(N: int, size: int):
-    """(lo, tuples) for consecutive bands lo <= s1 <= hi of the
-    non-decreasing `size`-tuples from {1..N}; see `_band_tuples`. A band
-    holds at most SHARD_ROWS tuples unless one s1 value alone holds more, so
-    no (s1, s2) group crosses a shard and memory is bounded by one shard."""
-    for lo, hi in _bands(_sum_counts(N, size), SHARD_ROWS):
-        yield lo, _band_tuples(N, size, lo, hi)
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _map_shards(N: int, size: int, reduce) -> list:
+    """[reduce(lo, tuples)] over consecutive bands lo <= s1 <= hi of the
+    non-decreasing `size`-tuples from {1..N} (see `_band_tuples`), in band
+    order. No (s1, s2) group crosses a band. The bands run on one thread per
+    core (numpy releases the GIL in the sorts, gathers and ufuncs of every
+    reduction) and hold SHARD_ROWS // cores tuples each, unless one s1 value
+    alone holds more. A band starts only while the tuples in flight stay
+    within SHARD_ROWS, so memory is bounded by SHARD_ROWS tuples whatever
+    the core count; a band claims at most SHARD_ROWS, so it always fits
+    alone. If a band raises, the queued bands are cancelled."""
+    counts = _sum_counts(N, size)
+    cores = _cores()
+    bands = list(_bands(counts, SHARD_ROWS // cores))
+    # importing concurrent.futures and starting a thread add about 0.5 MB of
+    # peak RSS, which one band does not need
+    if cores == 1 or len(bands) == 1:
+        return [reduce(lo, _band_tuples(N, size, lo, hi)) for lo, hi in bands]
+    from concurrent.futures import ThreadPoolExecutor
+
+    budget = threading.Condition()
+    in_flight = 0
+
+    def run(lo, hi):
+        nonlocal in_flight
+        claim = min(int(counts[lo:hi + 1].sum()), SHARD_ROWS)
+        with budget:
+            budget.wait_for(lambda: in_flight + claim <= SHARD_ROWS)
+            in_flight += claim
+        try:
+            return reduce(lo, _band_tuples(N, size, lo, hi))
+        finally:
+            with budget:
+                in_flight -= claim
+                budget.notify_all()
+
+    with ThreadPoolExecutor(cores) as pool:
+        futures = [pool.submit(run, lo, hi) for lo, hi in bands]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _group_key(cols: np.ndarray, lo: int, N: int) -> np.ndarray:
@@ -217,9 +265,15 @@ def _ragged_arange(sizes: np.ndarray) -> np.ndarray:
 def _square_sum(key: np.ndarray, w: np.ndarray) -> int:
     """Sum over (s1, s2) groups of (sum of orderings)^2: the ordered pairs
     that share both power sums."""
+    # The int64 dot is at most sum(w)^2 <= (size! * rows)^2. A band holds more
+    # than SHARD_ROWS rows only where one s1 value does, and under
+    # WINDOWED_MAX_N and VINOGRADOV_MAX_N one s1 value holds at most 250,510
+    # (6-multisets at N = 48), so the dot stays below (720 * 2^18)^2 < 2^63.
+    if int(w.sum()) ** 2 >= 1 << 63:
+        raise OverflowError("group sums too large for an int64 dot")
     order = np.argsort(key, kind="stable")
     sums = np.add.reduceat(w[order], _group_starts(key[order]))
-    return sum(int(v) * int(v) for v in sums.tolist())
+    return int(np.dot(sums, sums))
 
 
 def count_windowed(N: int, window3: float | None = None, window4: float | None = None) -> CountResult:
@@ -234,11 +288,11 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
     orderings, which the identity pairing alone bounds below by N^6 and
     which approaches 720 N^6 only slowly (268 N^6 at N=8).
 
-    The 6-multisets are streamed in s1 bands (`_shards`); each band is
-    reduced to an exact integer on its own, so memory is bounded by one
-    band. The window tests are decided in float64, as
-    d3[j] >= fl(d3[i] - w3), d3[j] <= fl(d3[i] + w3) and
-    |d4[j] - d4[i]| <= w4 for the pair (i, j).
+    The 6-multisets are cut into s1 bands (`_map_shards`); each band is
+    reduced to an exact integer on its own, so the total does not depend on
+    the bands or on the threads that reduce them. The window tests are
+    decided in float64, as d3[j] >= fl(d3[i] - w3), d3[j] <= fl(d3[i] + w3)
+    and |d4[j] - d4[i]| <= w4 for the pair (i, j).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -250,15 +304,17 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
     w4 = float(N) ** -0.5 if window4 is None else float(window4)
     if not (w3 > 0 and w4 > 0):
         raise ValueError("windows must be positive")
-    total = 0
-    for lo, cols in _shards(N, 6):
+
+    def band(lo, cols):
         key = _group_key(cols, lo, N)
         w = _orderings(cols)
         if math.isinf(w3) and math.isinf(w4):
-            total += _square_sum(key, w)
-        else:
-            d3, d4 = _power_sums(cols)
-            total += _window_pair_count(key, d3, d4, w, w3, w4)
+            return _square_sum(key, w)
+        d3, d4 = _power_sums(cols)
+        del cols  # the sweep sets the peak RSS: hold only its inputs
+        return _window_pair_count(key, d3, d4, w, w3, w4)
+
+    total = sum(_map_shards(N, 6, band))
     return CountResult(float(total), True, 0.0, METHOD_WINDOWED, total)
 
 
@@ -289,8 +345,9 @@ def _window_pair_count(key, d3, d4, w, w3: float, w4: float) -> int:
         if not i.size:
             return total
         j = i + k
-        up = d3[j] <= d3[i] + w3
-        down = d3[i] >= d3[j] - w3
+        a, b = d3[i], d3[j]
+        up = b <= a + w3
+        down = a >= b - w3
         live = up | down
         i, j, up, down = i[live], j[live], up[live], down[live]
         near = np.abs(d4[j] - d4[i]) <= w4
@@ -308,14 +365,14 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
     """Exact (up to rounding) kernel-sum evaluation of the moment integral.
 
     Groups r-multisets by the exact key (sum, sum of squares), shard by
-    shard (`_shards`), in sweep order (`_sweep_order`); each ordered pair
+    shard (`_map_shards`), in sweep order (`_sweep_order`); each ordered pair
     within a group contributes the product of orderings times the two
     interval kernels in the scaled power-sum defects. The groups of a shard
     are reduced by the offset sweep of the windowed count
     (`_kernel_group_sums`), which evaluates each unordered pair once. The
     accumulation over all groups of all shards is exactly rounded
-    (math.fsum), so the value depends neither on the shards nor on the
-    order of the groups.
+    (math.fsum), so the value depends neither on the shards, nor on the
+    threads that reduce them, nor on the order of the groups.
     """
     r = spec.r
     if r not in KERNEL_MAX_N:
@@ -327,15 +384,16 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
         )
     scale3 = 1.0 / (spec.delta * spec.N**1.5)
     scale4 = 1.0 / (spec.Delta * spec.N**0.5)
-    group_sums = []
-    for lo, cols in _shards(spec.N, r):
+
+    def band(lo, cols):
         d3, d4 = _power_sums(cols)
         order, end = _sweep_order(_group_key(cols, lo, spec.N), d3)
         wf = _orderings(cols)[order].astype(np.float64)
         d3, d4 = d3[order], d4[order]
         del cols, order  # the sweep sets the peak RSS: hold only its inputs
-        group_sums += _kernel_group_sums(d3, d4, wf, end, scale3, scale4).tolist()
-    value = math.fsum(group_sums)
+        return _kernel_group_sums(d3, d4, wf, end, scale3, scale4)
+
+    value = math.fsum(np.concatenate(_map_shards(spec.N, r, band)).tolist())
     return CountResult(value, True, 0.0, METHOD_KERNEL, None)
 
 
@@ -401,7 +459,7 @@ def vinogradov_count(N: int, s: int) -> CountResult:
         raise GuardError(
             "meanvalue.vinogradov.N", f"N={N} exceeds the count guard {VINOGRADOV_MAX_N}"
         )
-    total = sum(_square_sum(_group_key(cols, lo, N), _orderings(cols)) for lo, cols in _shards(N, s))
+    total = sum(_map_shards(N, s, lambda lo, cols: _square_sum(_group_key(cols, lo, N), _orderings(cols))))
     return CountResult(float(total), True, 0.0, METHOD_VINOGRADOV, total)
 
 

@@ -238,6 +238,21 @@ def test_bilinear_trials_is_refused():
     assert run_cli(base)[0] == EXIT_OK
 
 
+def test_exact_parabola_rows_leave_samples_and_seed_empty():
+    # the unit ensemble's rows are exact, so --samples and --seed change no byte
+    base = ["decouple", "parabola", "--Ns", "4,5,6", "--ensemble", "ones"]
+    outs = [run_cli(base + ["--samples", n, "--seed", seed])
+            for n, seed in [("256", "3"), ("4096", "3"), ("4096", "11")]]
+    assert [code for code, _, _ in outs] == [EXIT_OK] * 3
+    assert outs[0][1] == outs[1][1] == outs[2][1]
+    rows = list(csv.DictReader(io.StringIO(outs[0][1])))
+    assert len(rows) == 3
+    assert all(row["samples"] == row["seed"] == "" and row["stderr"] == "0.0" for row in rows)
+    code, out, _ = run_cli(["--format", "json"] + base)
+    assert code == EXIT_OK
+    assert all(row["samples"] is None and row["seed"] is None for row in json.loads(out)["rows"])
+
+
 def test_quadrature_determinism_across_threads(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["meanvalue", "quadrature", "--N", "4", "--r", "6", "--samples", "4000", "--seed", "2"]

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import sys
+import threading
+import time
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,9 +24,10 @@ from zetalab.meanvalue import (
     _group_starts,
     _interval_kernel,
     _kernel_group_sums,
+    _map_shards,
     _orderings,
     _power_sums,
-    _shards,
+    _square_sum,
     _sum_counts,
     _sweep_order,
     _window_pair_count,
@@ -119,10 +124,12 @@ def brute_kernel(N, r, delta, Delta):
 def kernel_shards(N, r):
     """(d3, d4, wf, end) of each shard of r-multisets, in the sweep order of
     the kernel route."""
-    for lo, cols in _shards(N, r):
+    def band(lo, cols):
         d3, d4 = _power_sums(cols)
         order, end = _sweep_order(_group_key(cols, lo, N), d3)
-        yield d3[order], d4[order], _orderings(cols)[order].astype(np.float64), end
+        return d3[order], d4[order], _orderings(cols)[order].astype(np.float64), end
+
+    return _map_shards(N, r, band)
 
 
 def loop_group_sums(d3, d4, wf, end, scale3, scale4):
@@ -280,7 +287,7 @@ def test_windowed_guard_and_validation():
 ])
 def test_shards_enumerate_each_tuple_once_in_bands(monkeypatch, N, size, limit):
     monkeypatch.setattr(meanvalue, "SHARD_ROWS", limit)
-    shards = [(lo, cols.T.tolist()) for lo, cols in _shards(N, size)]
+    shards = _map_shards(N, size, lambda lo, cols: (lo, cols.T.tolist()))
     flat = [tuple(t) for _, rows in shards for t in rows]
     # concatenated shards give every non-decreasing tuple once, in
     # lexicographic order within each shard
@@ -296,25 +303,122 @@ def test_shards_enumerate_each_tuple_once_in_bands(monkeypatch, N, size, limit):
     assert _sum_counts(N, size).tolist() == [counts[s1] for s1 in range(size * N + 1)]
 
 
+SHARD_CASES = [
+    lambda: count_windowed(12).integer_value,
+    lambda: count_windowed(9, 0.05, 0.9).integer_value,
+    lambda: count_windowed(10, math.inf, 0.3).integer_value,
+    lambda: count_windowed(8, math.inf, math.inf).integer_value,
+    lambda: vinogradov_count(30, 3).integer_value,
+    lambda: vinogradov_count(40, 2).integer_value,
+    lambda: moment_kernel_sum(MeanValueSpec(8, 6)).value,
+    lambda: moment_kernel_sum(MeanValueSpec(30, 3, delta=0.05, Delta=0.2)).value,
+]
+
+
+def one_band_values(monkeypatch):
+    """SHARD_CASES with every multiset in one band, on the calling thread."""
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", 1 << 40)
+    monkeypatch.setattr(meanvalue, "_cores", lambda: 1)
+    whole = [case() for case in SHARD_CASES]
+    monkeypatch.undo()
+    return whole
+
+
 @pytest.mark.parametrize("limit", [1, 1000], ids=["one_s1_per_shard", "several_s1_per_shard"])
 def test_counts_independent_of_shard_size(monkeypatch, limit):
-    cases = [
-        lambda: count_windowed(12).integer_value,
-        lambda: count_windowed(9, 0.05, 0.9).integer_value,
-        lambda: count_windowed(10, math.inf, 0.3).integer_value,
-        lambda: count_windowed(8, math.inf, math.inf).integer_value,
-        lambda: vinogradov_count(30, 3).integer_value,
-        lambda: vinogradov_count(40, 2).integer_value,
-        lambda: moment_kernel_sum(MeanValueSpec(8, 6)).value,
-        lambda: moment_kernel_sum(MeanValueSpec(30, 3, delta=0.05, Delta=0.2)).value,
-    ]
-    monkeypatch.setattr(meanvalue, "SHARD_ROWS", 1 << 40)
-    whole = [case() for case in cases]
+    whole = one_band_values(monkeypatch)
     # values of the earlier engine, which sorted one table of all multisets
     assert whole[0] == 3384230526
     assert whole[6] == 348667592.79885393
     monkeypatch.setattr(meanvalue, "SHARD_ROWS", limit)
-    assert [case() for case in cases] == whole  # floats bit for bit
+    assert [case() for case in SHARD_CASES] == whole  # floats bit for bit
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 7])
+def test_counts_independent_of_core_count(monkeypatch, cores):
+    # each band reduces exactly, so neither the band cut (SHARD_ROWS // cores)
+    # nor the order in which the threads finish moves a bit
+    whole = one_band_values(monkeypatch)
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", 1000)
+    monkeypatch.setattr(meanvalue, "_cores", lambda: cores)
+    assert [case() for case in SHARD_CASES] == whole
+
+
+def test_map_shards_keeps_tuples_in_flight_within_budget(monkeypatch):
+    # single s1 values of 6-multisets from {1..8} hold up to 94 tuples, so
+    # two such bands exceed the budget of 100 and must not run together; more
+    # workers than cores and a short switch interval stress the shared count
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", 100)
+    monkeypatch.setattr(meanvalue, "_cores", lambda: 7)
+    lock = threading.Lock()
+    state = {"rows": 0, "bands": 0, "most_rows": 0, "most_bands": 0}
+
+    def reduce(lo, cols):
+        with lock:
+            state["rows"] += min(cols.shape[1], 100)
+            state["bands"] += 1
+            state["most_rows"] = max(state["most_rows"], state["rows"])
+            state["most_bands"] = max(state["most_bands"], state["bands"])
+        time.sleep(0.002)
+        with lock:
+            state["rows"] -= min(cols.shape[1], 100)
+            state["bands"] -= 1
+        return lo, cols.T.tolist()
+
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(_map_shards(8, 6, reduce)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and len(result) == 1
+    bands = result[0]
+    assert max(len(rows) for _, rows in bands) > 50
+    assert state["most_rows"] <= 100
+    assert state["most_bands"] >= 2  # the small bands did run side by side
+    flat = [tuple(t) for _, rows in bands for t in rows]
+    assert sorted(flat) == list(itertools.combinations_with_replacement(range(1, 9), 6))
+
+
+def test_map_shards_raising_band_cancels_the_queued_bands(monkeypatch):
+    # the bands that do not raise hold their worker until the pool has been
+    # shut down, so no band can start between the failure and the cancel,
+    # however slowly the calling thread gets there
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", 20)
+    monkeypatch.setattr(meanvalue, "_cores", lambda: 2)
+    started = []
+    shut = threading.Event()
+    shutdown = ThreadPoolExecutor.shutdown
+
+    def shutdown_then_release(pool, wait=True, *, cancel_futures=False):
+        shutdown(pool, wait=False, cancel_futures=cancel_futures)
+        shut.set()
+        shutdown(pool, wait=wait)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "shutdown", shutdown_then_release)
+
+    def reduce(lo, cols):
+        started.append(lo)
+        if lo == 3:
+            raise RuntimeError("band failed")
+        assert shut.wait(timeout=30)
+        return lo
+
+    with pytest.raises(RuntimeError, match="band failed"):
+        _map_shards(9, 3, reduce)
+    bands = _map_shards(9, 3, lambda lo, cols: lo)
+    assert len(bands) > 10
+    assert len(started) <= 3  # the failed band and at most two beside it
+
+
+def test_square_sum_refuses_an_int64_overflow():
+    key = np.zeros(2, dtype=np.int64)
+    assert _square_sum(key, np.array([2**30, 2**30 + 5])) == (2**31 + 5) ** 2
+    with pytest.raises(OverflowError):
+        _square_sum(key, np.array([2**31, 2**31]))  # the dot would wrap to 0
 
 
 # --------------------------------------------------------------- kernel sums
@@ -519,7 +623,7 @@ def test_diagonal_count_matches_rearrangement_enumeration(s):
 @pytest.mark.parametrize("s", [3, 6])
 def test_diagonal_count_matches_multiset_weights(s):
     for N in range(1, 13):
-        weights = [int(v) for _, cols in _shards(N, s) for v in _orderings(cols).tolist()]
+        weights = [v for band in _map_shards(N, s, lambda lo, cols: _orderings(cols).tolist()) for v in band]
         assert diagonal_count(N, s) == sum(v * v for v in weights)
 
 
