@@ -142,8 +142,13 @@ def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
-def _seconds(args, started: float) -> str | float:
-    return time.perf_counter() - started if args.timing else ""
+def _seed_pair(text: str) -> pairs.ExponentPair:
+    """The `k,l` of --seed-pair, as an exponent pair in the admissible region."""
+    try:
+        k, l = text.split(",")
+        return pairs.make_pair(k, l)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected k,l in the admissible region, got {text!r} ({exc})")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -151,8 +156,8 @@ def _seconds(args, started: float) -> str | float:
 
 def _cmd_pairs_word(args) -> Report:
     word = pairs.parse_word(args.word)
-    k, l = (Fraction(v) for v in args.seed_pair.split(","))
-    p = pairs.apply_word(word, pairs.make_pair(k, l))
+    seed = args.seed_pair
+    p = pairs.apply_word(word, seed)
     theta = pairs.zeta_exponent(p)
     report = Report(
         columns=("word", "k", "l", "theta", "monotone"),
@@ -160,7 +165,7 @@ def _cmd_pairs_word(args) -> Report:
         meta={"command": "pairs word"},
     )
     report.text = [
-        f"word={word} seed=({k},{l})",
+        f"word={word} seed=({seed.k},{seed.l})",
         f"k={p.k} l={p.l} theta={theta}",
         f"k={float(p.k)!r} l={float(p.l)!r} theta={float(theta)!r} (+eps understood)",
     ]
@@ -168,13 +173,9 @@ def _cmd_pairs_word(args) -> Report:
 
 
 def _cmd_pairs_search(args) -> Report:
-    seeds = None
-    if args.seed_pair:
-        k, l = (Fraction(v) for v in args.seed_pair.split(","))
-        seeds = [pairs.make_pair(k, l)]
     result = pairs.search_words(
         args.max_len,
-        seeds=seeds,
+        seeds=None if args.seed_pair is None else [args.seed_pair],
         objective=args.objective,
         include_axiom=not args.no_axiom,
     )
@@ -189,40 +190,30 @@ def _cmd_pairs_search(args) -> Report:
 
 
 def _cmd_planner_envelope(args) -> Report:
-    q = args.denominator_bound
-    if q < 1:
-        raise ValueError("--denominator-bound must be >= 1")
     rows = []
-    for den in range(1, q + 1):
-        for num in range(0, den + 1):
-            if math.gcd(num, den) == 1:
-                rows.append(Fraction(num, den))
-    rows.sort()
-    out = []
-    for a in rows:
+    for a in sorted(planner.rationals(args.denominator_bound)):
         p, witness = planner.envelope(a)
-        out.append((a.numerator, a.denominator, p.numerator, p.denominator, witness))
+        rows.append((a.numerator, a.denominator, p.numerator, p.denominator, witness))
     return Report(
         columns=ENVELOPE_COLUMNS,
-        rows=out,
-        meta={"command": "planner envelope", "denominator_bound": q},
+        rows=rows,
+        meta={"command": "planner envelope", "denominator_bound": args.denominator_bound},
     )
 
 
 def _cmd_planner_coverage(args) -> Report:
     rep = planner.verify_critical_line_coverage(args.denominator_bound)
-    rows = [(tag, str(a), repr(float(a))) for tag, a in sorted(rep.crossovers.items())]
+    crossovers = sorted(rep.crossovers.items())
     report = Report(
         columns=("piece", "alpha", "alpha_float"),
-        rows=rows,
+        rows=[(tag, str(a), repr(float(a))) for tag, a in crossovers],
         meta={
             "command": "planner coverage",
             "points_checked": rep.points_checked,
             "plot_axes": ("alpha", "alpha_float"),
         },
     )
-    for tag, a in sorted(rep.crossovers.items()):
-        report.text.append(f"crossover {tag}: alpha = {a}")
+    report.text = [f"crossover {tag}: alpha = {a}" for tag, a in crossovers]
     report.text.append(f"checked {rep.points_checked} rationals up to denominator {args.denominator_bound}")
     report.text.append(f"COVERAGE={'PASS' if rep.coverage else 'FAIL'}")
     return report
@@ -264,30 +255,22 @@ def _cmd_meanvalue(args) -> Report:
         raise ValueError("--Ns lists no value of N")
     for N in ns:
         started = time.perf_counter()
+        delta = Delta = window3 = window4 = ""
         if args.mode == "count":
             res = meanvalue.count_windowed(N, args.window3, args.window4)
-            rows.append(
-                (res.method, N, 6, "", "", args.window3 or float(N) ** -0.5,
-                 args.window4 or float(N) ** -0.5, res.value, res.stderr, _seconds(args, started))
-            )
-        elif args.mode == "kernel":
-            spec = meanvalue.MeanValueSpec(N, args.r, args.delta, args.Delta)
-            res = meanvalue.moment_kernel_sum(spec)
-            rows.append(
-                (res.method, N, args.r, spec.delta, spec.Delta, "", "", res.value, res.stderr,
-                 _seconds(args, started))
-            )
-        elif args.mode == "quadrature":
-            spec = meanvalue.MeanValueSpec(N, args.r, args.delta, args.Delta)
-            res = meanvalue.moment_monte_carlo(spec, args.samples, args.seed)
-            rows.append(
-                (res.method, N, args.r, spec.delta, spec.Delta, "", "", res.value, res.stderr,
-                 _seconds(args, started))
-            )
-        else:
+            r, window3, window4 = 6, args.window3 or float(N) ** -0.5, args.window4 or float(N) ** -0.5
+        elif args.mode == "vinogradov":
             res = meanvalue.vinogradov_count(N, args.s)
-            rows.append((res.method, N, args.s, "", "", "", "", res.value, res.stderr,
-                         _seconds(args, started)))
+            r = args.s
+        else:
+            spec = meanvalue.MeanValueSpec(N, args.r, args.delta, args.Delta)
+            if args.mode == "kernel":
+                res = meanvalue.moment_kernel_sum(spec)
+            else:
+                res = meanvalue.moment_monte_carlo(spec, args.samples, args.seed)
+            r, delta, Delta = args.r, spec.delta, spec.Delta
+        seconds = time.perf_counter() - started if args.timing else ""
+        rows.append((res.method, N, r, delta, Delta, window3, window4, res.value, res.stderr, seconds))
     return Report(
         columns=MEANVALUE_COLUMNS,
         rows=rows,
@@ -424,12 +407,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="mode", required=True)
     w = ps.add_parser("word", **leaf, help="apply a word over {A,B} to a seed pair")
     w.add_argument("--word", required=True)
-    w.add_argument("--seed-pair", default="0,1")
+    w.add_argument("--seed-pair", type=_seed_pair, default="0,1")
     w.set_defaults(func=_cmd_pairs_word)
     s = ps.add_parser("search", **leaf, help="exhaustive word search")
     s.add_argument("--max-len", type=int, default=6)
     s.add_argument("--objective", choices=pairs.OBJECTIVES, default="zeta_exponent")
-    s.add_argument("--seed-pair", default=None)
+    s.add_argument("--seed-pair", type=_seed_pair, default=None)
     s.add_argument("--no-axiom", action="store_true")
     s.set_defaults(func=_cmd_pairs_search)
 

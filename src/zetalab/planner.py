@@ -9,6 +9,7 @@ constants are suppressed (only exponents are falsifiable content here).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,6 +168,20 @@ class CoverageReport:
     coverage: bool
 
 
+def rationals(max_denominator: int, upto=1):
+    """The reduced fractions p/q in [0, upto] with q <= max_denominator, by
+    increasing q and then p. Refuses a bound below 1."""
+    if max_denominator < 1:
+        raise ValueError(f"the denominator bound must be >= 1, got {max_denominator}")
+    upto = Fraction(upto)
+    return (
+        Fraction(p, q)
+        for q in range(1, max_denominator + 1)
+        for p in range(upto.numerator * q // upto.denominator + 1)
+        if math.gcd(p, q) == 1
+    )
+
+
 def verify_critical_line_coverage(max_denominator: int = 1000) -> CoverageReport:
     """Check envelope(alpha) <= alpha/2 + 13/84 for every rational alpha in
     [0, 1/2] with denominator <= max_denominator, plus all exact crossover
@@ -185,7 +200,8 @@ def verify_critical_line_coverage(max_denominator: int = 1000) -> CoverageReport
     # Verify each solve by substituting back into both sides.
     for tag in (TAG_RESONANCE, TAG_PAIR, TAG_TRIVIAL):
         a = crossovers[tag]
-        assert _PIECES.by_tag(tag).value(a) == critical_line_target(a)
+        if _PIECES.by_tag(tag).value(a) != critical_line_target(a):
+            raise ArithmeticError(f"crossover {tag}: alpha = {a} does not meet the target")
 
     failures = []
     checked = 0
@@ -194,33 +210,15 @@ def verify_critical_line_coverage(max_denominator: int = 1000) -> CoverageReport
         _PIECES.by_tag(t)
         for t in (TAG_PAIR, TAG_MAIN, TAG_RESONANCE, TAG_TRIVIAL, TAG_SIEVE_MID, TAG_SIEVE_LOW, TAG_SIEVE_HIGH)
     ]
-
-    def meets_target(a: Fraction) -> bool:
+    for a in itertools.chain(rationals(max_denominator, HALF), (c for c in crossovers.values() if c <= HALF)):
+        checked += 1
         t = critical_line_target(a)
         for piece in order:
             if piece.applies(a) and piece.value(a) <= t:
-                return True
-        return False
-
-    for q in range(1, max_denominator + 1):
-        for p in range(0, q // 2 + 1):
-            if 2 * p > q or math.gcd(p, q) != 1:
-                continue
-            a = Fraction(p, q)
-            checked += 1
-            if not meets_target(a):
-                failures.append(a)
-    for a in crossovers.values():
-        if a <= HALF:
-            checked += 1
-            if not meets_target(a):
-                failures.append(a)
-    return CoverageReport(
-        crossovers=crossovers,
-        points_checked=checked,
-        failures=tuple(failures),
-        coverage=not failures,
-    )
+                break
+        else:
+            failures.append(a)
+    return CoverageReport(crossovers, checked, tuple(failures), coverage=not failures)
 
 
 @dataclass(frozen=True)
@@ -269,19 +267,8 @@ def arc_modulus(T: float, M: int, N: float, c: float = 1.0) -> int:
     return max(r, 1)
 
 
-@dataclass(frozen=True)
-class BlockChoice:
-    """A block length N with its arc modulus R and validity flags."""
-
-    N: float
-    R: int
-    r_le_n: bool
-    n_le_r2: bool
-    n_in_range: bool     # 1 < N < M
-
-
-def choose_block_length(scenario: Scenario, regime: str) -> BlockChoice:
-    """Block length N for the given machinery regime, with validity flags.
+def choose_block_length(scenario: Scenario, regime: str) -> tuple[float, int]:
+    """Block length N for the given machinery regime and its arc modulus R.
 
     main:    N = M T^(-2/7)
     refined: N = max(M T^(-17/57), sqrt(M) T^(-1/12)); the first branch wins
@@ -297,14 +284,7 @@ def choose_block_length(scenario: Scenario, regime: str) -> BlockChoice:
         N = math.sqrt(2.0 * M**3 / (c * T))
     else:
         raise ValueError(f"unknown block-length regime {regime!r}")
-    R = arc_modulus(T, M, N, c)
-    return BlockChoice(
-        N=N,
-        R=R,
-        r_le_n=R <= N,
-        n_le_r2=N <= R * R,
-        n_in_range=1 < N < M,
-    )
+    return N, arc_modulus(T, M, N, c)
 
 
 @dataclass(frozen=True)
@@ -329,8 +309,6 @@ def make_plan(scenario: Scenario, t_threshold: float = 1.0e6) -> Plan:
     requirement of the block machinery and is configuration, not a claim.
     """
     a = scenario.alpha_fraction()
-    if a > 1:
-        raise ValueError(f"alpha = {a} > 1 is out of range")
     p, witness = envelope(a)
 
     if Fraction(3, 7) <= a <= HALF:
@@ -346,34 +324,19 @@ def make_plan(scenario: Scenario, t_threshold: float = 1.0e6) -> Plan:
     else:
         regime = REGIME_TRIVIAL
 
+    N = R = None
+    reasons = []
     if regime in _BLOCK_REGIMES:
-        choice = choose_block_length(scenario, regime)
-        reasons = []
-        if not choice.r_le_n:
-            reasons.append(f"R={choice.R} exceeds N={choice.N:.6g}")
-        if not choice.n_le_r2:
-            reasons.append(f"N={choice.N:.6g} exceeds R^2={choice.R**2}")
-        if not choice.n_in_range:
-            reasons.append(f"N={choice.N:.6g} outside (1, M)")
-        if scenario.T < t_threshold:
-            reasons.append(f"T={scenario.T:.6g} below threshold {t_threshold:.6g}")
-        return Plan(
-            regime=regime,
-            predicted_exponent=p,
-            witness=witness,
-            alpha=a,
-            N=choice.N,
-            R=choice.R,
-            valid=not reasons,
-            reasons=tuple(reasons) if reasons else ("ok",),
-        )
-    return Plan(
-        regime=regime,
-        predicted_exponent=p,
-        witness=witness,
-        alpha=a,
-        N=None,
-        R=None,
-        valid=True,
-        reasons=("no block parameters required",),
-    )
+        N, R = choose_block_length(scenario, regime)
+        reasons = [
+            reason
+            for failed, reason in (
+                (R > N, f"R={R} exceeds N={N:.6g}"),
+                (N > R * R, f"N={N:.6g} exceeds R^2={R * R}"),
+                (not 1 < N < scenario.M, f"N={N:.6g} outside (1, M)"),
+                (scenario.T < t_threshold, f"T={scenario.T:.6g} below threshold {t_threshold:.6g}"),
+            )
+            if failed
+        ]
+    quiet = "ok" if N is not None else "no block parameters required"
+    return Plan(regime, p, witness, a, N, R, valid=not reasons, reasons=tuple(reasons) or (quiet,))

@@ -121,6 +121,43 @@ def test_unbounded_inputs_hit_size_guards():
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+@pytest.mark.parametrize("leaf", ["coverage", "envelope"])
+def test_planner_denominator_bound_below_one_is_usage_error(leaf, bound):
+    code, out, err = run_cli(["planner", leaf, "--denominator-bound", bound])
+    assert code == EXIT_USAGE
+    assert "kind=usage" in err
+    assert "COVERAGE" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("pair", ["1", "2,3"])
+@pytest.mark.parametrize("leaf", [["pairs", "word", "--word", "AB"], ["pairs", "search", "--max-len", "2"]])
+def test_bad_seed_pair_is_usage_error(leaf, pair):
+    code, out, err = run_cli(leaf + ["--seed-pair", pair])
+    assert code == EXIT_USAGE
+    assert "--seed-pair" in err
+    assert out == ""
+
+
+def test_qmc_sample_count_hits_guard():
+    args = ["decouple", "parabola", "--ensemble", "random_signs", "--samples", str(1 << 31)]
+    code, _, err = run_cli(args)
+    assert code == EXIT_GUARD
+    assert "guard=decouple.qmc.samples" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5", "7"])
+@pytest.mark.parametrize("mode", ["parabola", "bilinear"])
+def test_qmc_sample_count_below_replicates_is_usage_error(mode, samples):
+    code, out, err = run_cli(["decouple", mode, "--Ns", "8,12,16", "--ensemble", "random_signs",
+                              "--samples", samples])
+    assert code == EXIT_USAGE
+    assert "kind=usage" in err
+    assert out == ""
+
+
 def test_io_failure_exit_code(tmp_path):
     dest = tmp_path / "no" / "such" / "dir" / "x.csv"
     code, _, err = run_cli(["--out", str(dest), "pairs", "word", "--word", "AB"])

@@ -16,6 +16,7 @@ from zetalab.planner import (
     envelope,
     exponent_bound_pieces,
     make_plan,
+    rationals,
     solve_piece_meets_target,
     verify_critical_line_coverage,
 )
@@ -78,6 +79,30 @@ def test_crossovers_exact():
         assert PIECES.by_tag(tag).value(a) == critical_line_target(a)
 
 
+def test_coverage_refuses_a_wrong_crossover_solve(monkeypatch):
+    # the substitution check must hold under python -O as well
+    monkeypatch.setattr(planner, "solve_piece_meets_target", lambda tag: F(1, 3))
+    with pytest.raises(ArithmeticError, match="does not meet the target"):
+        verify_critical_line_coverage(max_denominator=10)
+
+
+def test_rationals_are_the_reduced_grid():
+    assert list(rationals(4)) == [F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4)]
+    assert list(rationals(4, F(1, 2))) == [F(0), F(1, 2), F(1, 3), F(1, 4)]
+    # the half grid plus the four crossovers, all of them below 1/2
+    assert verify_critical_line_coverage(max_denominator=200).points_checked == (
+        len(list(rationals(200, F(1, 2)))) + 4
+    )
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_rationals_refuse_a_bound_below_one(bound):
+    with pytest.raises(ValueError, match="denominator bound"):
+        rationals(bound)
+    with pytest.raises(ValueError, match="denominator bound"):
+        verify_critical_line_coverage(max_denominator=bound)
+
+
 def test_coverage_report():
     rep = verify_critical_line_coverage(max_denominator=200)
     assert rep.coverage
@@ -113,16 +138,19 @@ def test_arc_modulus_validation():
 
 def test_block_length_main_regime():
     sc = Scenario(T=1.0e6, M=1000)
-    choice = choose_block_length(sc, planner.REGIME_MAIN)
-    assert math.isclose(choice.N, 1000 * 1.0e6 ** (-2 / 7), rel_tol=1e-12)
-    assert choice.r_le_n and choice.n_le_r2 and choice.n_in_range
+    N, R = choose_block_length(sc, planner.REGIME_MAIN)
+    assert math.isclose(N, 1000 * 1.0e6 ** (-2 / 7), rel_tol=1e-12)
+    assert R <= N <= R * R
+    assert 1 < N < sc.M
 
 
 def test_block_length_main_at_sqrt_t():
     # M = sqrt(T) means N = T^(3/14)
     sc = Scenario(T=1.0e6, M=1000)
-    choice = choose_block_length(sc, planner.REGIME_MAIN)
-    assert math.isclose(choice.N, 1.0e6 ** (3 / 14), rel_tol=1e-12)
+    N, R = choose_block_length(sc, planner.REGIME_MAIN)
+    assert math.isclose(N, 1.0e6 ** (3 / 14), rel_tol=1e-12)
+    assert R <= N <= R * R
+    assert 1 < N < sc.M
 
 
 def test_refined_branch_crossover_exact():
@@ -134,9 +162,10 @@ def test_refined_branch_crossover_exact():
 
 def test_compact_regime_tracks_r_squared():
     sc = Scenario(T=1.0e7, M=int(1.0e7 ** 0.41))
-    choice = choose_block_length(sc, planner.REGIME_COMPACT)
-    assert choice.N <= choice.R * choice.R <= 4 * choice.N
-    assert choice.n_le_r2
+    N, R = choose_block_length(sc, planner.REGIME_COMPACT)
+    assert N <= R * R <= 4 * N
+    assert R <= N
+    assert 1 < N < sc.M
 
 
 def test_choose_block_length_rejects_unknown():
@@ -183,6 +212,15 @@ def test_make_plan_t_threshold():
     assert plan.regime == planner.REGIME_MAIN
     assert not plan.valid
     assert any("threshold" in r for r in plan.reasons)
+
+
+def test_make_plan_reasons_keep_their_text_and_order():
+    plan = make_plan(Scenario(T=20, M=4))
+    assert plan.regime == planner.REGIME_MAIN
+    assert not plan.valid
+    assert plan.reasons == ("R=2 exceeds N=1.69956", "T=20 below threshold 1e+06")
+    assert make_plan(Scenario(T=1.0e6, M=1000)).reasons == ("ok",)
+    assert make_plan(Scenario(T=1.0e6, M=126)).reasons == ("no block parameters required",)
 
 
 @settings(max_examples=200, deadline=None)
