@@ -9,7 +9,8 @@ exactly rounded sum). Run metadata, including wall time, goes to stderr
 only, so it never perturbs the data files. The `seconds` column of the
 meanvalue leaves is populated only under their --timing flag for the same
 reason; the exact rows of `decouple parabola --ensemble ones` leave the
-`samples` and `seed` columns empty, since neither changes them. Stdout holds
+`samples` and `seed` columns empty, since neither changes them, and the
+sampled rows record the points used, not the points asked for. Stdout holds
 one CSV or JSON document: without --out, a leaf's prose lines go to stderr;
 with --out, they go to stdout. A --config file holds `key=value` lines for
 the keys in CONFIG_KEYS; any other key, or a line without `=`, is a usage
@@ -190,13 +191,9 @@ def _cmd_pairs_search(args) -> Report:
 
 
 def _cmd_planner_envelope(args) -> Report:
-    rows = []
-    for a in sorted(planner.rationals(args.denominator_bound)):
-        p, witness = planner.envelope(a)
-        rows.append((a.numerator, a.denominator, p.numerator, p.denominator, witness))
     return Report(
         columns=ENVELOPE_COLUMNS,
-        rows=rows,
+        rows=planner.envelope_grid(args.denominator_bound),
         meta={"command": "planner envelope", "denominator_bound": args.denominator_bound},
     )
 
@@ -284,9 +281,11 @@ def _cmd_decouple(args) -> Report:
         d, rep = 2, decouple.ratio_scan(ns, args.ensemble, args.trials, args.seed, args.samples)
     else:
         d, rep = 4, decouple.bilinear_scan(ns, args.samples, args.seed, args.ensemble)
-    # exact rows depend on neither the sample count nor the seed
+    # exact rows depend on neither the sample count nor the seed; sampled rows
+    # record the points qmc_mean used, whole blocks of REPLICATES
     exact = args.mode == "parabola" and args.ensemble == decouple.ENSEMBLE_ONES
-    samples, seed = (None, None) if exact else (args.samples, args.seed)
+    used = decouple.REPLICATES * (args.samples // decouple.REPLICATES)
+    samples, seed = (None, None) if exact else (used, args.seed)
     rows = [(d, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, samples, seed) for r in rep.rows]
     meta = {"command": f"decouple {args.mode}", "slope": rep.slope, "slope_stderr": rep.slope_stderr}
     if args.mode == "bilinear":

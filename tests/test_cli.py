@@ -114,6 +114,8 @@ def test_unbounded_inputs_hit_size_guards():
     for args, guard in (
         (["expsum", "dyadic", "--T", "5", "--M", "20000000000000"], "expsum.dyadic.terms"),
         (["zeta", "value", "--t", "1e12"], "zeta.oracle.terms"),
+        (["planner", "envelope", "--denominator-bound", "100000"], "planner.grid.points"),
+        (["planner", "coverage", "--denominator-bound", "100000"], "planner.grid.points"),
     ):
         code, _, err = run_cli(args)
         assert code == EXIT_GUARD
@@ -288,6 +290,21 @@ def test_exact_parabola_rows_leave_samples_and_seed_empty():
     code, out, _ = run_cli(["--format", "json"] + base)
     assert code == EXIT_OK
     assert all(row["samples"] is None and row["seed"] is None for row in json.loads(out)["rows"])
+
+
+@pytest.mark.parametrize("mode, ns", [("parabola", "4,5,6"), ("bilinear", "8,12")])
+def test_sampled_rows_record_the_points_used(tmp_path, mode, ns):
+    # qmc_mean uses whole blocks of REPLICATES = 8 points: 20 and 23 run on 16
+    texts = []
+    for samples in ("16", "20", "23"):
+        dest = tmp_path / f"{samples}.csv"
+        code, _, _ = run_cli(["--out", str(dest), "decouple", mode, "--Ns", ns, "--ensemble", "random_signs",
+                              "--samples", samples, "--seed", "3"])
+        assert code == EXIT_OK
+        texts.append(dest.read_text())
+    assert texts[0] == texts[1] == texts[2]
+    rows = list(csv.DictReader(io.StringIO(texts[0])))
+    assert rows and all(row["samples"] == "16" for row in rows)
 
 
 def test_quadrature_determinism_across_threads(tmp_path):

@@ -1,13 +1,16 @@
 """Piecewise exponent bounds, envelope, coverage, and run planning."""
 
+import csv
 import math
+from dataclasses import dataclass
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import planner
+from zetalab import cli, planner
 from zetalab.planner import (
     Scenario,
     arc_modulus,
@@ -87,12 +90,85 @@ def test_coverage_refuses_a_wrong_crossover_solve(monkeypatch):
 
 
 def test_rationals_are_the_reduced_grid():
-    assert list(rationals(4)) == [F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4)]
-    assert list(rationals(4, F(1, 2))) == [F(0), F(1, 2), F(1, 3), F(1, 4)]
+    def pairs(grid):
+        p, q = grid
+        assert p.dtype == q.dtype == np.int64
+        return list(zip(p.tolist(), q.tolist()))
+
+    assert pairs(rationals(4)) == [(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
+    assert pairs(rationals(4, F(1, 2))) == [(0, 1), (1, 2), (1, 3), (1, 4)]
     # the half grid plus the four crossovers, all of them below 1/2
     assert verify_critical_line_coverage(max_denominator=200).points_checked == (
-        len(list(rationals(200, F(1, 2)))) + 4
+        rationals(200, F(1, 2))[0].size + 4
     )
+
+
+def fraction_scan(max_denominator):
+    """(points checked, failures): the per-point Fraction scan that the
+    integer table of `verify_critical_line_coverage` replaced, kept as its
+    reference. It reads the pieces from `planner._PIECES`."""
+    pieces = planner._PIECES
+    crossovers = [solve_piece_meets_target(tag) for tag in ("resonance", "pair", "trivial")]
+    crossovers.append(pieces.by_tag("main").lo)
+    points = [
+        F(p, q) for q in range(1, max_denominator + 1) for p in range(q // 2 + 1) if math.gcd(p, q) == 1
+    ]
+    points += [a for a in crossovers if a <= F(1, 2)]
+    failures = tuple(
+        a
+        for a in points
+        if not any(piece.applies(a) and piece.value(a) <= critical_line_target(a) for piece in pieces)
+    )
+    return len(points), failures
+
+
+@pytest.mark.parametrize("bound", [1, 2, 20, 200])
+def test_coverage_table_matches_the_fraction_scan(bound):
+    rep = verify_critical_line_coverage(max_denominator=bound)
+    assert (rep.points_checked, rep.failures) == fraction_scan(bound)
+    assert rep.coverage
+
+
+@dataclass(frozen=True)
+class _WithoutMain(planner.PiecewiseBound):
+    """The pieces without `main`; by_tag still finds it, so its crossover
+    point (the start of the main bound) stays on the checked list."""
+
+    def __iter__(self):
+        return (piece for piece in self.pieces if piece.tag != "main")
+
+
+def test_coverage_table_reports_the_fraction_scan_failures(monkeypatch):
+    monkeypatch.setattr(planner, "_PIECES", _WithoutMain(PIECES.pieces))
+    rep = verify_critical_line_coverage(max_denominator=60)
+    points, failures = fraction_scan(60)
+    assert failures  # (17/42, 332/819) is no longer covered
+    assert (rep.points_checked, rep.failures, rep.coverage) == (points, failures, False)
+
+
+# 120 reaches the open ends 12/31 and 49/114 as well as 5/12
+@pytest.mark.parametrize("bound", [24, 120])
+def test_envelope_leaf_rows_are_the_fraction_envelope(tmp_path, bound):
+    dest = tmp_path / "envelope.csv"
+    assert cli.main(["--out", str(dest), "planner", "envelope", "--denominator-bound", str(bound)]) == cli.EXIT_OK
+    with open(dest) as fh:
+        rows = list(csv.DictReader(fh))
+    alphas = [F(int(row["alpha_num"]), int(row["alpha_den"])) for row in rows]
+    assert alphas == sorted(F(p, q) for q in range(1, bound + 1) for p in range(q + 1) if math.gcd(p, q) == 1)
+    for alpha, row in zip(alphas, rows):
+        p, witness = envelope(alpha)
+        assert (row["p_num"], row["p_den"], row["witness"]) == (str(p.numerator), str(p.denominator), witness)
+
+
+def test_table_refuses_to_leave_int64(monkeypatch):
+    # a piece with a denominator near 2^61 scales the table past int64 even
+    # at denominator bound 2; the check refuses before any product wraps
+    huge = planner.Piece("huge", F(0), F(1), True, True, F(1, 2**61 - 1), F(0))
+    monkeypatch.setattr(planner, "_PIECES", planner.PiecewiseBound((*PIECES.pieces, huge)))
+    with pytest.raises(OverflowError, match="leaves int64"):
+        verify_critical_line_coverage(max_denominator=2)
+    with pytest.raises(OverflowError, match="leaves int64"):
+        planner.envelope_grid(2)
 
 
 @pytest.mark.parametrize("bound", [0, -5])
