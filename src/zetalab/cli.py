@@ -39,6 +39,8 @@ EXIT_GUARD = 3
 EXIT_IO = 4
 
 SCHEMA_VERSION = 1
+# Rows encoded per chunk of JSON output.
+JSON_ROWS = 1024
 CONFIG_KEYS = ("seed", "format", "out")
 
 MEANVALUE_COLUMNS = (
@@ -67,24 +69,34 @@ class Report:
     text: list[str] = field(default_factory=list)
 
 
-def _csv_text(report: Report) -> str:
-    lines = [",".join(report.columns)]
+def _write_csv(report: Report, fh) -> None:
+    fh.write(",".join(report.columns) + "\n")
     for row in report.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+        fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _json_text(report: Report) -> str:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "meta": report.meta,
-        "columns": list(report.columns),
-        "rows": [
-            dict(zip(report.columns, [None if _fmt(v) == "" else v for v in row]))
-            for row in report.rows
-        ],
-    }
-    return json.dumps(payload, indent=1, default=str) + "\n"
+def _write_json(report: Report, fh) -> None:
+    """Write json.dumps(payload, indent=1, default=str) + "\n" for the
+    payload {schema, meta, columns, rows}, JSON_ROWS rows at a time, so
+    neither a dict per row nor the whole text is held at once."""
+    encoder = json.JSONEncoder(indent=1, default=str)
+    head = encoder.encode(
+        {"schema": SCHEMA_VERSION, "meta": report.meta, "columns": list(report.columns), "rows": []}
+    )
+    if not report.rows:
+        fh.write(head + "\n")
+        return
+    # the payload ends in '"rows": []\n}'; its rows sit one level deeper
+    # than those of a top-level list, whose text is '[' items '\n]'
+    fh.write(head[: -len("[]\n}")] + "[")
+    for start in range(0, len(report.rows), JSON_ROWS):
+        batch = [
+            {c: None if _fmt(v) == "" else v for c, v in zip(report.columns, row)}
+            for row in report.rows[start:start + JSON_ROWS]
+        ]
+        text = encoder.encode(batch).replace("\n", "\n ")
+        fh.write(("," if start else "") + text[1:-len("\n ]")])
+    fh.write("\n ]\n}\n")
 
 
 _PLOT_TEMPLATE = """\
@@ -113,13 +125,12 @@ print("wrote", {data!r} + ".png")
 
 
 def emit(report: Report, args) -> None:
-    fmt = args.format
-    text = _csv_text(report) if fmt == "csv" else _json_text(report)
+    write = _write_csv if args.format == "csv" else _write_json
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+            write(report, fh)
     else:
-        sys.stdout.write(text)
+        write(report, sys.stdout)
     for line in report.text:
         print(line, file=sys.stdout if args.out else sys.stderr)
     if args.plot_script:

@@ -13,6 +13,14 @@ Sampling is randomized low-discrepancy (Halton points under independent
 uniform shifts), which keeps estimators unbiased while the replicate spread
 yields an honest stderr (REPLICATES shifts); everything is deterministic
 for a fixed seed.
+
+The parabola probe rotates coefficients instead of shifting points: its
+frequencies (n, n^2) are integers and its domain [0,1)^2 is a period, so
+the sum at (base + shift) mod 1 equals the sum at base with a_n replaced by
+a_n e(Phi_n . shift), and one table e(Phi_n . base) per block serves all
+REPLICATES shifts. The bilinear probe shifts its points, (base + shift) mod
+1, one replicate at a time: its frequencies are not integers and its
+N-cube is not a period, so the identity does not hold there.
 """
 
 from __future__ import annotations
@@ -23,16 +31,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardError
-from .expsum import phase_sums
+from .expsum import PHASE_BLOCK, phase_sums, phase_terms
 from .meanvalue import vinogradov_count
 from .numerics import fit_loglog, halton
 
 BILINEAR_MAX_N = 64
-# One Halton block of samples // REPLICATES points is held at once. At 2^24
-# samples the parabola probe (N=16) took 22 s and 164 MB, the bilinear probe
-# 28 s and 340 MB at N=32 (2-core host); memory grows linearly beyond.
+# One Halton block of samples // REPLICATES points is held at once, and the
+# parabola probe also holds its (REPLICATES, samples // REPLICATES) values.
+# At 2^24 samples the parabola probe (N=16) took 3.6 s and 212 MB, the
+# bilinear probe 21.6 s and 339 MB at N=32 (2-core host); memory grows
+# linearly beyond.
 QMC_MAX_SAMPLES = 1 << 24
 REPLICATES = 8
+# Base points per `phase_sums` call of the parabola probe: its (REPLICATES,
+# QMC_SLICE) complex sums match one block of the kernel's terms in size.
+QMC_SLICE = PHASE_BLOCK // REPLICATES
 
 ENSEMBLE_ONES = "ones"
 ENSEMBLE_SIGNS = "random_signs"
@@ -82,12 +95,19 @@ class DecouplingExperiment:
         return np.exp((2j * np.pi) * rng.random(self.N))
 
 
-def qmc_mean(f, dim: int, samples: int, seed: int):
-    """Unbiased randomized-QMC mean of f over [0,1)^dim.
+def _row_mean(row) -> float:
+    return float(np.mean(row))
 
-    One Halton block is reused under REPLICATES independent uniform shifts;
-    the estimate is the replicate average and the stderr the replicate
-    spread over sqrt(REPLICATES).
+
+def qmc_mean(f, dim: int, samples: int, seed: int):
+    """Unbiased randomized-QMC mean of a function over [0,1)^dim.
+
+    One Halton block `base` of samples // REPLICATES points serves
+    REPLICATES independent uniform shifts, drawn as one (REPLICATES, dim)
+    array `shifts`. f(base, shifts) yields one row of values per replicate,
+    row r being the function at the points (base + shifts[r]) mod 1. The
+    estimate is the replicate average and the stderr the replicate spread
+    over sqrt(REPLICATES).
     """
     if samples < REPLICATES:
         raise ValueError(f"samples must be >= {REPLICATES} (one point per replicate), got {samples}")
@@ -96,12 +116,10 @@ def qmc_mean(f, dim: int, samples: int, seed: int):
             "decouple.qmc.samples", f"samples={samples} exceeds the QMC guard {QMC_MAX_SAMPLES}"
         )
     rng = np.random.default_rng(seed)
-    per = samples // REPLICATES
-    base = halton(dim, per)
-    means = []
-    for _ in range(REPLICATES):
-        shift = rng.random(dim)
-        means.append(float(np.mean(f((base + shift) % 1.0))))
+    base = halton(dim, samples // REPLICATES)
+    # map lets go of each row before it asks for the next, so an f that
+    # yields its rows lazily holds one row at a time
+    means = list(map(_row_mean, f(base, rng.random((REPLICATES, dim)))))
     est = math.fsum(means) / REPLICATES
     var = math.fsum((m - est) ** 2 for m in means) / (REPLICATES - 1)
     return est, math.sqrt(var / REPLICATES)
@@ -114,6 +132,10 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
     [0,N] x [0,N^2] of the parabola extension |sum a_n e(x.(n/N, n^2/N^2))|.
     With unit coefficients and exact=True the sixth power is the exact
     Vinogradov-type count J_{3,2}(N). Returns (value, stderr).
+
+    The sampled route rotates the coefficients instead of shifting the
+    points: with rot[r, n] = a_n e(Phi_n . shift_r), one table of
+    e(Phi_n . base) per block serves every replicate.
     """
     a = np.asarray(coeffs, dtype=np.complex128)
     N = a.size
@@ -127,9 +149,13 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
     n = np.arange(1, N + 1, dtype=np.float64)
     phi = np.column_stack([n, n * n])
 
-    def f(pts: np.ndarray) -> np.ndarray:
-        s = phase_sums(phi, a, pts)
-        return (s.real**2 + s.imag**2) ** 3
+    def f(base: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        rot = np.ascontiguousarray((phase_terms(phi, shifts) * a[:, None]).T)
+        values = np.empty((len(shifts), len(base)))
+        for start in range(0, len(base), QMC_SLICE):
+            s = phase_sums(phi, rot, base[start:start + QMC_SLICE])
+            values[:, start:start + QMC_SLICE] = (s.real**2 + s.imag**2) ** 3
+        return values
 
     mean, stderr = qmc_mean(f, 2, samples, seed)
     if mean <= 0.0:
@@ -185,11 +211,14 @@ def bilinear_d4_ratio(exp: DecouplingExperiment) -> RatioRow:
     t = np.arange(1, N + 1, dtype=np.float64) / N
     phi = np.stack([t, t**2, t**1.5, np.sqrt(t)], axis=1)
 
-    def f(pts: np.ndarray) -> np.ndarray:
+    def values(pts: np.ndarray) -> np.ndarray:
         x = (pts - 0.5) * N
         s1 = phase_sums(phi[a1 - 1:b1], a[a1 - 1:b1], x)
         s2 = phase_sums(phi[a2 - 1:b2], a[a2 - 1:b2], x)
         return (s1.real**2 + s1.imag**2) ** 3 * (s2.real**2 + s2.imag**2) ** 3
+
+    def f(base: np.ndarray, shifts: np.ndarray):
+        return (values((base + shift) % 1.0) for shift in shifts)
 
     mean, stderr = qmc_mean(f, 4, exp.samples, exp.seed)
     rhs = math.sqrt(N) * float(np.max(np.abs(a)))

@@ -1,7 +1,8 @@
 """Numerically stable evaluation of the exponential sums used across the
 package: quadruple-phase sums with unit coefficients, dyadic-block sums with
 log or monomial phase, and `phase_sums`, the batched kernel that evaluates
-one sum, with or without coefficients, at many frequency points.
+one sum, with or without coefficients, or one sum per row of a coefficient
+matrix, at many frequency points.
 
 Conventions. e(z) = exp(2*pi*i*z). Phase arguments are reduced mod 1 before
 evaluating e(.); for the polynomial part n*x1 + n^2*x2 the reduction is done
@@ -61,16 +62,31 @@ def _sum_terms(values: np.ndarray, weight: float) -> ComplexValue:
     return ComplexValue(re, im, 2.0 * MACHINE_EPS * weight)
 
 
+def phase_terms(phi, X) -> np.ndarray:
+    """The (N, P) table e((x . Phi_n) mod 1), terms down and points across,
+    for phi and X shaped as in `phase_sums`. Each phase is accumulated over
+    the columns in order, without BLAS, and reduced as phase - floor(phase),
+    which equals phase % 1.0 bit for bit on every finite float and costs
+    less."""
+    phase = phi[:, 0, None] * X[:, 0]
+    for j in range(1, phi.shape[1]):
+        phase += phi[:, j, None] * X[:, j]
+    phase -= np.floor(phase)
+    return np.exp((2j * np.pi) * phase)
+
+
 def phase_sums(phi, coeffs, X) -> np.ndarray:
     """Sum_n a_n e((x . Phi_n) mod 1) for each row x of X.
 
     phi is an (N, d) array of phase vectors with d <= 4, X a (P, d) array of
-    frequency points, and coeffs None (a_n = 1) or a length-N vector. Terms
-    run down and points across blocks of at most PHASE_BLOCK entries (one
-    point per block once N exceeds it). Each phase is accumulated over the
-    columns in order, without BLAS, and each sum over n is a reduction of
-    fixed shape, so the result does not depend on threading. Returns a
-    length-P complex array.
+    frequency points, and coeffs None (a_n = 1), a length-N vector or an
+    (R, N) matrix of coefficient rows. Terms run down and points across
+    blocks of at most PHASE_BLOCK entries (one point per block once N
+    exceeds it). Each block evaluates `phase_terms` once and reduces it
+    against every coefficient row by an elementwise product and a sum over
+    n of fixed shape, so row r of a matrix call equals the call with that
+    row alone bit for bit, and the result does not depend on threading.
+    Returns a length-P complex array, or (R, P) for a matrix.
     """
     phi = np.asarray(phi, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -78,21 +94,21 @@ def phase_sums(phi, coeffs, X) -> np.ndarray:
         raise ValueError("phi must be an (N, d) array with d <= 4")
     if X.ndim != 2 or X.shape[1] != phi.shape[1]:
         raise ValueError(f"X must be a (P, {phi.shape[1]}) array, got shape {X.shape}")
-    N, d = phi.shape
+    N = phi.shape[0]
+    P = X.shape[0]
     a = None if coeffs is None else np.asarray(coeffs, dtype=np.complex128)
-    if a is not None and a.shape != (N,):
-        raise ValueError(f"coeffs must have length {N}, got shape {a.shape}")
+    if a is not None and (a.ndim not in (1, 2) or a.shape[-1] != N):
+        raise ValueError(f"coeffs must have length {N} or shape (R, {N}), got shape {a.shape}")
     per = max(PHASE_BLOCK // max(N, 1), 1)
-    out = np.empty(X.shape[0], dtype=np.complex128)
-    for start in range(0, X.shape[0], per):
-        x = X[start:start + per]
-        phase = phi[:, 0, None] * x[:, 0]
-        for j in range(1, d):
-            phase += phi[:, j, None] * x[:, j]
-        terms = np.exp((2j * np.pi) * (phase % 1.0))
-        if a is not None:
-            terms *= a[:, None]
-        out[start:start + per] = terms.sum(axis=0)
+    out = np.empty((P,) if a is None else a.shape[:-1] + (P,), dtype=np.complex128)
+    for start in range(0, P, per):
+        stop = start + per
+        terms = phase_terms(phi, X[start:stop])
+        if a is None:
+            out[start:stop] = terms.sum(axis=0)
+            continue
+        for row, dest in zip(np.atleast_2d(a), np.atleast_2d(out)):
+            dest[start:stop] = (terms * row[:, None]).sum(axis=0)
     return out
 
 

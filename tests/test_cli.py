@@ -7,12 +7,23 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from zetalab import zeta
-from zetalab.cli import EXIT_GUARD, EXIT_IO, EXIT_OK, EXIT_USAGE, _global_flags, main
+from zetalab import cli, zeta
+from zetalab.cli import (
+    EXIT_GUARD,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    SCHEMA_VERSION,
+    Report,
+    _global_flags,
+    _write_json,
+    main,
+)
 
 
 def run_cli(args, tmp_path=None):
@@ -220,6 +231,33 @@ def test_json_schema(tmp_path):
     assert len(payload["rows"]) == 5
     assert set(payload["rows"][0]) == set(payload["columns"])
 
+
+@pytest.mark.parametrize(
+    "rows, meta",
+    [
+        ([], {}),
+        ([(1, None, "")], {"plot_axes": ("a", "c")}),
+        (
+            [(Fraction(13, 84), "", 0.1), (None, None, None), (-2, "main\nx", float("inf"))],
+            {"note": {"nested": [1, Fraction(1, 2)]}, "empty": []},
+        ),
+    ],
+)
+@pytest.mark.parametrize("chunk", [1, 2, cli.JSON_ROWS])
+def test_json_rows_stream_as_one_shot_dumps(monkeypatch, rows, meta, chunk):
+    """The JSON written in chunks of rows equals json.dumps of the whole
+    payload, empty cells (None or "") written as null."""
+    monkeypatch.setattr(cli, "JSON_ROWS", chunk)
+    report = Report(("a", "b", "c"), rows, meta)
+    fh = io.StringIO()
+    _write_json(report, fh)
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "meta": meta,
+        "columns": ["a", "b", "c"],
+        "rows": [{c: None if v is None or v == "" else v for c, v in zip("abc", row)} for row in rows],
+    }
+    assert fh.getvalue() == json.dumps(payload, indent=1, default=str) + "\n"
 
 def test_zeta_scan_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

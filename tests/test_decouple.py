@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from zetalab import decouple
 from zetalab.decouple import (
+    REPLICATES,
     DecouplingExperiment,
     RatioReport,
     bilinear_d4_ratio,
@@ -17,7 +19,9 @@ from zetalab.decouple import (
     ratio_scan,
 )
 from zetalab.errors import GuardError
+from zetalab.expsum import phase_sums
 from zetalab.meanvalue import vinogradov_count
+from zetalab.numerics import halton
 
 
 def test_exact_identity_lhs_sixth_power_is_count():
@@ -114,19 +118,17 @@ def test_ensemble_coefficients_deterministic():
 def test_bilinear_single_frequency_per_interval():
     # one nonzero coefficient per interval makes the integrand constant
     N = 16
-    a = np.zeros(N, dtype=complex)
     exp = DecouplingExperiment(4, N, "quadruple", "ones", samples=2048, seed=0)
-    (a1, b1), (a2, b2) = exp.intervals
-    # emulate via explicit coefficients: patch through the ensemble hook
-    n1, n2 = a1, a2
+    (n1, _), (n2, _) = exp.intervals
     t = np.arange(1, N + 1) / N
     phi = np.stack([t, t**2, t**1.5, np.sqrt(t)], axis=1)
 
-    def f(pts):
-        x = (pts - 0.5) * N
-        s1 = 2.5 * np.exp(2j * np.pi * ((x @ phi[n1 - 1]) % 1.0))
-        s2 = 1.5 * np.exp(2j * np.pi * ((x @ phi[n2 - 1]) % 1.0))
-        return (np.abs(s1) ** 6) * (np.abs(s2) ** 6)
+    def f(base, shifts):
+        for shift in shifts:
+            x = ((base + shift) % 1.0 - 0.5) * N
+            s1 = 2.5 * np.exp(2j * np.pi * ((x @ phi[n1 - 1]) % 1.0))
+            s2 = 1.5 * np.exp(2j * np.pi * ((x @ phi[n2 - 1]) % 1.0))
+            yield (np.abs(s1) ** 6) * (np.abs(s2) ** 6)
 
     mean, err = qmc_mean(f, 4, 2048, 0)
     lhs = mean ** (1.0 / 12.0)
@@ -194,3 +196,32 @@ def test_bilinear_scan_validation():
     with pytest.raises(ValueError, match="at least 2"):
         bilinear_scan([8], samples=256)
     assert len(bilinear_scan([8, 12], samples=256).rows) == 2
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_parabola_rotated_coefficients_match_shifted_points(monkeypatch, N):
+    """The parabola probe multiplies a_n by e(Phi_n . shift) instead of
+    shifting the points: every replicate matches phase_sums at the shifted
+    points (base + shift) mod 1."""
+    a = DecouplingExperiment(2, N, ensemble="random_phase", seed=N).coefficients()
+    seen = []
+
+    def recording(f, dim, samples, seed):
+        base = halton(dim, samples // REPLICATES)
+        shifts = np.random.default_rng(seed).random((REPLICATES, dim))
+        seen.append((base, shifts, np.array(list(f(base, shifts)))))
+        return qmc_mean(f, dim, samples, seed)
+
+    monkeypatch.setattr(decouple, "qmc_mean", recording)
+    lhs, _ = parabola_l6_lhs(a, samples=1 << 13, seed=4)
+    ((base, shifts, rows),) = seen
+    assert rows.shape == (REPLICATES, base.shape[0])
+    n = np.arange(1, N + 1, dtype=np.float64)
+    phi = np.column_stack([n, n * n])
+    means = []
+    for shift, row in zip(shifts, rows):
+        s = phase_sums(phi, a, (base + shift) % 1.0)
+        want = float(np.mean((s.real**2 + s.imag**2) ** 3))
+        assert float(np.mean(row)) == pytest.approx(want, rel=1e-12)
+        means.append(want)
+    assert lhs == pytest.approx((sum(means) / REPLICATES) ** (1.0 / 6.0), rel=1e-12)

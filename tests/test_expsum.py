@@ -281,3 +281,39 @@ def test_phase_sums_bit_identical_and_validated():
         phase_sums(phi, a[:5], X)
     with pytest.raises(ValueError):
         phase_sums(np.zeros((3, 5)), None, np.zeros((2, 5)))
+
+
+def test_phase_sums_coefficient_matrix_equals_row_calls():
+    rng = np.random.default_rng(5)
+    N = 40
+    phi = rng.standard_normal((N, 3)) * 9.0
+    rows = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
+    # several blocks, the last one partial
+    X = rng.uniform(-2.0, 2.0, size=(2 * PHASE_BLOCK // N + 7, 3))
+    got = phase_sums(phi, rows, X)
+    assert got.shape == (5, X.shape[0])
+    for r, row in enumerate(rows):
+        assert got[r].tobytes() == phase_sums(phi, row, X).tobytes()
+    # a transposed (non-contiguous) matrix gives the same bits
+    assert phase_sums(phi, rows.T.copy().T, X).tobytes() == got.tobytes()
+    with pytest.raises(ValueError):
+        phase_sums(phi, rows[:, :-1], X)
+    with pytest.raises(ValueError):
+        phase_sums(phi, rows[None], X)
+
+
+def test_phase_reduction_matches_remainder_bit_for_bit():
+    """The kernel reduces phases as phase - floor(phase); the former
+    `phase % 1.0` gives the same bits on every finite float."""
+    special = [-0.0, 0.0, -1e-20, 1e-20, -3.0, 3.0, 2.0**40 + 0.5, -(2.0**40 + 0.5), -0.5, -2.75,
+               -5e-324, 5e-324, 1e300, -1e300, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0)]
+    rng = np.random.default_rng(2)
+    phases = np.concatenate([special, rng.standard_normal(3000) * 1e3, rng.standard_normal(3000) * 1e-9])
+    phi = phases[:, None]
+    # multiplying by +-1 and 2 is exact, so the kernel sees these phases
+    X = np.array([[1.0], [-1.0], [2.0]])
+    phase = phi[:, 0, None] * X[:, 0]
+    terms = np.exp((2j * np.pi) * (phase % 1.0))
+    assert phase_sums(phi, None, X).tobytes() == terms.sum(axis=0).tobytes()
+    a = rng.standard_normal(phases.size) + 1j * rng.standard_normal(phases.size)
+    assert phase_sums(phi, a, X).tobytes() == (terms * a[:, None]).sum(axis=0).tobytes()
