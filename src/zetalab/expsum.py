@@ -8,11 +8,14 @@ Conventions. e(z) = exp(2*pi*i*z). Phase arguments are reduced mod 1 before
 evaluating e(.); for the polynomial part n*x1 + n^2*x2 the reduction is done
 in exact head/tail form so no precision is lost up to the size guard
 N <= 2**26 (beyond that an extended-precision path would be required, which
-is out of scope). Summation is compensated (Neumaier); the reported `err`
-is the summation contract bound 2 * machine_eps * sum(|a_n|). It covers the
-rounding of the summation only, not the float64 rounding of the phases
-before they are reduced: a phase of size P is off by about eps * P cycles,
-which matters for the half-power phases of `eval_quadruple_sum` at large N.
+is out of scope). Phases are reduced in place as x - floor(x), the same
+bits as x % 1.0. Summation is `numerics.neumaier_sum`, the compensated sum
+shared with `zeta`, run on the real and imaginary parts of the term array
+without copying them; the reported `err` is its contract bound
+2 * machine_eps * sum(|a_n|). It covers the rounding of the summation only,
+not the float64 rounding of the phases before they are reduced: a phase of
+size P is off by about eps * P cycles, which matters for the half-power
+phases of `eval_quadruple_sum` at large N.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError
-from .numerics import MACHINE_EPS, frac_poly_phase, neumaier_sum
+from .numerics import MACHINE_EPS, frac_in_place, frac_poly_phase, neumaier_sum
 
 MAX_QUADRUPLE_N = 1 << 26
-# About 88 bytes per term (arrays plus the Python float lists of the
-# compensated sum): at most about 1.5 GB.
+# About 64 bytes per term: m, m/M, the phase function, the phase and the
+# complex terms with their exponent are alive together while the terms are
+# built; at the guard a fresh process peaked at 1054 MB (2-core host).
 DYADIC_MAX_TERMS = 1 << 24
 # Entries (terms x points) in one block of `phase_sums`.
 PHASE_BLOCK = 1 << 15
@@ -57,8 +61,8 @@ class ComplexValue:
 
 
 def _sum_terms(values: np.ndarray, weight: float) -> ComplexValue:
-    re = neumaier_sum(values.real.tolist())
-    im = neumaier_sum(values.imag.tolist())
+    re = neumaier_sum(values.real)
+    im = neumaier_sum(values.imag)
     return ComplexValue(re, im, 2.0 * MACHINE_EPS * weight)
 
 
@@ -71,8 +75,7 @@ def phase_terms(phi, X) -> np.ndarray:
     phase = phi[:, 0, None] * X[:, 0]
     for j in range(1, phi.shape[1]):
         phase += phi[:, j, None] * X[:, j]
-    phase -= np.floor(phase)
-    return np.exp((2j * np.pi) * phase)
+    return np.exp((2j * np.pi) * frac_in_place(phase))
 
 
 def phase_sums(phi, coeffs, X) -> np.ndarray:
@@ -131,12 +134,19 @@ def eval_quadruple_sum(N: int, x: Sequence[float]) -> ComplexValue:
     x1, x2, x3, x4 = (float(v) for v in x)
     if not all(math.isfinite(v) for v in (x1, x2, x3, x4)):
         raise ValueError("phase frequencies must be finite")
+    # each array is released once the phase no longer needs it, so the
+    # peak is the polynomial phase, not every array alive at once
     n = np.arange(1, N + 1, dtype=np.int64)
+    phase = frac_poly_phase(n, x1, x2)
     nf = n.astype(np.float64)
+    del n
     sqrt_n = np.sqrt(nf)
     root_n = math.sqrt(N)
-    phase = frac_poly_phase(n, x1, x2)
-    phase = (phase + ((x3 * root_n) * (nf * sqrt_n)) % 1.0 + ((x4 * root_n) * sqrt_n) % 1.0) % 1.0
+    phase += frac_in_place((x3 * root_n) * (nf * sqrt_n))
+    del nf
+    phase += frac_in_place((x4 * root_n) * sqrt_n)
+    del sqrt_n
+    frac_in_place(phase)
     values = np.exp((2j * math.pi) * phase)
     return _sum_terms(values, float(N))
 
@@ -165,7 +175,7 @@ def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> Compl
         f = ratio ** float(Fraction(exponent))
     else:
         raise ValueError(f"unknown dyadic phase kind {kind!r}")
-    phase = (T * f) % 1.0
+    phase = frac_in_place(T * f)
     values = np.exp((2j * math.pi) * phase)
     return _sum_terms(values, float(m.size))
 

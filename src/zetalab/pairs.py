@@ -160,22 +160,25 @@ def search_words(
     best: ExponentPair | None = None
     best_value: Fraction | None = None
     seen: set[tuple[Fraction, Fraction]] = set()
-    level = list(pool)
+    # (pair, made by apply_B in this search)
+    level = [(p, False) for p in pool]
     for _ in range(max_len + 1):
         fresh = []
-        for p in level:
+        for p, by_b in level:
             key = p.as_tuple()
             if key in seen:
                 continue
             seen.add(key)
-            fresh.append(p)
+            fresh.append((p, by_b))
             v = score(p)
             if best_value is None or v < best_value:
                 best, best_value = p, v
         if not fresh:
             break
         # A-children of the whole level before B-children keeps each level in
-        # lexicographic word order.
-        level = [apply_A(p) for p in fresh] + [apply_B(p) for p in fresh]
+        # lexicographic word order. B is an involution, so the B-child of a
+        # pair this search made with B is the pair two levels up, already
+        # seen; a seed keeps its B-child whatever its word.
+        level = [(apply_A(p), False) for p, _ in fresh] + [(apply_B(p), True) for p, by_b in fresh if not by_b]
     assert best is not None and best_value is not None
     return SearchResult(best, best_value)

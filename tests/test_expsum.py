@@ -19,7 +19,7 @@ from zetalab.expsum import (
     eval_quadruple_sum,
     phase_sums,
 )
-from zetalab.numerics import MACHINE_EPS
+from zetalab.numerics import MACHINE_EPS, frac_in_place, frac_mul_int, frac_poly_phase
 
 # 50-digit term-by-term oracle values (mpmath), frozen; the live oracle below
 # regenerates them when mpmath is available.
@@ -302,9 +302,45 @@ def test_phase_sums_coefficient_matrix_equals_row_calls():
         phase_sums(phi, rows[None], X)
 
 
+def remainder_frac_mul_int(n, f):
+    # frac_mul_int as written with % 1.0
+    fhi = math.floor(f * 2.0**26) / 2.0**26
+    return ((n * fhi) % 1.0 + n * (f - fhi)) % 1.0
+
+
+def remainder_frac_poly_phase(n, x1, x2):
+    # frac_poly_phase as written with % 1.0
+    f2 = x2 % 1.0
+    n2 = n * n
+    hi = (n2 >> 26).astype(np.float64)
+    lo = (n2 & ((1 << 26) - 1)).astype(np.float64)
+    out = remainder_frac_mul_int(n.astype(np.float64), x1 % 1.0)
+    out = out + remainder_frac_mul_int(hi, (f2 * 2.0**26) % 1.0) + remainder_frac_mul_int(lo, f2)
+    return out % 1.0
+
+
+def remainder_quadruple(N, x):
+    # eval_quadruple_sum with its phases reduced by % 1.0
+    x1, x2, x3, x4 = x
+    n = np.arange(1, N + 1, dtype=np.int64)
+    nf = n.astype(np.float64)
+    sqrt_n = np.sqrt(nf)
+    root_n = math.sqrt(N)
+    phase = remainder_frac_poly_phase(n, x1, x2)
+    phase = (phase + ((x3 * root_n) * (nf * sqrt_n)) % 1.0 + ((x4 * root_n) * sqrt_n) % 1.0) % 1.0
+    return _sum_terms(np.exp((2j * math.pi) * phase), float(N))
+
+
+def remainder_dyadic(T, M, exponent):
+    # eval_dyadic_sum with its phase reduced by % 1.0
+    m = np.arange(M // 2 + 1, M + 1, dtype=np.float64)
+    f = np.log(m / M) if exponent is None else (m / M) ** exponent
+    return _sum_terms(np.exp((2j * math.pi) * ((T * f) % 1.0)), float(m.size))
+
+
 def test_phase_reduction_matches_remainder_bit_for_bit():
-    """The kernel reduces phases as phase - floor(phase); the former
-    `phase % 1.0` gives the same bits on every finite float."""
+    """Phases are reduced as x - floor(x), in place on fresh arrays; the
+    former `x % 1.0` gives the same bits on every finite float."""
     special = [-0.0, 0.0, -1e-20, 1e-20, -3.0, 3.0, 2.0**40 + 0.5, -(2.0**40 + 0.5), -0.5, -2.75,
                -5e-324, 5e-324, 1e300, -1e300, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0)]
     rng = np.random.default_rng(2)
@@ -317,3 +353,24 @@ def test_phase_reduction_matches_remainder_bit_for_bit():
     assert phase_sums(phi, None, X).tobytes() == terms.sum(axis=0).tobytes()
     a = rng.standard_normal(phases.size) + 1j * rng.standard_normal(phases.size)
     assert phase_sums(phi, a, X).tobytes() == (terms * a[:, None]).sum(axis=0).tobytes()
+    assert frac_in_place(phases.copy()).tobytes() == (phases % 1.0).tobytes()
+    # frac_mul_int, frac_poly_phase and the quadruple and dyadic phases reduce
+    # fresh arrays in place the same way: negative frequencies, n up to 2**26
+    rng = np.random.default_rng(4)
+    n = np.concatenate([np.arange(1, 2000), rng.integers(1, 1 << 26, 20000), [(1 << 26) - 1, 1 << 26]])
+    n = n.astype(np.int64)
+    nf = n.astype(np.float64)
+    for f in [0.0, 0.5, math.nextafter(1.0, 0.0), 5e-324, *rng.random(6)]:
+        assert frac_mul_int(nf, f).tobytes() == remainder_frac_mul_int(nf, f).tobytes()
+    xs = [(0.0, 0.0), (-0.25, -1e-9), (1e6 + 1 / 3, -7.5), (-math.pi, math.e), (-1e-20, 1e-20)]
+    xs += [tuple(v) for v in rng.standard_normal((6, 2)) * 10.0 ** rng.integers(-8, 4, (6, 2))]
+    for x1, x2 in xs:
+        assert frac_poly_phase(n, x1, x2).tobytes() == remainder_frac_poly_phase(n, x1, x2).tobytes()
+    points = [(-0.3, -0.7, -1e-3, -2.5), (1.5, -2.25, 3e-4, 0.1), tuple(rng.standard_normal(4) * 10.0)]
+    for N in (1, 999, 5000):
+        for x in points:
+            assert eval_quadruple_sum(N, x) == remainder_quadruple(N, x)
+    for T in (-1234.5678, 0.25, 8765.4321):
+        for M in (2, 301, 20000):
+            assert eval_dyadic_sum(T, M) == remainder_dyadic(T, M, None)
+            assert eval_dyadic_sum(T, M, "monomial", "3/2") == remainder_dyadic(T, M, 1.5)

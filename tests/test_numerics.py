@@ -1,0 +1,111 @@
+"""The compensated sum: exactness against Fraction sums, its documented
+bound, and its agreement with math.fsum."""
+
+import math
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from zetalab.numerics import MACHINE_EPS, SUM_WIDTH, neumaier_sum
+
+W = SUM_WIDTH
+LENGTHS = (0, 1, W - 1, W, 2 * W - 1, 2 * W, 2 * W + 1, (1 << 20) + 3)
+
+
+def exact_sum(v) -> Fraction:
+    """The exact sum of a float64 array: each value is an integer mantissa
+    times a power of two, and the mantissas of one exponent add up exactly in
+    a high and a low part."""
+    mant, expo = np.frexp(np.asarray(v, dtype=np.float64))
+    mant = (mant * 2.0**53).astype(np.int64)
+    total = Fraction(0)
+    for e in np.unique(expo).tolist():
+        sel = mant[expo == e]
+        whole = (int((sel >> 26).sum()) << 26) + int((sel & ((1 << 26) - 1)).sum())
+        total += whole * Fraction(2) ** (e - 53)
+    return total
+
+
+def check(v):
+    """Assert the documented bound and the 2 * eps * sum(|a|) contract."""
+    got, exact = neumaier_sum(v), exact_sum(v)
+    error = abs(Fraction(got) - exact)
+    mass = float(np.abs(v).sum()) * (1 + v.size * MACHINE_EPS)
+    rows = v.size // W if v.size >= 2 * W else 0
+    # the docstring's bound, with the rounding of |S| to a float on top
+    assert error <= Fraction(MACHINE_EPS / 2 * abs(float(exact)) * (1 + MACHINE_EPS) + rows**2 * MACHINE_EPS**2 * mass)
+    assert error <= Fraction(2 * MACHINE_EPS * mass)
+    return got, exact
+
+
+def ill_conditioned(rng, size):
+    # values spread over 80 binary orders of magnitude, each paired with its
+    # negative, plus a small remainder: the sum is tiny against sum(|a|)
+    half = rng.standard_normal(size // 2) * np.exp2(rng.integers(-40, 40, size // 2))
+    v = np.concatenate([half, -half, rng.standard_normal(size - 2 * (size // 2))])
+    return v[rng.permutation(size)]
+
+
+def test_exact_sum_is_the_fraction_sum():
+    rng = np.random.default_rng(0)
+    v = ill_conditioned(rng, 301)
+    v[:3] = [0.0, 5e-324, -1e300]
+    assert exact_sum(v) == sum(map(Fraction, v.tolist()), Fraction(0))
+
+
+@pytest.mark.parametrize("size", LENGTHS)
+def test_cancelling_inputs_sum_exactly(size):
+    # every fourth value survives the cancellation: the sum is k * (1 + 1e-3)
+    # up to the rounding of the 1e-3 terms, which the compensation keeps
+    pattern = np.array([1e16, 1.0, -1e16, 1e-3])
+    v = np.resize(pattern, size)
+    got, exact = check(v)
+    assert got == float(exact)
+    # shifted by one, so columns mix the large and the small values
+    if size > 1:
+        got, exact = check(np.resize(np.roll(pattern, 1), size))
+        assert got == float(exact)
+
+
+@pytest.mark.parametrize("size", LENGTHS)
+def test_ill_conditioned_sums_within_bound(size):
+    rng = np.random.default_rng(size)
+    check(ill_conditioned(rng, size))
+
+
+@pytest.mark.parametrize("size", LENGTHS)
+def test_strided_views_match_contiguous_copies(size):
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal(size) * 1e3 + 1j * ill_conditioned(rng, size)
+    for part in (z.real, z.imag):
+        assert not part.flags.c_contiguous or size <= 1
+        assert np.float64(neumaier_sum(part)).tobytes() == np.float64(neumaier_sum(part.copy())).tobytes()
+
+
+def test_strided_view_is_not_copied():
+    z = np.exp(2j * np.pi * np.random.default_rng(3).random(1 << 20))
+    tracemalloc.start()
+    try:
+        neumaier_sum(z.real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of the real parts alone would be 8 MB
+    assert peak < (1 << 21)
+
+
+def test_unit_phases_match_fsum():
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        z = np.exp(2j * np.pi * rng.random(1 << 20))
+        assert neumaier_sum(z.real) == math.fsum(z.real.tolist())
+        assert neumaier_sum(z.imag) == math.fsum(z.imag.tolist())
+
+
+def test_lists_and_short_arrays_are_fsum():
+    assert neumaier_sum([]) == 0.0
+    assert neumaier_sum([0.1] * 10) == math.fsum([0.1] * 10)
+    v = np.random.default_rng(5).standard_normal(2 * W - 1)
+    assert neumaier_sum(v) == math.fsum(v.tolist())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab import pairs
 from zetalab.errors import GuardError
 from zetalab.pairs import (
     BASE_PAIR,
@@ -152,3 +153,60 @@ def test_search_guard():
     with pytest.raises(GuardError) as exc:
         search_words(21)
     assert exc.value.guard == "pairs.search_words.max_len"
+
+
+def unpruned_search(max_len, seeds, include_axiom):
+    """The breadth-first word search that applies A and B to every fresh
+    pair: the pairs it scores, in order."""
+    level = list(seeds) + ([PAIR_13_84] if include_axiom else [])
+    seen, scored = set(), []
+    for _ in range(max_len + 1):
+        fresh = []
+        for p in level:
+            if p.as_tuple() not in seen:
+                seen.add(p.as_tuple())
+                fresh.append(p)
+        if not fresh:
+            break
+        scored += fresh
+        level = [apply_A(p) for p in fresh] + [apply_B(p) for p in fresh]
+    return scored
+
+
+@pytest.mark.parametrize("include_axiom", [True, False])
+@pytest.mark.parametrize("seeds", [
+    [BASE_PAIR],
+    # seeds whose words begin with B: their B-children must still be made
+    [apply_word("BA")],
+    [apply_B(PAIR_13_84), apply_word("AB")],
+])
+def test_search_skips_b_after_b_without_changing_the_search(monkeypatch, seeds, include_axiom):
+    """B is an involution, so the B-child of a pair the search made with B
+    is a pair already seen; skipping it leaves the scored pairs, their order
+    and the result as in the unpruned search."""
+    scored = []
+    applied = []
+
+    def recording_objective(p):
+        scored.append(p)
+        return zeta_exponent(p)
+
+    def counting(fn):
+        def counted(p):
+            applied.append(p)
+            return fn(p)
+        return counted
+
+    monkeypatch.setattr(pairs, "zeta_exponent", recording_objective)
+    monkeypatch.setattr(pairs, "apply_A", counting(apply_A))
+    monkeypatch.setattr(pairs, "apply_B", counting(apply_B))
+    for max_len in range(13):
+        scored.clear()
+        res = search_words(max_len, seeds, include_axiom=include_axiom)
+        want = unpruned_search(max_len, seeds, include_axiom)
+        assert [(p.k, p.l, p.word) for p in scored] == [(p.k, p.l, p.word) for p in want]
+        best = min(want, key=zeta_exponent)
+        assert (res.best, res.value) == (best, zeta_exponent(best))
+    applied.clear()
+    search_words(4)
+    assert len(applied) == 30  # 36 without the skip
