@@ -20,12 +20,14 @@ into consecutive bands of the linear sum s1, which no group crosses, and
 each route reduces a band to an exact integer or to kernel group sums. The
 bands run on one thread per core under a budget of SHARD_ROWS multisets in
 flight, so memory is bounded by that budget, not by the C(N + r - 1, r) of
-the whole table, and the results do not depend on the core count. No route
-walks the groups in Python: the windowed and kernel routes sort a band once
-on the key and the 3/2-power sum (`_sweep_order`) and sweep the pairs
-(i, i + k) of all groups at each offset k at once, so the kernel route
-evaluates each unordered pair once. A Monte-Carlo quadrature provides the independent
-statistical route.
+the whole table, and the results do not depend on the core count. `_band`
+builds a band entry by entry straight into the group key, the orderings and
+the power sums, with no table of tuples. No route walks the groups in Python:
+they are ordered by a 16-bit radix sort of the key (`_radix_order`), and the
+windowed and kernel routes sort a band once on the key and the 3/2-power sum
+(`_sweep_order`) and sweep the pairs (i, i + k) of all groups at each offset
+k at once, so the kernel route evaluates each unordered pair once. A
+Monte-Carlo quadrature provides the independent statistical route.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .errors import GuardError
 from .expsum import phase_sums
 
 WINDOWED_MAX_N = 48
-# r = 6 takes 5.6-7 s and 67-69 MB peak RSS at N = 32 on a 2-core host: the guard
-# keeps one call within about 15 s, as the windowed guard does (14 s and 92 MB
+# r = 6 takes 5.2-5.7 s and 60-62 MB peak RSS at N = 32 on a 2-core host; the guard
+# keeps one call within about 15 s, like the windowed guard (7.7-9.4 s and 58-61 MB
 # at N = 48, where single s1 values fill the budget and the bands run one by one).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
 VINOGRADOV_MAX_N = 256
@@ -56,7 +58,7 @@ METHOD_VINOGRADOV = "vinogradov"
 _SAMPLE_CHUNK = 1 << 15
 # Most multisets in flight across the threads of the grouped counts, each band
 # holding SHARD_ROWS // cores unless one value of s1 alone holds more; the
-# windowed count then peaks near 92 MB RSS.
+# windowed count then peaks near 61 MB RSS.
 SHARD_ROWS = 1 << 18
 
 
@@ -142,25 +144,48 @@ def _bands(counts: np.ndarray, limit: int):
         yield lo, len(counts) - 1
 
 
-def _band_tuples(N: int, size: int, lo: int, hi: int) -> np.ndarray:
-    """All non-decreasing `size`-tuples from {1..N} with lo <= s1 <= hi, as
-    a (size, count) array whose columns are the tuples in lexicographic
-    order. Built entry by entry: each prefix is repeated once per next entry
-    v that still admits a completion inside the band, so no prefix is a
-    dead end."""
-    cols = []
-    part = np.zeros(1, dtype=np.int64)
+def _band(N: int, size: int, lo: int, hi: int, powers: bool = True):
+    """(key, w, d3, d4) of the non-decreasing `size`-tuples from {1..N} with
+    lo <= s1 <= hi, in lexicographic order: the key (s1 - lo) * (size N^2 + 1)
+    + s2, equal exactly when (s1, s2) are and ordered as (s1, s2); the int16
+    orderings size! / prod(m!) over the multiplicities m; the 3/2- and
+    1/2-power sums, or None unless `powers`. Built entry by entry without the
+    tuples: a prefix is repeated once per next entry v that still admits a
+    completion in the band, and a row carries s1, s2, its last entry, final
+    run length, ordering denominator (a run reaching length m multiplies it
+    by m) and power sums, each its parent's value plus the term of v."""
+    base = np.arange(N + 1, dtype=np.float64)
+    pow32, pow12 = base * np.sqrt(base), np.sqrt(base)
+    s1 = s2 = np.zeros(1, dtype=np.int64)
     last = np.ones(1, dtype=np.int64)
+    run = np.zeros(1, dtype=np.int8)
+    denom = np.ones(1, dtype=np.int16)
+    d3 = d4 = np.zeros(1) if powers else None
     for j in range(size):
         rest = size - 1 - j
-        vmin = np.maximum(last, lo - part - rest * N)
-        vmax = np.minimum(N, (hi - part) // (rest + 1))
-        reps = np.maximum(vmax - vmin + 1, 0)
-        parent = np.repeat(np.arange(reps.size), reps)
-        last = vmin[parent] + _ragged_arange(reps)
-        cols = [col[parent] for col in cols] + [last]
-        part = part[parent] + last
-    return np.stack(cols)
+        vmin = np.maximum(last, lo - s1 - rest * N)
+        reps = np.maximum(np.minimum(N, (hi - s1) // (rest + 1)) - vmin + 1, 0)
+        parent = np.repeat(np.arange(reps.size, dtype=np.int32), reps)
+        v = np.arange(parent.size)
+        v += (vmin + reps - np.cumsum(reps))[parent]
+        del vmin, reps
+        run = np.where(v == last[parent], run[parent] + 1, 1)
+        denom = denom[parent] * run
+        last = v
+        # gather, then add in place: one temporary per accumulator
+        s1 = s1[parent]
+        s1 += v
+        s2 = s2[parent]
+        s2 += v * v
+        if powers:
+            d3 = d3[parent]
+            d3 += pow32[v]
+            d4 = d4[parent]
+            d4 += pow12[v]
+    s1 -= lo
+    s1 *= size * N * N + 1
+    s1 += s2
+    return s1, math.factorial(size) // denom, d3, d4
 
 
 def _cores() -> int:
@@ -172,22 +197,23 @@ def _cores() -> int:
 
 
 def _map_shards(N: int, size: int, reduce) -> list:
-    """[reduce(lo, tuples)] over consecutive bands lo <= s1 <= hi of the
-    non-decreasing `size`-tuples from {1..N} (see `_band_tuples`), in band
-    order. No (s1, s2) group crosses a band. The bands run on one thread per
-    core (numpy releases the GIL in the sorts, gathers and ufuncs of every
-    reduction) and hold SHARD_ROWS // cores tuples each, unless one s1 value
-    alone holds more. A band starts only while the tuples in flight stay
-    within SHARD_ROWS, so memory is bounded by SHARD_ROWS tuples whatever
-    the core count; a band claims at most SHARD_ROWS, so it always fits
-    alone. If a band raises, the queued bands are cancelled."""
+    """[reduce(lo, hi)] over consecutive bands lo <= s1 <= hi of the
+    non-decreasing `size`-tuples from {1..N}, in band order; each reduction
+    builds its band (`_band`). No (s1, s2) group crosses a band. The bands
+    run on one thread per core (numpy releases the GIL in the sorts, gathers
+    and ufuncs of every reduction) and hold SHARD_ROWS // cores tuples each,
+    unless one s1 value alone holds more. A band starts only while the
+    tuples in flight stay within SHARD_ROWS, so memory is bounded by
+    SHARD_ROWS tuples whatever the core count; a band claims at most
+    SHARD_ROWS, so it always fits alone. If a band raises, the queued bands
+    are cancelled."""
     counts = _sum_counts(N, size)
     cores = _cores()
     bands = list(_bands(counts, SHARD_ROWS // cores))
     # importing concurrent.futures and starting a thread add about 0.5 MB of
     # peak RSS, which one band does not need
     if cores == 1 or len(bands) == 1:
-        return [reduce(lo, _band_tuples(N, size, lo, hi)) for lo, hi in bands]
+        return [reduce(lo, hi) for lo, hi in bands]
     from concurrent.futures import ThreadPoolExecutor
 
     budget = threading.Condition()
@@ -200,7 +226,7 @@ def _map_shards(N: int, size: int, reduce) -> list:
             budget.wait_for(lambda: in_flight + claim <= SHARD_ROWS)
             in_flight += claim
         try:
-            return reduce(lo, _band_tuples(N, size, lo, hi))
+            return reduce(lo, hi)
         finally:
             with budget:
                 in_flight -= claim
@@ -215,38 +241,6 @@ def _map_shards(N: int, size: int, reduce) -> list:
             raise
 
 
-def _group_key(cols: np.ndarray, lo: int, N: int) -> np.ndarray:
-    """One integer per tuple, equal exactly when (s1, s2) are, ordered as
-    (s1, s2) within a shard whose smallest s1 is lo."""
-    s2_span = len(cols) * N * N + 1
-    return (cols.sum(axis=0) - lo) * s2_span + (cols * cols).sum(axis=0)
-
-
-def _power_sums(cols: np.ndarray):
-    """3/2- and 1/2-power sums of each tuple, accumulated entry by entry."""
-    base = np.arange(int(cols.max()) + 1, dtype=np.float64)
-    pow32 = base * np.sqrt(base)
-    pow12 = np.sqrt(base)
-    d3 = np.zeros(cols.shape[1], dtype=np.float64)
-    d4 = np.zeros(cols.shape[1], dtype=np.float64)
-    for col in cols:
-        d3 += pow32[col]
-        d4 += pow12[col]
-    return d3, d4
-
-
-def _orderings(cols: np.ndarray) -> np.ndarray:
-    """Number of distinct orderings of each sorted tuple:
-    size! / prod(multiplicities!), read off the runs of equal neighbours
-    (a run reaching length m multiplies the denominator by m)."""
-    run = np.ones(cols.shape[1], dtype=np.int64)
-    denom = np.ones(cols.shape[1], dtype=np.int64)
-    for j in range(1, len(cols)):
-        run = np.where(cols[j] == cols[j - 1], run + 1, 1)
-        denom *= run
-    return math.factorial(len(cols)) // denom
-
-
 def _group_starts(key: np.ndarray) -> np.ndarray:
     """Start indices of the runs of equal values in a sorted key."""
     boundary = np.empty(key.size, dtype=bool)
@@ -255,24 +249,29 @@ def _group_starts(key: np.ndarray) -> np.ndarray:
     return np.flatnonzero(boundary)
 
 
-def _ragged_arange(sizes: np.ndarray) -> np.ndarray:
-    total = int(sizes.sum())
-    out = np.arange(total, dtype=np.int64)
-    shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return out - shift
+def _radix_order(key: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """order[np.argsort(key[order], kind="stable")] for a nonnegative int64
+    key: a least-significant-digit radix sort with one stable argsort of the
+    key's 16-bit digits per pass (numpy sorts 16-bit integers stably by
+    counting), as many passes as the largest key has digits."""
+    digits = np.ascontiguousarray(key, dtype="<i8").view("<u2").reshape(-1, 4)
+    for d in range((int(key.max()).bit_length() + 15) // 16):
+        order = order[np.argsort(digits[order, d], kind="stable")]
+    return order
 
 
 def _square_sum(key: np.ndarray, w: np.ndarray) -> int:
     """Sum over (s1, s2) groups of (sum of orderings)^2: the ordered pairs
     that share both power sums."""
-    # The int64 dot is at most sum(w)^2 <= (size! * rows)^2. A band holds more
-    # than SHARD_ROWS rows only where one s1 value does, and under
-    # WINDOWED_MAX_N and VINOGRADOV_MAX_N one s1 value holds at most 250,510
-    # (6-multisets at N = 48), so the dot stays below (720 * 2^18)^2 < 2^63.
-    if int(w.sum()) ** 2 >= 1 << 63:
+    # The int16 orderings are summed into int64 group sums, whose dot is at
+    # most sum(w)^2 <= (size! * rows)^2. A band holds more than SHARD_ROWS rows
+    # only where one s1 value does, and under WINDOWED_MAX_N and
+    # VINOGRADOV_MAX_N one s1 value holds at most 250,510 (6-multisets at
+    # N = 48), so the dot stays below (720 * 2^18)^2 < 2^63.
+    if int(w.sum(dtype=np.int64)) ** 2 >= 1 << 63:
         raise OverflowError("group sums too large for an int64 dot")
-    order = np.argsort(key, kind="stable")
-    sums = np.add.reduceat(w[order], _group_starts(key[order]))
+    order = _radix_order(key, np.arange(key.size, dtype=np.int32))
+    sums = np.add.reduceat(w[order], _group_starts(key[order]), dtype=np.int64)
     return int(np.dot(sums, sums))
 
 
@@ -305,55 +304,60 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
     if not (w3 > 0 and w4 > 0):
         raise ValueError("windows must be positive")
 
-    def band(lo, cols):
-        key = _group_key(cols, lo, N)
-        w = _orderings(cols)
+    def band(lo, hi):
         if math.isinf(w3) and math.isinf(w4):
-            return _square_sum(key, w)
-        d3, d4 = _power_sums(cols)
-        del cols  # the sweep sets the peak RSS: hold only its inputs
-        return _window_pair_count(key, d3, d4, w, w3, w4)
+            return _square_sum(*_band(N, 6, lo, hi, powers=False)[:2])
+        return _window_pair_count(*_swept_band(N, 6, lo, hi), w3, w4)
 
     total = sum(_map_shards(N, 6, band))
     return CountResult(float(total), True, 0.0, METHOD_WINDOWED, total)
 
 
 def _sweep_order(key: np.ndarray, d3: np.ndarray):
-    """(order, end): the rows of one shard sorted on (key, d3), and for each
-    row in that order the index one past the last row of its group. Both
-    pairwise routes sweep the pairs (i, i + k) of a group in this order."""
-    order = np.argsort(d3)
-    order = order[np.argsort(key[order], kind="stable")]
+    """(order, end), both int32: the rows of one band sorted on (key, d3),
+    and for each row in that order the index one past the last row of its
+    group. Both pairwise routes sweep the pairs (i, i + k) of a group in
+    this order. The rows are sorted on d3, then stably on the key."""
+    order = _radix_order(key, np.argsort(d3).astype(np.int32))
     starts = _group_starts(key[order])
-    ends = np.append(starts[1:], key.size)
+    ends = np.append(starts[1:], key.size).astype(np.int32)
     return order, np.repeat(ends, ends - starts)
 
 
-def _window_pair_count(key, d3, d4, w, w3: float, w4: float) -> int:
-    """Weighted ordered pairs (i, j) of one shard with equal key inside the
-    windows. In sweep order (`_sweep_order`), the pairs at offset k = 1, 2,
-    ... are tested in both directions, since fl(d3 +- w3) makes the d3 test
-    asymmetric; a row drops out at the first offset that leaves its group
-    or both d3 windows, because d3 only grows along a group."""
+def _swept_band(N: int, size: int, lo: int, hi: int):
+    """(end, w, d3, d4) of one band (`_band`) in sweep order
+    (`_sweep_order`); the unsorted arrays die on return, so the sweep holds
+    only these four."""
+    key, w, d3, d4 = _band(N, size, lo, hi)
     order, end = _sweep_order(key, d3)
-    d3, d4, w = d3[order], d4[order], w[order]
-    total = int(np.dot(w, w))
-    i = np.arange(key.size)
+    del key
+    return end, w[order], d3[order], d4[order]
+
+
+def _window_pair_count(end, w, d3, d4, w3: float, w4: float) -> int:
+    """Weighted ordered pairs (i, j) of one band in sweep order
+    (`_swept_band`) with equal key inside the windows. The pairs at offset
+    k = 1, 2, ... are tested in both directions, since fl(d3 +- w3) makes
+    the d3 test asymmetric; a row drops out at the first offset that leaves
+    its group or both d3 windows, because d3 only grows along a group, so
+    the live rows are compressed once per offset. Weights multiply in int64."""
+    total = int(np.square(w, dtype=np.int64).sum())
+    i = np.arange(end.size)
+    i = i[i + 1 < end]
     k = 1
-    while True:
-        i = i[i + k < end[i]]
-        if not i.size:
-            return total
-        j = i + k
-        a, b = d3[i], d3[j]
+    while i.size:
+        a, b = d3[i], d3[i + k]
         up = b <= a + w3
         down = a >= b - w3
-        live = up | down
-        i, j, up, down = i[live], j[live], up[live], down[live]
-        near = np.abs(d4[j] - d4[i]) <= w4
-        hits = up[near].astype(np.int64) + down[near]
-        total += int(np.dot(w[i[near]] * w[j[near]], hits))
+        del a, b
+        near = np.abs(d4[i + k] - d4[i]) <= w4
+        hits = (up & near).view(np.int8) + (down & near).view(np.int8)
+        total += int(np.dot(np.multiply(w[i], w[i + k], dtype=np.int64), hits))
         k += 1
+        up |= down
+        up &= i + k < end[i]
+        i = i[up]
+    return total
 
 
 def _interval_kernel(theta: np.ndarray) -> np.ndarray:
@@ -385,25 +389,21 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
     scale3 = 1.0 / (spec.delta * spec.N**1.5)
     scale4 = 1.0 / (spec.Delta * spec.N**0.5)
 
-    def band(lo, cols):
-        d3, d4 = _power_sums(cols)
-        order, end = _sweep_order(_group_key(cols, lo, spec.N), d3)
-        wf = _orderings(cols)[order].astype(np.float64)
-        d3, d4 = d3[order], d4[order]
-        del cols, order  # the sweep sets the peak RSS: hold only its inputs
-        return _kernel_group_sums(d3, d4, wf, end, scale3, scale4)
+    def band(lo, hi):
+        return _kernel_group_sums(*_swept_band(spec.N, r, lo, hi), scale3, scale4)
 
     value = math.fsum(np.concatenate(_map_shards(spec.N, r, band)).tolist())
     return CountResult(value, True, 0.0, METHOD_KERNEL, None)
 
 
-def _kernel_group_sums(d3, d4, wf, end, scale3, scale4) -> np.ndarray:
+def _kernel_group_sums(end, w, d3, d4, scale3, scale4) -> np.ndarray:
     """Sum over the ordered pairs of each group of w_i w_j k3 k4, for the
     groups of one shard in sweep order, in group order. Each sum starts at
     the diagonal, 4 w^2 per row, and adds 2 (w_i w_j) k3 k4 for the pairs
     (i, i + k) at offsets k = 1, 2, ...: fl(a - b) = -fl(b - a) and sinc is
     even, so both directions of a pair have the same bits, and doubling is
     exact. The sums are binned by the group end."""
+    wf = w.astype(np.float64)
     sums = np.bincount(end, weights=4.0 * wf * wf, minlength=end.size + 1)
     i = np.arange(end.size)
     k = 1
@@ -459,7 +459,7 @@ def vinogradov_count(N: int, s: int) -> CountResult:
         raise GuardError(
             "meanvalue.vinogradov.N", f"N={N} exceeds the count guard {VINOGRADOV_MAX_N}"
         )
-    total = sum(_map_shards(N, s, lambda lo, cols: _square_sum(_group_key(cols, lo, N), _orderings(cols))))
+    total = sum(_map_shards(N, s, lambda lo, hi: _square_sum(*_band(N, s, lo, hi, powers=False)[:2])))
     return CountResult(float(total), True, 0.0, METHOD_VINOGRADOV, total)
 
 

@@ -5,6 +5,8 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
+from array import array
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
@@ -20,16 +22,17 @@ from zetalab.errors import GuardError
 from zetalab.meanvalue import (
     CountResult,
     MeanValueSpec,
-    _group_key,
+    _band,
+    _bands,
     _group_starts,
     _interval_kernel,
     _kernel_group_sums,
     _map_shards,
-    _orderings,
-    _power_sums,
+    _radix_order,
     _square_sum,
     _sum_counts,
     _sweep_order,
+    _swept_band,
     _window_pair_count,
     count_windowed,
     fit_growth_exponent,
@@ -121,21 +124,60 @@ def brute_kernel(N, r, delta, Delta):
     return total
 
 
+def reference_bands(N, size, bounds):
+    """(key, w, d3, d4) of each band lo <= s1 <= hi in `bounds`, enumerated
+    independently of `_band`: the tuples come from
+    itertools.combinations_with_replacement in lexicographic order, the key
+    (s1 - lo) * (size N^2 + 1) + s2 and the orderings size! / prod(m!) are
+    Python ints, and the power sums are float sums added entry by entry."""
+    span = size * N * N + 1
+    band_of = {s1: b for b, (lo, hi) in enumerate(bounds) for s1 in range(lo, hi + 1)}
+    out = [(array("q"), array("q"), array("d"), array("d")) for _ in bounds]
+    for t in itertools.combinations_with_replacement(range(1, N + 1), size):
+        s1 = sum(t)
+        key, w, d3, d4 = out[band_of[s1]]
+        key.append((s1 - bounds[band_of[s1]][0]) * span + sum(v * v for v in t))
+        orderings = math.factorial(size)
+        for _, run in itertools.groupby(t):
+            orderings //= math.factorial(len(list(run)))
+        w.append(orderings)
+        a = b = 0.0
+        for v in t:
+            a += v * math.sqrt(v)
+            b += math.sqrt(v)
+        d3.append(a)
+        d4.append(b)
+    return [tuple(np.frombuffer(col, dtype=col.typecode) for col in band) for band in out]
+
+
+def assert_bands_match_reference(N, size):
+    """Every band `_map_shards` cuts holds exactly the reference arrays, bit
+    for bit, and the bands tile the range of s1; returns the bands."""
+    bands = _map_shards(N, size, lambda lo, hi: (lo, hi, _band(N, size, lo, hi)))
+    bounds = [(lo, hi) for lo, hi, _ in bands]
+    assert bounds[0][0] == size and bounds[-1][1] == size * N
+    assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+    for (lo, hi, got), want in zip(bands, reference_bands(N, size, bounds)):
+        assert got[0].dtype == np.int64 and got[2].dtype == got[3].dtype == np.float64
+        for g, r in zip(got, want):
+            assert g.tolist() == r.tolist() and g.astype(r.dtype).tobytes() == r.tobytes()
+        key, w, d3, d4 = _band(N, size, lo, hi, powers=False)
+        assert d3 is None and d4 is None
+        assert key.tobytes() == got[0].tobytes() and w.tobytes() == got[1].tobytes()
+    return bands
+
+
 def kernel_shards(N, r):
-    """(d3, d4, wf, end) of each shard of r-multisets, in the sweep order of
+    """(end, w, d3, d4) of each shard of r-multisets, in the sweep order of
     the kernel route."""
-    def band(lo, cols):
-        d3, d4 = _power_sums(cols)
-        order, end = _sweep_order(_group_key(cols, lo, N), d3)
-        return d3[order], d4[order], _orderings(cols)[order].astype(np.float64), end
-
-    return _map_shards(N, r, band)
+    return _map_shards(N, r, lambda lo, hi: _swept_band(N, r, lo, hi))
 
 
-def loop_group_sums(d3, d4, wf, end, scale3, scale4):
+def loop_group_sums(end, w, d3, d4, scale3, scale4):
     """One float64 sum of the whole k x k block per group, group by group:
     the reference for `_kernel_group_sums`. Also returns, per group, the sum
     of the absolute block entries and the group size."""
+    wf = w.astype(np.float64)
     sums, mags, sizes = [], [], []
     for a in _group_starts(end).tolist():
         d3g, d4g, wg = d3[a:end[a]], d4[a:end[a]], wf[a:end[a]]
@@ -146,6 +188,12 @@ def loop_group_sums(d3, d4, wf, end, scale3, scale4):
         mags.append(float(np.abs(block).sum()))
         sizes.append(d3g.size)
     return sums, mags, sizes
+
+
+def two_argsort_order(key, d3):
+    """The (key, d3) order as two argsorts: on d3, then stable on key."""
+    order = np.argsort(d3)
+    return order[np.argsort(key[order], kind="stable")]
 
 
 def decimal_windowed(N, digits=50):
@@ -257,7 +305,8 @@ def test_window_pair_sweep_keeps_float_decisions():
                 if (key[i] == key[j] and d3[i] - w3 <= d3[j] <= d3[i] + w3
                         and abs(d4[j] - d4[i]) <= w4):
                     expected += int(w[i]) * int(w[j])
-        assert _window_pair_count(key, d3, d4, w, w3, w4) == expected
+        order, end = _sweep_order(key, d3)
+        assert _window_pair_count(end, w[order], d3[order], d4[order], w3, w4) == expected
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -287,20 +336,89 @@ def test_windowed_guard_and_validation():
 ])
 def test_shards_enumerate_each_tuple_once_in_bands(monkeypatch, N, size, limit):
     monkeypatch.setattr(meanvalue, "SHARD_ROWS", limit)
-    shards = _map_shards(N, size, lambda lo, cols: (lo, cols.T.tolist()))
-    flat = [tuple(t) for _, rows in shards for t in rows]
-    # concatenated shards give every non-decreasing tuple once, in
-    # lexicographic order within each shard
-    assert sorted(flat) == list(itertools.combinations_with_replacement(range(1, N + 1), size))
-    for _, rows in shards:
-        assert rows == sorted(rows)
-    los = [lo for lo, _ in shards] + [size * N + 1]
-    for (lo, rows), next_lo in zip(shards, los[1:]):
-        sums = [sum(t) for t in rows]
+    # the bands hold every non-decreasing tuple once, each band in
+    # lexicographic order (the reference enumerates them that way)
+    shards = assert_bands_match_reference(N, size)
+    span = size * N * N + 1
+    los = [lo for lo, _, _ in shards] + [size * N + 1]
+    counts = Counter()
+    for (lo, _, (key, _, _, _)), next_lo in zip(shards, los[1:]):
+        sums = (key // span + lo).tolist()
         assert lo == min(sums) and max(sums) < next_lo
-        assert len(rows) <= limit or len(set(sums)) == 1
-    counts = Counter(sum(t) for t in flat)
+        assert len(sums) <= limit or len(set(sums)) == 1
+        counts.update(sums)
+    assert sum(counts.values()) == math.comb(N + size - 1, size)
     assert _sum_counts(N, size).tolist() == [counts[s1] for s1 in range(size * N + 1)]
+
+
+@pytest.mark.parametrize("N,size", [
+    (12, 6), (9, 6), (10, 6), (8, 6), (30, 3), (40, 2),  # SHARD_CASES
+    (24, 6), (60, 3), (120, 3),  # the kernel bit-for-bit cases beyond them
+])
+def test_band_builder_matches_enumeration_bit_for_bit(N, size):
+    assert_bands_match_reference(N, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 62), st.integers(1, 4000), st.integers(1, 4000), st.integers(0, 2**32 - 1))
+@example(62, 4000, 3, 0)  # tie-heavy: three distinct keys, the largest of 62 bits
+@example(1, 2000, 2, 1)
+def test_radix_order_is_the_stable_argsort(bits, n, distinct, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 1 << bits, distinct)
+    pool[0] = (1 << bits) - 1
+    key = pool[rng.integers(0, distinct, n)]
+    d3 = rng.integers(0, 40, n) * 0.1  # ties in d3 as well
+    identity = np.arange(n, dtype=np.int32)
+    assert np.array_equal(_radix_order(key, identity), np.argsort(key, kind="stable"))
+    order, _ = _sweep_order(key, d3)
+    assert order.dtype == np.int32 and np.array_equal(order, two_argsort_order(key, d3))
+
+
+@pytest.mark.parametrize("lo,width", [(1, 1), (2, 70_000), (400_000, 131_072), (999_000, 1_000)])
+def test_radix_order_on_r1_kernel_band_keys(lo, width):
+    # one multiset per s1 at r = 1, so a band of 131,072 values at N = 10^6
+    # spans keys of about 57 bits: four 16-bit passes
+    N = 1_000_000
+    key, w, d3, d4 = _band(N, 1, lo, min(lo + width - 1, N))
+    assert key.size == min(width, N - lo + 1) and (w == 1).all()
+    if width == 131_072:
+        assert 48 < int(key.max()).bit_length() <= 64
+    rng = np.random.default_rng(lo)
+    perm = rng.permutation(key.size)
+    key, d3 = key[perm], d3[perm]  # the builder's keys arrive sorted
+    assert np.array_equal(_radix_order(key, np.arange(key.size, dtype=np.int32)), np.argsort(key, kind="stable"))
+    order, _ = _sweep_order(key, d3)
+    assert np.array_equal(order, two_argsort_order(key, d3))
+
+
+def test_sweep_order_of_every_band_equals_two_argsorts():
+    for N, size in [(12, 6), (30, 3), (40, 2), (24, 6)]:
+        for key, _, d3, _ in _map_shards(N, size, lambda lo, hi: _band(N, size, lo, hi)):
+            order, end = _sweep_order(key, d3)
+            assert np.array_equal(order, two_argsort_order(key, d3))
+            starts = _group_starts(key[order])
+            assert np.array_equal(end, np.repeat(np.append(starts[1:], key.size), np.diff(starts, append=key.size)))
+
+
+def test_windowed_band_memory_per_multiset(monkeypatch):
+    # one core: the largest band alone sets the peak; measured at 55.0 bytes
+    # per multiset of that band (126 before the builder and the lean sweep)
+    monkeypatch.setattr(meanvalue, "_cores", lambda: 1)
+    largest = max(int(_sum_counts(24, 6)[lo:hi + 1].sum())
+                  for lo, hi in _bands(_sum_counts(24, 6), meanvalue.SHARD_ROWS))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert count_windowed(24).integer_value == 488281573404
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / largest <= 56
 
 
 SHARD_CASES = [
@@ -353,17 +471,18 @@ def test_map_shards_keeps_tuples_in_flight_within_budget(monkeypatch):
     lock = threading.Lock()
     state = {"rows": 0, "bands": 0, "most_rows": 0, "most_bands": 0}
 
-    def reduce(lo, cols):
+    def reduce(lo, hi):
+        key, w, _, _ = _band(8, 6, lo, hi, powers=False)
         with lock:
-            state["rows"] += min(cols.shape[1], 100)
+            state["rows"] += min(key.size, 100)
             state["bands"] += 1
             state["most_rows"] = max(state["most_rows"], state["rows"])
             state["most_bands"] = max(state["most_bands"], state["bands"])
         time.sleep(0.002)
         with lock:
-            state["rows"] -= min(cols.shape[1], 100)
+            state["rows"] -= min(key.size, 100)
             state["bands"] -= 1
-        return lo, cols.T.tolist()
+        return lo, hi, (key, w)
 
     result = []
     interval = sys.getswitchinterval()
@@ -376,11 +495,14 @@ def test_map_shards_keeps_tuples_in_flight_within_budget(monkeypatch):
         sys.setswitchinterval(interval)
     assert not runner.is_alive() and len(result) == 1
     bands = result[0]
-    assert max(len(rows) for _, rows in bands) > 50
+    assert max(key.size for _, _, (key, _) in bands) > 50
     assert state["most_rows"] <= 100
     assert state["most_bands"] >= 2  # the small bands did run side by side
-    flat = [tuple(t) for _, rows in bands for t in rows]
-    assert sorted(flat) == list(itertools.combinations_with_replacement(range(1, 9), 6))
+    # the bands come back in order and hold every tuple once
+    want = reference_bands(8, 6, [(lo, hi) for lo, hi, _ in bands])
+    for (_, _, got), ref in zip(bands, want):
+        assert got[0].tolist() == ref[0].tolist() and got[1].tolist() == ref[1].tolist()
+    assert sum(key.size for _, _, (key, _) in bands) == math.comb(13, 6)
 
 
 def test_map_shards_raising_band_cancels_the_queued_bands(monkeypatch):
@@ -400,7 +522,7 @@ def test_map_shards_raising_band_cancels_the_queued_bands(monkeypatch):
 
     monkeypatch.setattr(ThreadPoolExecutor, "shutdown", shutdown_then_release)
 
-    def reduce(lo, cols):
+    def reduce(lo, hi):
         started.append(lo)
         if lo == 3:
             raise RuntimeError("band failed")
@@ -409,7 +531,7 @@ def test_map_shards_raising_band_cancels_the_queued_bands(monkeypatch):
 
     with pytest.raises(RuntimeError, match="band failed"):
         _map_shards(9, 3, reduce)
-    bands = _map_shards(9, 3, lambda lo, cols: lo)
+    bands = _map_shards(9, 3, lambda lo, hi: lo)
     assert len(bands) > 10
     assert len(started) <= 3  # the failed band and at most two beside it
 
@@ -487,8 +609,7 @@ def test_kernel_group_sums_at_zero_scale_count_pairs(case):
     # add up to 4 times the ordered pairs sharing (s1, s2); every partial sum
     # is an integer below 2^53, hence exact
     r, N = case
-    sums = [v for d3, d4, wf, end in kernel_shards(N, r)
-            for v in _kernel_group_sums(d3, d4, wf, end, 0.0, 0.0).tolist()]
+    sums = [v for shard in kernel_shards(N, r) for v in _kernel_group_sums(*shard, 0.0, 0.0).tolist()]
     if r == 1:
         pairs = N
     elif r == 3:
@@ -623,7 +744,8 @@ def test_diagonal_count_matches_rearrangement_enumeration(s):
 @pytest.mark.parametrize("s", [3, 6])
 def test_diagonal_count_matches_multiset_weights(s):
     for N in range(1, 13):
-        weights = [v for band in _map_shards(N, s, lambda lo, cols: _orderings(cols).tolist()) for v in band]
+        weights = [v for band in _map_shards(N, s, lambda lo, hi: _band(N, s, lo, hi, powers=False)[1].tolist())
+                   for v in band]
         assert diagonal_count(N, s) == sum(v * v for v in weights)
 
 
