@@ -394,7 +394,7 @@ def _global_flags() -> argparse.ArgumentParser:
     flags.add_argument("--seed", type=int, help="PRNG seed (default 0)")
     flags.add_argument("--out", help="output file (default stdout)")
     flags.add_argument("--format", choices=("csv", "json"))
-    flags.add_argument("--plot-script", help="also write a plot script (requires --out)")
+    flags.add_argument("--plot-script", help="also write a plot script (requires --out and CSV)")
     return flags
 
 
@@ -523,8 +523,8 @@ def _resolve_defaults(args) -> None:
         args.out = config.get("out") or None
     if "plot_script" not in args:
         args.plot_script = None
-    if args.plot_script and not args.out:
-        raise ValueError("--plot-script requires --out (the script references the data file)")
+    if args.plot_script and (not args.out or args.format != "csv"):
+        raise ValueError("--plot-script requires --out and CSV output (the script reads the data file)")
 
 
 def main(argv=None) -> int:

@@ -12,15 +12,16 @@ log(ratio) against log(N).
 Sampling is randomized low-discrepancy (Halton points under independent
 uniform shifts), which keeps estimators unbiased while the replicate spread
 yields an honest stderr (REPLICATES shifts); everything is deterministic
-for a fixed seed.
+for a fixed seed. `qmc_mean` alone walks the Halton block, QMC_SLICE points
+at a time, so a probe returns the values of one slice, never of the block.
 
 The parabola probe rotates coefficients instead of shifting points: its
 frequencies (n, n^2) are integers and its domain [0,1)^2 is a period, so
 the sum at (base + shift) mod 1 equals the sum at base with a_n replaced by
-a_n e(Phi_n . shift), and one table e(Phi_n . base) per block serves all
+a_n e(Phi_n . shift), and one table e(Phi_n . base) per slice serves all
 REPLICATES shifts. The bilinear probe shifts its points, (base + shift) mod
-1, one replicate at a time: its frequencies are not integers and its
-N-cube is not a period, so the identity does not hold there.
+1, for every replicate: its frequencies are not integers and its N-cube is
+not a period, so the identity does not hold there.
 """
 
 from __future__ import annotations
@@ -36,15 +37,14 @@ from .meanvalue import vinogradov_count
 from .numerics import fit_loglog, halton
 
 BILINEAR_MAX_N = 64
-# One Halton block of samples // REPLICATES points is held at once, and the
-# parabola probe also holds its (REPLICATES, samples // REPLICATES) values.
-# At 2^24 samples the parabola probe (N=16) took 3.6 s and 212 MB, the
-# bilinear probe 21.6 s and 339 MB at N=32 (2-core host); memory grows
-# linearly beyond.
+# One Halton block of samples // REPLICATES points is held at once, beside
+# the values of one slice. At 2^24 samples the parabola probe (N=16) took
+# 3.7 s and 147 MB, the bilinear probe 20.0 s and 179 MB at N=32, in fresh
+# processes on a 2-core host; the block grows linearly beyond.
 QMC_MAX_SAMPLES = 1 << 24
 REPLICATES = 8
-# Base points per `phase_sums` call of the parabola probe: its (REPLICATES,
-# QMC_SLICE) complex sums match one block of the kernel's terms in size.
+# Points of the block per call of a probe in `qmc_mean`: the (REPLICATES,
+# QMC_SLICE) values of a slice match one block of `phase_sums` terms in size.
 QMC_SLICE = PHASE_BLOCK // REPLICATES
 
 ENSEMBLE_ONES = "ones"
@@ -95,19 +95,17 @@ class DecouplingExperiment:
         return np.exp((2j * np.pi) * rng.random(self.N))
 
 
-def _row_mean(row) -> float:
-    return float(np.mean(row))
-
-
 def qmc_mean(f, dim: int, samples: int, seed: int):
     """Unbiased randomized-QMC mean of a function over [0,1)^dim.
 
     One Halton block `base` of samples // REPLICATES points serves
     REPLICATES independent uniform shifts, drawn as one (REPLICATES, dim)
-    array `shifts`. f(base, shifts) yields one row of values per replicate,
-    row r being the function at the points (base + shifts[r]) mod 1. The
-    estimate is the replicate average and the stderr the replicate spread
-    over sqrt(REPLICATES).
+    array `shifts`. For each slice `points` of QMC_SLICE points, row r of
+    f(points, shifts) holds the function at (points + shifts[r]) mod 1, and
+    its sum joins a running sum per replicate: numpy's pairwise sum of the
+    whole row bit for bit when the block is one slice or two full ones, off
+    in the last bits otherwise. The estimate is the replicate average and
+    the stderr the replicate spread over sqrt(REPLICATES).
     """
     if samples < REPLICATES:
         raise ValueError(f"samples must be >= {REPLICATES} (one point per replicate), got {samples}")
@@ -115,11 +113,12 @@ def qmc_mean(f, dim: int, samples: int, seed: int):
         raise GuardError(
             "decouple.qmc.samples", f"samples={samples} exceeds the QMC guard {QMC_MAX_SAMPLES}"
         )
-    rng = np.random.default_rng(seed)
+    shifts = np.random.default_rng(seed).random((REPLICATES, dim))
     base = halton(dim, samples // REPLICATES)
-    # map lets go of each row before it asks for the next, so an f that
-    # yields its rows lazily holds one row at a time
-    means = list(map(_row_mean, f(base, rng.random((REPLICATES, dim)))))
+    sums = np.zeros(REPLICATES)
+    for start in range(0, len(base), QMC_SLICE):
+        sums += f(base[start:start + QMC_SLICE], shifts).sum(axis=1)
+    means = (sums / len(base)).tolist()
     est = math.fsum(means) / REPLICATES
     var = math.fsum((m - est) ** 2 for m in means) / (REPLICATES - 1)
     return est, math.sqrt(var / REPLICATES)
@@ -135,7 +134,7 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
 
     The sampled route rotates the coefficients instead of shifting the
     points: with rot[r, n] = a_n e(Phi_n . shift_r), one table of
-    e(Phi_n . base) per block serves every replicate.
+    e(Phi_n . base) per slice serves every replicate.
     """
     a = np.asarray(coeffs, dtype=np.complex128)
     N = a.size
@@ -149,13 +148,10 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
     n = np.arange(1, N + 1, dtype=np.float64)
     phi = np.column_stack([n, n * n])
 
-    def f(base: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    def f(points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         rot = np.ascontiguousarray((phase_terms(phi, shifts) * a[:, None]).T)
-        values = np.empty((len(shifts), len(base)))
-        for start in range(0, len(base), QMC_SLICE):
-            s = phase_sums(phi, rot, base[start:start + QMC_SLICE])
-            values[:, start:start + QMC_SLICE] = (s.real**2 + s.imag**2) ** 3
-        return values
+        s = phase_sums(phi, rot, points)
+        return (s.real**2 + s.imag**2) ** 3
 
     mean, stderr = qmc_mean(f, 2, samples, seed)
     if mean <= 0.0:
@@ -211,14 +207,12 @@ def bilinear_d4_ratio(exp: DecouplingExperiment) -> RatioRow:
     t = np.arange(1, N + 1, dtype=np.float64) / N
     phi = np.stack([t, t**2, t**1.5, np.sqrt(t)], axis=1)
 
-    def values(pts: np.ndarray) -> np.ndarray:
-        x = (pts - 0.5) * N
+    def f(points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        x = (((points + shifts[:, None]) % 1.0 - 0.5) * N).reshape(-1, 4)
         s1 = phase_sums(phi[a1 - 1:b1], a[a1 - 1:b1], x)
         s2 = phase_sums(phi[a2 - 1:b2], a[a2 - 1:b2], x)
-        return (s1.real**2 + s1.imag**2) ** 3 * (s2.real**2 + s2.imag**2) ** 3
-
-    def f(base: np.ndarray, shifts: np.ndarray):
-        return (values((base + shift) % 1.0) for shift in shifts)
+        values = (s1.real**2 + s1.imag**2) ** 3 * (s2.real**2 + s2.imag**2) ** 3
+        return values.reshape(len(shifts), -1)
 
     mean, stderr = qmc_mean(f, 4, exp.samples, exp.seed)
     rhs = math.sqrt(N) * float(np.max(np.abs(a)))

@@ -25,9 +25,9 @@ HALF = Fraction(1, 2)
 CRITICAL_EXPONENT = Fraction(13, 84)
 
 # Largest grid of candidate points p/q (reduced or not) that `rationals`
-# builds. At the edge (2-core host), `planner envelope` at Q = 1446 took
-# 2.7 s and 261 MB with CSV output, 10.4 s and 1019 MB with JSON (the rows
-# dominate), and `planner coverage` at Q = 2045 took 0.6 s and 73 MB.
+# builds. At the edge (2-core host, fresh processes), `planner envelope` at
+# Q = 1446 took 2.4 s and 213 MB with CSV output and 7.5 s and 214 MB with
+# JSON, and `planner coverage` at Q = 2045 took 0.6 s and 73 MB.
 GRID_MAX_POINTS = 1 << 20
 # Grid points evaluated against the piece table at once: the (pieces x
 # points) int64 temporaries then hold 3.5 MB each at any grid size.

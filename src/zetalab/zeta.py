@@ -55,7 +55,9 @@ def zeta_euler_maclaurin(s: complex, terms: int) -> ComplexValue:
     Valid for Re(s) > 0, s != 1. Requires terms >= 10 + |Im s|/2 so the
     correction series decreases; err adds the classical truncation bound
     (|s+2K+1|/(sigma+2K+1) times the first omitted term) to a conservative
-    rounding model for the head sum.
+    rounding model for the head sum. Unlike the package's other phase sums,
+    the head exponentiates -s log n in radians without reducing its phase
+    t log n mod 1; the model's t log(M+1) factor scales with that phase.
     """
     s = complex(s)
     if s == 1:

@@ -447,6 +447,22 @@ def test_plot_script_references_csv(tmp_path):
     assert "requires --out" in err
 
 
+def test_plot_script_refuses_json(tmp_path):
+    # the script reads the data file as CSV: JSON output, by flag or by
+    # config, is refused before the leaf runs and writes no file
+    dest = tmp_path / "d.json"
+    script = tmp_path / "plot.py"
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("format=json\n")
+    for route in (["--format", "json"], ["--config", str(cfg)]):
+        code, out, err = run_cli(route + ["--out", str(dest), "--plot-script", str(script),
+                                          "pairs", "word", "--word", "AB"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "requires --out and CSV output" in err
+        assert not dest.exists() and not script.exists()
+
+
 @pytest.mark.parametrize("t", ["0", "3"])
 def test_zeta_value_below_two_pi_is_usage_error(monkeypatch, t):
     # the AFE main sum is empty below 2 pi: refused before the oracle runs

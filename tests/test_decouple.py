@@ -2,12 +2,14 @@
 randomized estimates, and the bilinear scan contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zetalab import decouple
 from zetalab.decouple import (
+    QMC_SLICE,
     REPLICATES,
     DecouplingExperiment,
     RatioReport,
@@ -123,12 +125,14 @@ def test_bilinear_single_frequency_per_interval():
     t = np.arange(1, N + 1) / N
     phi = np.stack([t, t**2, t**1.5, np.sqrt(t)], axis=1)
 
-    def f(base, shifts):
+    def f(points, shifts):
+        rows = []
         for shift in shifts:
-            x = ((base + shift) % 1.0 - 0.5) * N
+            x = ((points + shift) % 1.0 - 0.5) * N
             s1 = 2.5 * np.exp(2j * np.pi * ((x @ phi[n1 - 1]) % 1.0))
             s2 = 1.5 * np.exp(2j * np.pi * ((x @ phi[n2 - 1]) % 1.0))
-            yield (np.abs(s1) ** 6) * (np.abs(s2) ** 6)
+            rows.append((np.abs(s1) ** 6) * (np.abs(s2) ** 6))
+        return np.stack(rows)
 
     mean, err = qmc_mean(f, 4, 2048, 0)
     lhs = mean ** (1.0 / 12.0)
@@ -209,7 +213,7 @@ def test_parabola_rotated_coefficients_match_shifted_points(monkeypatch, N):
     def recording(f, dim, samples, seed):
         base = halton(dim, samples // REPLICATES)
         shifts = np.random.default_rng(seed).random((REPLICATES, dim))
-        seen.append((base, shifts, np.array(list(f(base, shifts)))))
+        seen.append((base, shifts, f(base, shifts)))
         return qmc_mean(f, dim, samples, seed)
 
     monkeypatch.setattr(decouple, "qmc_mean", recording)
@@ -225,3 +229,49 @@ def test_parabola_rotated_coefficients_match_shifted_points(monkeypatch, N):
         assert float(np.mean(row)) == pytest.approx(want, rel=1e-12)
         means.append(want)
     assert lhs == pytest.approx((sum(means) / REPLICATES) ** (1.0 / 6.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("points", [QMC_SLICE - 1, QMC_SLICE, QMC_SLICE + 1, 2 * QMC_SLICE + 1])
+def test_qmc_mean_slices_cover_the_block_once(points):
+    """qmc_mean feeds the Halton block to f slice by slice: the slices tile
+    the block, and the replicate means equal np.mean over the whole block."""
+    seen = []
+
+    def f(pts, shifts):
+        seen.append(pts)
+        # the shift moves each replicate's mean by O(1), so the spread is
+        # far from rounding
+        return 10.0 * shifts[:, :1] + ((pts + shifts[:, None]) % 1.0).sum(axis=2)
+
+    mean, err = qmc_mean(f, 2, REPLICATES * points, 5)
+    base = halton(2, points)
+    assert np.array_equal(np.concatenate(seen), base)
+    assert all(len(pts) <= QMC_SLICE for pts in seen)
+    shifts = np.random.default_rng(5).random((REPLICATES, 2))
+    means = [float(np.mean(row)) for row in f(base, shifts)]
+    want = math.fsum(means) / REPLICATES
+    assert mean == pytest.approx(want, rel=1e-15, abs=0)
+    spread = math.fsum((m - want) ** 2 for m in means) / (REPLICATES - 1)
+    assert err == pytest.approx(math.sqrt(spread / REPLICATES), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda samples: parabola_l6_lhs(np.ones(16, dtype=complex), samples=samples, seed=0),
+    lambda samples: bilinear_d4_ratio(DecouplingExperiment(4, 32, "quadruple", samples=samples, seed=0)),
+], ids=["parabola", "bilinear"])
+def test_qmc_probe_memory_per_sample(probe):
+    # no table of the whole block: measured at 7.0 (parabola, N=16) and 9.0
+    # (bilinear, N=32) bytes per sample, mostly `halton` building the block
+    samples = 1 << 20
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        probe(samples)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / samples <= 11
