@@ -39,8 +39,6 @@ EXIT_GUARD = 3
 EXIT_IO = 4
 
 SCHEMA_VERSION = 1
-# Rows encoded per chunk of JSON output.
-JSON_ROWS = 1024
 CONFIG_KEYS = ("seed", "format", "out")
 
 MEANVALUE_COLUMNS = (
@@ -77,26 +75,20 @@ def _write_csv(report: Report, fh) -> None:
 
 def _write_json(report: Report, fh) -> None:
     """Write json.dumps(payload, indent=1, default=str) + "\n" for the
-    payload {schema, meta, columns, rows}, JSON_ROWS rows at a time, so
-    neither a dict per row nor the whole text is held at once."""
-    encoder = json.JSONEncoder(indent=1, default=str)
-    head = encoder.encode(
-        {"schema": SCHEMA_VERSION, "meta": report.meta, "columns": list(report.columns), "rows": []}
-    )
-    if not report.rows:
-        fh.write(head + "\n")
-        return
-    # the payload ends in '"rows": []\n}'; its rows sit one level deeper
-    # than those of a top-level list, whose text is '[' items '\n]'
-    fh.write(head[: -len("[]\n}")] + "[")
-    for start in range(0, len(report.rows), JSON_ROWS):
-        batch = [
-            {c: None if _fmt(v) == "" else v for c, v in zip(report.columns, row)}
-            for row in report.rows[start:start + JSON_ROWS]
-        ]
-        text = encoder.encode(batch).replace("\n", "\n ")
-        fh.write(("," if start else "") + text[1:-len("\n ]")])
-    fh.write("\n ]\n}\n")
+    payload {schema, meta, columns, rows} one row at a time: the head with
+    indent=1 once, then each row as a dict of its cells, encoded by the
+    compact (C) encoder with the separators that indent=1 puts between
+    scalar cells. An empty cell ("" or None) is written as null."""
+    payload = {"schema": SCHEMA_VERSION, "meta": report.meta, "columns": list(report.columns), "rows": []}
+    head = json.dumps(payload, indent=1, default=str)
+    encode = json.JSONEncoder(default=str, separators=(",\n   ", ": ")).encode
+    # the payload ends in '"rows": []\n}'; a row's braces sit two spaces in
+    fh.write(head[: -len("]\n}")])
+    sep = "\n  {\n   "
+    for row in report.rows:
+        fh.write(sep + encode({c: None if v == "" else v for c, v in zip(report.columns, row)})[1:-1])
+        sep = "\n  },\n  {\n   "
+    fh.write("\n  }\n ]\n}\n" if report.rows else "]\n}\n")
 
 
 _PLOT_TEMPLATE = """\
@@ -307,10 +299,9 @@ def _cmd_decouple(args) -> Report:
 
 def _cmd_zeta_scan(args) -> Report:
     scan = zeta.growth_scan(args.t_min, args.t_max, args.points, args.seed)
-    rows = [(t, az, ratio, err) for (t, az, ratio, err) in scan.rows]
     return Report(
         columns=ZETA_COLUMNS,
-        rows=rows,
+        rows=list(scan.rows),
         meta={
             "command": "zeta scan",
             "running_max": scan.running_max,
@@ -320,7 +311,9 @@ def _cmd_zeta_scan(args) -> Report:
 
 
 def _cmd_zeta_value(args) -> Report:
-    # the AFE bound refuses t < 2 pi, so it runs before the oracle
+    # t below 2 pi exits 2, then a t past the guard 3, before either sum runs
+    zeta.afe_cutoff(args.t)
+    zeta.oracle_terms(args.t, args.terms)
     bound = zeta.afe_upper_bound(args.t, args.slack)
     em = zeta.zeta_em_oracle(args.t, args.terms)
     rows = [(args.t, abs(em.value), abs(em.value) / args.t ** zeta.CRITICAL_GROWTH_EXPONENT, em.err)]

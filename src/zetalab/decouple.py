@@ -39,7 +39,7 @@ from .numerics import fit_loglog, halton
 BILINEAR_MAX_N = 64
 # One Halton block of samples // REPLICATES points is held at once, beside
 # the values of one slice. At 2^24 samples the parabola probe (N=16) took
-# 3.7 s and 147 MB, the bilinear probe 20.0 s and 179 MB at N=32, in fresh
+# 3.4 s and 115 MB, the bilinear probe 17.1 s and 147 MB at N=32, in fresh
 # processes on a 2-core host; the block grows linearly beyond.
 QMC_MAX_SAMPLES = 1 << 24
 REPLICATES = 8

@@ -1,21 +1,21 @@
 """Numerically stable evaluation of the exponential sums used across the
 package: quadruple-phase sums with unit coefficients, dyadic-block sums with
-log or monomial phase, and `phase_sums`, the batched kernel that evaluates
-one sum, with or without coefficients, or one sum per row of a coefficient
-matrix, at many frequency points.
+log or monomial phase, the Dirichlet polynomial sum_{n<=m} n^{-s} of `zeta`,
+and `phase_sums`, the batched kernel that evaluates one sum, with or without
+coefficients, or one sum per row of a coefficient matrix, at many points.
 
 Conventions. e(z) = exp(2*pi*i*z). Phase arguments are reduced mod 1 before
 evaluating e(.); for the polynomial part n*x1 + n^2*x2 the reduction is done
 in exact head/tail form so no precision is lost up to the size guard
 N <= 2**26 (beyond that an extended-precision path would be required, which
 is out of scope). Phases are reduced in place as x - floor(x), the same
-bits as x % 1.0. Summation is `numerics.neumaier_sum`, the compensated sum
-shared with `zeta`, run on the real and imaginary parts of the term array
+bits as x % 1.0. Summation is `numerics.neumaier_sum` (`zeta` sums through
+`dirichlet_sum`), run on the real and imaginary parts of the term array
 without copying them; the reported `err` is its contract bound
 2 * machine_eps * sum(|a_n|). It covers the rounding of the summation only,
 not the float64 rounding of the phases before they are reduced: a phase of
 size P is off by about eps * P cycles, which matters for the half-power
-phases of `eval_quadruple_sum` at large N.
+phases of `eval_quadruple_sum` at large N; only `dirichlet_sum` models it.
 """
 
 from __future__ import annotations
@@ -179,3 +179,20 @@ def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> Compl
     values = (2j * math.pi) * frac_in_place(phase)
     return _sum_terms(np.exp(values, out=values), float(M - M // 2))
 
+
+def dirichlet_sum(s: complex, m: int) -> ComplexValue:
+    """Sum_{1<=n<=m} n^{-s} = sum n^{-sigma} e(-(t/2pi) log n), s = sigma + it,
+    for the AFE main sum and the Euler-Maclaurin head of `zeta`. The phase is
+    reduced in place and dropped before the weights are built: about 24 bytes
+    per term. `err` = eps * sum(n^{-sigma}) * (4 + 4|t| log(m+1)) adds a model
+    of the rounding of (t/2pi) log n before its reduction to the summation bound.
+    """
+    phase = np.log(np.arange(1, m + 1, dtype=np.float64))
+    phase *= -s.imag / (2 * math.pi)
+    values = (2j * math.pi) * frac_in_place(phase)
+    del phase
+    np.exp(values, out=values)
+    weights = np.arange(1, m + 1, dtype=np.float64)
+    values *= np.power(weights, -s.real, out=weights)
+    # `_sum_terms` reports 2 eps times this weight: the err above
+    return _sum_terms(values, float(weights.sum()) * (2.0 + 2.0 * abs(s.imag) * math.log(m + 1.0)))

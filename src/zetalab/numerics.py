@@ -120,24 +120,24 @@ def frac_poly_phase(n: np.ndarray, x1: float, x2: float) -> np.ndarray:
     return frac_in_place(out)
 
 
-def radical_inverse(base: int, index: np.ndarray) -> np.ndarray:
-    """Van der Corput radical inverse of positive integer indices."""
-    x = np.zeros(index.shape, dtype=np.float64)
-    denom = 1.0
-    i = index.astype(np.int64).copy()
-    while np.any(i > 0):
-        denom *= base
-        i, digit = np.divmod(i, base)
-        x += digit / denom
-    return x
-
-
 def halton(dim: int, count: int) -> np.ndarray:
-    """The first `count` Halton points in [0,1)^dim, from index 1."""
-    if dim > len(_PRIMES):
-        raise ValueError(f"halton supports at most {len(_PRIMES)} dimensions")
-    idx = np.arange(1, count + 1)
-    return np.column_stack([radical_inverse(_PRIMES[d], idx) for d in range(dim)])
+    """The first `count` Halton points in [0,1)^dim, from index 1: column d
+    is the radical inverse in base _PRIMES[d], added digit by digit into one
+    (count, dim) block beside three work arrays of `count` entries."""
+    if not 1 <= dim <= len(_PRIMES):
+        raise ValueError(f"halton supports 1 to {len(_PRIMES)} dimensions")
+    points = np.zeros((count, dim))
+    digit = np.empty(count, dtype=np.int64)
+    scaled = np.empty(count)
+    for column, base in zip(points.T, _PRIMES):
+        i = np.arange(1, count + 1, dtype=np.int64)
+        denom = 1.0
+        while i.any():
+            denom *= base
+            np.divmod(i, base, out=(i, digit))
+            column += np.divide(digit, denom, out=scaled)
+        del i  # before the next column's index is built
+    return points
 
 
 def fit_loglog(ns, values) -> tuple[float, float]:

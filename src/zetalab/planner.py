@@ -26,7 +26,7 @@ CRITICAL_EXPONENT = Fraction(13, 84)
 
 # Largest grid of candidate points p/q (reduced or not) that `rationals`
 # builds. At the edge (2-core host, fresh processes), `planner envelope` at
-# Q = 1446 took 2.4 s and 213 MB with CSV output and 7.5 s and 214 MB with
+# Q = 1446 took 2.6 s and 212 MB with CSV output and 4.3 s and 212 MB with
 # JSON, and `planner coverage` at Q = 2045 took 0.6 s and 73 MB.
 GRID_MAX_POINTS = 1 << 20
 # Grid points evaluated against the piece table at once: the (pieces x

@@ -7,6 +7,7 @@ a configurable slack, never equality. The independent oracle is
 Euler-Maclaurin with BERNOULLI_TERMS corrections and an explicit truncation
 bound; growth scans tabulate |zeta(1/2+it)| / t^{13/84} as a consistency
 artifact (the asymptotic bound itself is not falsifiable at finite t).
+The main sum and the Euler-Maclaurin head are both `expsum.dirichlet_sum`.
 """
 
 from __future__ import annotations
@@ -18,17 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
-from .expsum import ComplexValue
-from .numerics import MACHINE_EPS, frac_in_place, neumaier_sum
+from .expsum import ComplexValue, dirichlet_sum
+from .numerics import MACHINE_EPS
 
 CRITICAL_GROWTH_EXPONENT = 13.0 / 84.0
 
 SCAN_MIN_T = 10.0
 SCAN_MAX_T = 1.0e6
 
-# About 24 bytes per Euler-Maclaurin head term: log n, formed in place from n,
-# and the complex exponent, exponentiated in place into the head, are alive
-# together; at the guard a fresh process peaked at 414 MB (2-core host).
+# About 24 bytes per head term (`expsum.dirichlet_sum`): `zeta value` at the
+# guard, t = 33554352, took 1.7 s and 414 MB in a fresh process (2-core host).
 ORACLE_MAX_TERMS = 1 << 24
 
 BERNOULLI_TERMS = 8
@@ -54,10 +54,9 @@ def zeta_euler_maclaurin(s: complex, terms: int) -> ComplexValue:
 
     Valid for Re(s) > 0, s != 1. Requires terms >= 10 + |Im s|/2 so the
     correction series decreases; err adds the classical truncation bound
-    (|s+2K+1|/(sigma+2K+1) times the first omitted term) to a conservative
-    rounding model for the head sum. Unlike the package's other phase sums,
-    the head exponentiates -s log n in radians without reducing its phase
-    t log n mod 1; the model's t log(M+1) factor scales with that phase.
+    (|s+2K+1|/(sigma+2K+1) times the first omitted term) to the rounding
+    bound of the head sum_{n<M} n^{-s}, which is `expsum.dirichlet_sum`,
+    and the same rounding model for the tail terms at M.
     """
     s = complex(s)
     if s == 1:
@@ -69,13 +68,10 @@ def zeta_euler_maclaurin(s: complex, terms: int) -> ComplexValue:
         raise ValueError(f"terms={terms} insufficient; need at least 10 + |t|/2 = {10 + t / 2:.1f}")
     K = BERNOULLI_TERMS
     M = int(terms)
-    n = np.arange(1, M, dtype=np.float64)
-    head_abs = float((n ** (-sigma)).sum())
-    head = -s * np.log(n, out=n)
-    np.exp(head, out=head)
-    total = complex(neumaier_sum(head.real), neumaier_sum(head.imag))
+    head = dirichlet_sum(s, M - 1)
     log_m = math.log(M)
-    total += cmath.exp((1 - s) * log_m) / (s - 1)
+    integral = cmath.exp((1 - s) * log_m) / (s - 1)  # M^{1-s}/(s-1)
+    total = head.value + integral
     m_pow = cmath.exp(-s * log_m)  # M^{-s}
     total += 0.5 * m_pow
 
@@ -93,8 +89,8 @@ def zeta_euler_maclaurin(s: complex, terms: int) -> ComplexValue:
     next_term = abs((_BERNOULLI[K] / fact) * rising * scale)
     trunc = next_term * abs(s + 2 * K + 1) / (sigma + 2 * K + 1)
 
-    sum_abs = head_abs + abs(cmath.exp((1 - s) * log_m) / (s - 1)) + abs(m_pow)
-    rounding = MACHINE_EPS * sum_abs * (4.0 + 4.0 * t * math.log(M + 1.0))
+    tail_abs = abs(integral) + abs(m_pow)
+    rounding = head.err + MACHINE_EPS * tail_abs * (4.0 + 4.0 * t * math.log(M + 1.0))
     return ComplexValue(total.real, total.imag, trunc + rounding)
 
 
@@ -102,8 +98,10 @@ def default_oracle_terms(t: float) -> int:
     return int(abs(t) / 2) + 40
 
 
-def zeta_em_oracle(t: float, terms: int | None = None) -> ComplexValue:
-    """zeta(1/2 + i t) via Euler-Maclaurin; terms defaults to ~ t/2 + 40."""
+def oracle_terms(t: float, terms: int | None = None) -> int:
+    """`terms`, by default ~ t/2 + 40, refused above ORACLE_MAX_TERMS."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if terms is None:
         terms = default_oracle_terms(t)
     if terms > ORACLE_MAX_TERMS:
@@ -111,7 +109,19 @@ def zeta_em_oracle(t: float, terms: int | None = None) -> ComplexValue:
             "zeta.oracle.terms",
             f"t={t:g} needs {terms} Euler-Maclaurin terms, above the guard {ORACLE_MAX_TERMS}",
         )
-    return zeta_euler_maclaurin(complex(0.5, t), terms)
+    return terms
+
+
+def zeta_em_oracle(t: float, terms: int | None = None) -> ComplexValue:
+    """zeta(1/2 + i t) via Euler-Maclaurin with `oracle_terms(t, terms)` terms."""
+    return zeta_euler_maclaurin(complex(0.5, t), oracle_terms(t, terms))
+
+
+def afe_cutoff(t: float) -> int:
+    """The length floor(sqrt(t/2pi)) of the main sum, which is empty below 2*pi."""
+    if not math.isfinite(t) or t < 2 * math.pi:
+        raise ValueError("t must be at least 2*pi (the main sum is empty below)")
+    return int(math.sqrt(t / (2 * math.pi)) + 1e-12)
 
 
 def afe_main_sum(t: float) -> ComplexValue:
@@ -119,23 +129,9 @@ def afe_main_sum(t: float) -> ComplexValue:
 
     Bound witness only: |zeta(1/2+it)| <= 2|S(t)| + C with C an unquantified
     constant (slack handled by the consistency checks). err covers
-    rounding of this sum, nothing else. Requires t >= 2*pi so the sum is
-    nonempty.
+    rounding of this sum, nothing else.
     """
-    if not math.isfinite(t) or t < 2 * math.pi:
-        raise ValueError("t must be at least 2*pi (the main sum is empty below)")
-    cutoff = math.sqrt(t / (2 * math.pi))
-    m = int(cutoff + 1e-12)
-    n = np.arange(1, m + 1, dtype=np.float64)
-    cycles = t / (2 * math.pi)
-    phase = frac_in_place(cycles * np.log(n))
-    weights = n**-0.5
-    vals = weights * np.exp((2j * np.pi) * phase)
-    re = neumaier_sum(vals.real)
-    im = neumaier_sum(vals.imag)
-    sum_abs = float(weights.sum())
-    err = MACHINE_EPS * sum_abs * (2.0 + 3.0 * abs(t) * math.log(m + 1.0))
-    return ComplexValue(re, im, err)
+    return dirichlet_sum(complex(0.5, -t), afe_cutoff(t))
 
 
 def afe_upper_bound(t: float, slack: float = DEFAULT_SLACK) -> float:
@@ -156,17 +152,14 @@ def afe_consistency_scan(
     """
     if points < 2:
         raise ValueError("points must be >= 2")
+    oracle_terms(max(t_min, t_max))
     ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), points))
     rows = []
-    violations = []
     for t in ts.tolist():
         bound = afe_upper_bound(t, slack)
         em = zeta_em_oracle(t)
-        floor = abs(em.value) - em.err
-        rows.append((t, bound, floor))
-        if bound < floor:
-            violations.append((t, bound, floor))
-    return rows, violations
+        rows.append((t, bound, abs(em) - em.err))
+    return rows, [row for row in rows if row[1] < row[2]]
 
 
 def siegel_theta(t: float) -> float:
@@ -225,11 +218,7 @@ def growth_scan(t_min: float, t_max: float, points: int, seed: int = 0) -> Growt
     edges = np.linspace(math.log(t_min), math.log(t_max), points + 1)
     ts = np.exp(edges[:-1] + rng.random(points) * np.diff(edges))
     rows = []
-    running = 0.0
     for t in ts.tolist():
         em = zeta_em_oracle(t)
-        az, err = abs(em.value), em.err
-        ratio = az / t**CRITICAL_GROWTH_EXPONENT
-        running = max(running, ratio)
-        rows.append((t, az, ratio, err))
-    return GrowthScan(tuple(rows), running)
+        rows.append((t, abs(em), abs(em) / t**CRITICAL_GROWTH_EXPONENT, em.err))
+    return GrowthScan(tuple(rows), max(row[2] for row in rows))

@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from zetalab import cli, zeta
+from zetalab import zeta
 from zetalab.cli import (
     EXIT_GUARD,
     EXIT_IO,
@@ -243,11 +244,12 @@ def test_json_schema(tmp_path):
         ),
     ],
 )
-@pytest.mark.parametrize("chunk", [1, 2, cli.JSON_ROWS])
-def test_json_rows_stream_as_one_shot_dumps(monkeypatch, rows, meta, chunk):
-    """The JSON written in chunks of rows equals json.dumps of the whole
-    payload, empty cells (None or "") written as null."""
-    monkeypatch.setattr(cli, "JSON_ROWS", chunk)
+@pytest.mark.parametrize("repeat", [1, 2, 1024])
+def test_json_rows_stream_as_one_shot_dumps(rows, meta, repeat):
+    """The JSON written row by row equals json.dumps of the whole payload,
+    empty cells (None or "") written as null, for the rows repeated
+    `repeat` times."""
+    rows = rows * repeat
     report = Report(("a", "b", "c"), rows, meta)
     fh = io.StringIO()
     _write_json(report, fh)
@@ -463,7 +465,7 @@ def test_plot_script_refuses_json(tmp_path):
         assert not dest.exists() and not script.exists()
 
 
-@pytest.mark.parametrize("t", ["0", "3"])
+@pytest.mark.parametrize("t", ["0", "3", "inf", "nan"])
 def test_zeta_value_below_two_pi_is_usage_error(monkeypatch, t):
     # the AFE main sum is empty below 2 pi: refused before the oracle runs
     def oracle(*args):
@@ -474,6 +476,38 @@ def test_zeta_value_below_two_pi_is_usage_error(monkeypatch, t):
     assert code == EXIT_USAGE
     assert out == ""
     assert "2*pi" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["zeta", "value", "--t", "1e15"],
+    ["zeta", "afe", "--t-min", "3e7", "--t-max", "4e7", "--points", "3"],
+], ids=["value", "afe"])
+def test_zeta_oracle_guard_before_any_sum(args):
+    # the guard is checked before the AFE sum of 1.3e7 terms (value) or the
+    # first oracle call of 1.5e7 terms (afe) allocates anything
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        code, out, err = run_cli(args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert code == EXIT_GUARD
+    assert out == ""
+    assert "guard=zeta.oracle.terms" in err
+    assert peak < 10 << 20
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_zeta_afe_non_finite_t_is_usage_error(t_max):
+    code, out, err = run_cli(["zeta", "afe", "--t-min", "10", "--t-max", t_max, "--points", "3"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def test_zeta_value_short_leaf_flag(tmp_path):

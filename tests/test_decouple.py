@@ -260,7 +260,7 @@ def test_qmc_mean_slices_cover_the_block_once(points):
     lambda samples: bilinear_d4_ratio(DecouplingExperiment(4, 32, "quadruple", samples=samples, seed=0)),
 ], ids=["parabola", "bilinear"])
 def test_qmc_probe_memory_per_sample(probe):
-    # no table of the whole block: measured at 7.0 (parabola, N=16) and 9.0
+    # no table of the whole block: measured at 5.8 (parabola, N=16) and 7.8
     # (bilinear, N=32) bytes per sample, mostly `halton` building the block
     samples = 1 << 20
     tracing = tracemalloc.is_tracing()

@@ -2,7 +2,9 @@
 and stability invariants."""
 
 import cmath
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from zetalab.expsum import (
     PHASE_BLOCK,
     ComplexValue,
     _sum_terms,
+    dirichlet_sum,
     eval_dyadic_sum,
     eval_quadruple_sum,
     phase_sums,
@@ -374,3 +377,56 @@ def test_phase_reduction_matches_remainder_bit_for_bit():
         for M in (2, 301, 20000):
             assert eval_dyadic_sum(T, M) == remainder_dyadic(T, M, None)
             assert eval_dyadic_sum(T, M, "monomial", "3/2") == remainder_dyadic(T, M, 1.5)
+
+
+@functools.lru_cache(maxsize=None)
+def hp_dirichlet_partials(sigma, t, checkpoints):
+    """sum_{n<=m} n^{-sigma-it} at each m of `checkpoints`, in 30-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    s = mp.mpc(sigma, t)
+    total, out = mp.mpc(0), {}
+    for n in range(1, max(checkpoints) + 1):
+        total += mp.power(n, -s)
+        if n in checkpoints:
+            out[n] = complex(total)
+    return out
+
+
+DIRICHLET_LENGTHS = (1, 2, 100, 2 * 4096 - 1, 1 << 14)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+@pytest.mark.parametrize("t", [0.0, 50.0, -50.0, 1.0e4])
+def test_dirichlet_sum_against_high_precision(sigma, t):
+    # the sum at -t is the conjugate of the sum at t
+    exact = hp_dirichlet_partials(sigma, abs(t), DIRICHLET_LENGTHS)
+    for m in DIRICHLET_LENGTHS:
+        want = exact[m] if t >= 0 else exact[m].conjugate()
+        got = dirichlet_sum(complex(sigma, t), m)
+        assert abs(got.value - want) <= got.err
+        weight = math.fsum(n ** -sigma for n in range(1, m + 1))
+        assert got.err == pytest.approx(MACHINE_EPS * weight * (4 + 4 * abs(t) * math.log(m + 1)), rel=1e-12)
+
+
+def test_dirichlet_sum_empty_and_trivial():
+    assert dirichlet_sum(complex(0.5, 3.0), 0) == ComplexValue(0.0, 0.0, 0.0)
+    assert dirichlet_sum(complex(0.5, 3.0), 1).value == 1.0
+
+
+def test_dirichlet_sum_memory_per_term():
+    # the phase is dropped before the weights are built: 24 bytes per term;
+    # weights, phase and complex terms alive together would be 32
+    terms = 1 << 20
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dirichlet_sum(complex(0.5, 2.0 * terms), terms)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / terms <= 24.5

@@ -1,5 +1,5 @@
 """The compensated sum: exactness against Fraction sums, its documented
-bound, and its agreement with math.fsum."""
+bound, and its agreement with math.fsum; the Halton block."""
 
 import math
 import tracemalloc
@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetalab.numerics import MACHINE_EPS, SUM_WIDTH, neumaier_sum
+from zetalab.numerics import MACHINE_EPS, SUM_WIDTH, halton, neumaier_sum
 
 W = SUM_WIDTH
 LENGTHS = (0, 1, W - 1, W, 2 * W - 1, 2 * W, 2 * W + 1, (1 << 20) + 3)
@@ -109,3 +109,54 @@ def test_lists_and_short_arrays_are_fsum():
     assert neumaier_sum([0.1] * 10) == math.fsum([0.1] * 10)
     v = np.random.default_rng(5).standard_normal(2 * W - 1)
     assert neumaier_sum(v) == math.fsum(v.tolist())
+
+
+def radical_inverse(base, index):
+    """Van der Corput radical inverse, one column at a time: the reference
+    that `halton` reproduces bit for bit."""
+    x = np.zeros(index.shape, dtype=np.float64)
+    denom = 1.0
+    i = index.astype(np.int64).copy()
+    while np.any(i > 0):
+        denom *= base
+        i, digit = np.divmod(i, base)
+        x += digit / denom
+    return x
+
+
+def halton_reference(dim, count):
+    idx = np.arange(1, count + 1)
+    return np.column_stack([radical_inverse((2, 3, 5, 7, 11, 13)[d], idx) for d in range(dim)])
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_halton_matches_reference_bit_for_bit(dim):
+    for count in (0, 1, 2, 3, 1000, 1 << 15):
+        got, want = halton(dim, count), halton_reference(dim, count)
+        assert got.shape == want.shape == (count, dim)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [0, 7])
+def test_halton_dimension_is_validated(dim):
+    with pytest.raises(ValueError):
+        halton(dim, 4)
+
+
+@pytest.mark.parametrize("dim, ratio", [(2, 2.6), (4, 1.8)])
+def test_halton_peak_over_block(dim, ratio):
+    # one (count, dim) block plus three count-length work arrays: 2.53 and
+    # 1.77 times the block; stacking finished columns took 3.5 and 2.25
+    count = 1 << 17
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        block = halton(dim, count)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= ratio * block.nbytes

@@ -89,6 +89,13 @@ def test_afe_main_sum_against_high_precision():
     assert abs(own.value - complex(hp)) <= 1e-9
 
 
+def test_afe_main_sum_bits_are_pinned():
+    # through `expsum.dirichlet_sum` the main sum keeps the bits it had when
+    # it reduced and summed its own phases
+    res = afe_main_sum(1000.0)
+    assert (res.re, res.im) == (0.5079599941572488, -0.40109815218053313)
+
+
 def test_afe_one_sided_bound_at_100():
     em = zeta_em_oracle(100.0)
     assert afe_upper_bound(100.0, slack=2.0) >= abs(em.value) - em.err
