@@ -109,6 +109,25 @@ def test_unknown_flag_is_usage_error():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("word", ["A0", "BA0B"])
+def test_pairs_word_exponent_zero_is_usage_error(word):
+    code, out, err = run_cli(["pairs", "word", "--word", word])
+    assert code == EXIT_USAGE
+    assert "kind=usage" in err
+    assert out == ""
+
+
+def test_pairs_search_json_bytes_are_pinned(tmp_path):
+    dest = tmp_path / "search.json"
+    assert run_cli(["--out", str(dest), "pairs", "search", "--max-len", "16", "--format", "json"])[0] == EXIT_OK
+    assert dest.read_bytes() == (
+        b'{\n "schema": 1,\n "meta": {\n  "command": "pairs search",\n  "max_len": 16\n },\n'
+        b' "columns": [\n  "word",\n  "k",\n  "l",\n  "objective",\n  "value"\n ],\n'
+        b' "rows": [\n  {\n   "word": "X",\n   "k": "13/84",\n   "l": "55/84",\n'
+        b'   "objective": "zeta_exponent",\n   "value": "13/84"\n  }\n ]\n}\n'
+    )
+
+
 def test_bad_value_is_usage_error():
     code, _, err = run_cli(["pairs", "word", "--word", "AZB"])
     assert code == EXIT_USAGE

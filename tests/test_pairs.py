@@ -11,6 +11,8 @@ from zetalab.errors import GuardError
 from zetalab.pairs import (
     BASE_PAIR,
     PAIR_13_84,
+    ExponentPair,
+    SearchResult,
     apply_A,
     apply_B,
     apply_word,
@@ -69,6 +71,12 @@ def test_parse_word():
         parse_word("2AB")
     with pytest.raises(ValueError):
         parse_word("AxB")
+
+
+@pytest.mark.parametrize("text", ["A0", "BA0B", "AB^0"])
+def test_parse_word_rejects_exponent_zero(text):
+    with pytest.raises(ValueError):
+        parse_word(text)
 
 
 def test_zeta_exponent_values():
@@ -151,7 +159,7 @@ def test_search_objectives():
 
 def test_search_guard():
     with pytest.raises(GuardError) as exc:
-        search_words(21)
+        search_words(25)
     assert exc.value.guard == "pairs.search_words.max_len"
 
 
@@ -185,28 +193,90 @@ def test_search_skips_b_after_b_without_changing_the_search(monkeypatch, seeds, 
     is a pair already seen; skipping it leaves the scored pairs, their order
     and the result as in the unpruned search."""
     scored = []
-    applied = []
+    steps = []
 
-    def recording_objective(p):
-        scored.append(p)
-        return zeta_exponent(p)
+    def recording_levels(max_len, pool):
+        for fresh in levels(max_len, pool):
+            scored.extend(fresh)
+            yield fresh
 
     def counting(fn):
-        def counted(p):
-            applied.append(p)
-            return fn(p)
+        def counted(t):
+            steps.append(t)
+            return fn(t)
         return counted
 
-    monkeypatch.setattr(pairs, "zeta_exponent", recording_objective)
-    monkeypatch.setattr(pairs, "apply_A", counting(apply_A))
-    monkeypatch.setattr(pairs, "apply_B", counting(apply_B))
+    levels = pairs._levels
+    monkeypatch.setattr(pairs, "_levels", recording_levels)
+    monkeypatch.setattr(pairs, "_step_A", counting(pairs._step_A))
+    monkeypatch.setattr(pairs, "_step_B", counting(pairs._step_B))
     for max_len in range(13):
         scored.clear()
         res = search_words(max_len, seeds, include_axiom=include_axiom)
         want = unpruned_search(max_len, seeds, include_axiom)
-        assert [(p.k, p.l, p.word) for p in scored] == [(p.k, p.l, p.word) for p in want]
+        assert [(F(a, d), F(b, d), word) for (a, b, d), word, _ in scored] == [(p.k, p.l, p.word) for p in want]
         best = min(want, key=zeta_exponent)
         assert (res.best, res.value) == (best, zeta_exponent(best))
-    applied.clear()
+    steps.clear()
     search_words(4)
-    assert len(applied) == 30  # 36 without the skip
+    assert len(steps) == 30  # 36 without the skip
+
+
+def fraction_search(max_len, seeds=None, objective="zeta_exponent", include_axiom=True):
+    """The word search on `Fraction` pairs, with its own copies of A, B and
+    the objectives: the reference the triple search must reproduce."""
+    def step_a(p):
+        d = 2 * p.k + 2
+        return ExponentPair(p.k / d, (p.k + p.l + 1) / d, "A" + p.word)
+
+    def step_b(p):
+        return ExponentPair(p.l - F(1, 2), p.k + F(1, 2), "B" + p.word)
+
+    score = {"zeta_exponent": lambda p: (p.k + p.l) / 2 - F(1, 4), "k_plus_l": lambda p: p.k + p.l}[objective]
+    pool = list(seeds) if seeds is not None else [BASE_PAIR]
+    if include_axiom:
+        pool = pool + [PAIR_13_84]
+    best = best_value = None
+    seen = set()
+    level = [(p, False) for p in pool]
+    for _ in range(max_len + 1):
+        fresh = []
+        for p, by_b in level:
+            if p.as_tuple() in seen:
+                continue
+            seen.add(p.as_tuple())
+            fresh.append((p, by_b))
+            v = score(p)
+            if best_value is None or v < best_value:
+                best, best_value = p, v
+        if not fresh:
+            break
+        level = [(step_a(p), False) for p, _ in fresh] + [(step_b(p), True) for p, by_b in fresh if not by_b]
+    return SearchResult(best, best_value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(region_pairs(), min_size=1, max_size=3),
+    st.sampled_from(pairs.OBJECTIVES),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10),
+)
+def test_search_matches_fraction_search(seeds, objective, include_axiom, max_len):
+    got = search_words(max_len, seeds, objective, include_axiom)
+    want = fraction_search(max_len, seeds, objective, include_axiom)
+    assert got == want
+    assert (got.best.word, type(got.value), type(got.best.k), type(got.best.l)) == (want.best.word, F, F, F)
+
+
+@pytest.mark.parametrize("max_len, include_axiom, word, value", [
+    (16, True, "X", F(13, 84)),
+    (20, True, "X", F(13, 84)),
+    (16, False, "ABAAABAABABABAAB", F(1399, 8504)),
+    (20, False, "ABAAABAABABABAABAAB", F(585, 3556)),
+])
+def test_search_pinned_results(max_len, include_axiom, word, value):
+    res = search_words(max_len, include_axiom=include_axiom)
+    assert (res.best.word, res.value) == (word, value)
+    assert res.best == (PAIR_13_84 if word == "X" else apply_word(word))
+    assert zeta_exponent(res.best) == value
