@@ -22,12 +22,15 @@ bands run on one thread per core under a budget of SHARD_ROWS multisets in
 flight, so memory is bounded by that budget, not by the C(N + r - 1, r) of
 the whole table, and the results do not depend on the core count. `_band`
 builds a band entry by entry straight into the group key, the orderings and
-the power sums, with no table of tuples. No route walks the groups in Python:
+the power sums, with no table of tuples, and gathers the last level's key
+from its parents' keys in one pass. No route walks the groups in Python:
 they are ordered by a 16-bit radix sort of the key (`_radix_order`), and the
 windowed and kernel routes sort a band once on the key and the 3/2-power sum
 (`_sweep_order`) and sweep the pairs (i, i + k) of all groups at each offset
-k at once, so the kernel route evaluates each unordered pair once. A
-Monte-Carlo quadrature provides the independent statistical route.
+k at once, so the kernel route evaluates each unordered pair once. The
+windowed sweep compares contiguous slices while most rows are live and
+gathers the live rows after that (`_window_pair_count`). A Monte-Carlo
+quadrature provides the independent statistical route.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .errors import GuardError
 from .expsum import phase_sums
 
 WINDOWED_MAX_N = 48
-# r = 6 takes 5.2-5.7 s and 60-62 MB peak RSS at N = 32 on a 2-core host; the guard
-# keeps one call within about 15 s, like the windowed guard (7.7-9.4 s and 58-61 MB
+# r = 6 takes 4.9-6.0 s and 57-59 MB peak RSS at N = 32 on a 2-core host; the guard
+# keeps one call within about 15 s, like the windowed guard (6.4-6.6 s and 57-59 MB
 # at N = 48, where single s1 values fill the budget and the bands run one by one).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
 VINOGRADOV_MAX_N = 256
@@ -58,7 +61,7 @@ METHOD_VINOGRADOV = "vinogradov"
 _SAMPLE_CHUNK = 1 << 15
 # Most multisets in flight across the threads of the grouped counts, each band
 # holding SHARD_ROWS // cores unless one value of s1 alone holds more; the
-# windowed count then peaks near 61 MB RSS.
+# windowed count at N = 48 then peaks at 57-59 MB RSS.
 SHARD_ROWS = 1 << 18
 
 
@@ -153,10 +156,15 @@ def _band(N: int, size: int, lo: int, hi: int, powers: bool = True):
     tuples: a prefix is repeated once per next entry v that still admits a
     completion in the band, and a row carries s1, s2, its last entry, final
     run length, ordering denominator (a run reaching length m multiplies it
-    by m) and power sums, each its parent's value plus the term of v."""
+    by m) and power sums, each its parent's value, gathered through an intp
+    `parent` index, plus the term of v. At the last entry s1 and s2 serve
+    only the key, so the parents' keys are formed and gathered once: with
+    span = size N^2 + 1, key = key(parent) + v (span + v)."""
     base = np.arange(N + 1, dtype=np.float64)
     pow32, pow12 = base * np.sqrt(base), np.sqrt(base)
-    s1 = s2 = np.zeros(1, dtype=np.int64)
+    span = size * N * N + 1
+    # two arrays: the last level turns s1 into the parents' key in place
+    s1, s2 = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     last = np.ones(1, dtype=np.int64)
     run = np.zeros(1, dtype=np.int8)
     denom = np.ones(1, dtype=np.int16)
@@ -165,7 +173,8 @@ def _band(N: int, size: int, lo: int, hi: int, powers: bool = True):
         rest = size - 1 - j
         vmin = np.maximum(last, lo - s1 - rest * N)
         reps = np.maximum(np.minimum(N, (hi - s1) // (rest + 1)) - vmin + 1, 0)
-        parent = np.repeat(np.arange(reps.size, dtype=np.int32), reps)
+        # an intp index: numpy casts any other index on every gather
+        parent = np.repeat(np.arange(reps.size), reps)
         v = np.arange(parent.size)
         v += (vmin + reps - np.cumsum(reps))[parent]
         del vmin, reps
@@ -173,19 +182,27 @@ def _band(N: int, size: int, lo: int, hi: int, powers: bool = True):
         denom = denom[parent] * run
         last = v
         # gather, then add in place: one temporary per accumulator
-        s1 = s1[parent]
-        s1 += v
-        s2 = s2[parent]
-        s2 += v * v
         if powers:
             d3 = d3[parent]
             d3 += pow32[v]
             d4 = d4[parent]
             d4 += pow12[v]
-    s1 -= lo
-    s1 *= size * N * N + 1
-    s1 += s2
-    return s1, math.factorial(size) // denom, d3, d4
+        if rest:
+            s1 = s1[parent]
+            s1 += v
+            s2 = s2[parent]
+            s2 += v * v
+        else:
+            # key(parent) + v (span + v): one gather where s1 and s2 took two
+            s1 -= lo
+            s1 *= span
+            s1 += s2
+            key = s1[parent]
+            del parent
+            term = v + span
+            term *= v
+            key += term
+    return key, math.factorial(size) // denom, d3, d4
 
 
 def _cores() -> int:
@@ -336,15 +353,39 @@ def _swept_band(N: int, size: int, lo: int, hi: int):
 
 def _window_pair_count(end, w, d3, d4, w3: float, w4: float) -> int:
     """Weighted ordered pairs (i, j) of one band in sweep order
-    (`_swept_band`) with equal key inside the windows. The pairs at offset
-    k = 1, 2, ... are tested in both directions, since fl(d3 +- w3) makes
-    the d3 test asymmetric; a row drops out at the first offset that leaves
-    its group or both d3 windows, because d3 only grows along a group, so
-    the live rows are compressed once per offset. Weights multiply in int64."""
+    (`_swept_band`) with equal key inside the windows. The pairs (i, i + k)
+    at offset k = 1, 2, ... are tested in both directions, since
+    fl(d3 +- w3) makes the d3 test asymmetric. A row drops out at the first
+    offset that leaves its group or both d3 windows, because d3 only grows
+    along a group. The sweep has two phases:
+
+    - dense: while at least a third of the band's rows are live, offset k
+      compares the slices d3[k:] and d3[:-k] (and likewise d4 and w) under
+      a mask of the live rows, with no gathers and no compression;
+    - gathered: then the live rows are compressed once into an index, which
+      is gathered and compressed again at every later offset.
+
+    Both phases make the same float64 comparisons, so the count does not
+    depend on the switch point. Weights multiply in int64."""
     total = int(np.square(w, dtype=np.int64).sum())
-    i = np.arange(end.size)
-    i = i[i + 1 < end]
+    n = end.size
+    room = end - np.arange(n, dtype=end.dtype)  # row i has a partner at k < room[i]
+    live = room[:-1] > 1
     k = 1
+    while 3 * np.count_nonzero(live) >= n:
+        m = n - k
+        up = d3[k:] <= d3[:m] + w3
+        down = d3[:m] >= d3[k:] - w3
+        near = np.abs(d4[k:] - d4[:m]) <= w4
+        near &= live
+        hits = (up & near).view(np.int8) + (down & near).view(np.int8)
+        total += _weighted_hits(w[:m], w[k:], hits)
+        k += 1
+        up |= down
+        up &= live
+        live = up[:-1]
+        live &= room[:m - 1] > k
+    i = np.flatnonzero(live)
     while i.size:
         a, b = d3[i], d3[i + k]
         up = b <= a + w3
@@ -352,12 +393,21 @@ def _window_pair_count(end, w, d3, d4, w3: float, w4: float) -> int:
         del a, b
         near = np.abs(d4[i + k] - d4[i]) <= w4
         hits = (up & near).view(np.int8) + (down & near).view(np.int8)
-        total += int(np.dot(np.multiply(w[i], w[i + k], dtype=np.int64), hits))
+        total += _weighted_hits(w[i], w[i + k], hits)
         k += 1
         up |= down
-        up &= i + k < end[i]
+        up &= room[i] > k
         i = i[up]
     return total
+
+
+def _weighted_hits(wa, wb, hits) -> int:
+    """sum(wa * wb * hits), the products in int64. Multiplying by hits in
+    place is about 3x faster than np.dot, which casts hits to a new int64
+    array, and the product dies on return."""
+    prod = np.multiply(wa, wb, dtype=np.int64)
+    prod *= hits
+    return int(prod.sum())
 
 
 def _interval_kernel(theta: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ from .errors import GuardError
 HALF = Fraction(1, 2)
 
 # Longest word the search admits. With the axiom, one fresh process each on a
-# 2-core host: length 22 takes 0.46 s and 60 MB, 24 takes 1.35-1.42 s and
-# 131 MB, 26 takes 4.7-5.4 s and 332 MB. Words with no BB, and so the levels
+# 2-core host: length 22 takes 0.18-0.22 s and 46 MB, 24 takes 0.52-0.77 s
+# and 90 MB, 26 takes 1.7-2.7 s and 239 MB. Words with no BB, and so the levels
 # and the `seen` set, grow by about the golden ratio per letter.
 MAX_WORD_SEARCH_LEN = 24
 
@@ -188,10 +188,11 @@ class SearchResult:
 def _levels(max_len: int, pool: Sequence[tuple[Triple, str]]) -> Iterator[list[tuple[Triple, str, bool]]]:
     """The levels of the word search from the (triple, word) seeds: for each
     word length up to max_len, the pairs not seen before, as
-    (triple, word, made by B in this search), first occurrence kept."""
+    (triple, word, made by B in this search), first occurrence kept. The
+    children of the last level are never built."""
     seen: set[Triple] = set()
     level = [(t, word, False) for t, word in pool]
-    for _ in range(max_len + 1):
+    for length in range(max_len + 1):
         fresh = []
         for item in level:
             if item[0] not in seen:
@@ -200,6 +201,8 @@ def _levels(max_len: int, pool: Sequence[tuple[Triple, str]]) -> Iterator[list[t
         if not fresh:
             return
         yield fresh
+        if length == max_len:
+            return
         # A-children of the whole level before B-children keeps each level in
         # lexicographic word order. B is an involution, so the B-child of a
         # pair this search made with B is the pair two levels up, already

@@ -287,26 +287,93 @@ def test_windowed_half_swap_symmetry():
     assert (rel == rel.T).all()
 
 
+def tenths(rng, n):
+    """n values of 0 to 39 tenths, each summed one tenth at a time: on this
+    grid fl(d3[i] + w3) and fl(d3[j] - w3) round differently, so some pairs
+    pass the d3 test in one direction only (0.1 + 0.2 >= 0.30000000000000004
+    but 0.30000000000000004 - 0.2 > 0.1)."""
+    return np.array([sum([0.1] * int(k)) for k in rng.integers(0, 40, n)])
+
+
+def loop_window_pairs(key, w, d3, d4, w3, w4):
+    """The weighted ordered pairs (i, j) with equal key inside the windows,
+    by a plain loop over the pairs of each key group, with the float64
+    decisions of `count_windowed`: the reference for `_window_pair_count`."""
+    groups = defaultdict(list)
+    for row, k in enumerate(key.tolist()):
+        groups[k].append(row)
+    d3, d4, w = d3.tolist(), d4.tolist(), w.tolist()
+    total = 0
+    for rows in groups.values():
+        for i in rows:
+            for j in rows:
+                if d3[i] - w3 <= d3[j] <= d3[i] + w3 and abs(d4[j] - d4[i]) <= w4:
+                    total += w[i] * w[j]
+    return total
+
+
+def sweep_window_pairs(key, w, d3, d4, w3, w4):
+    """`_window_pair_count` of the rows put in sweep order."""
+    order, end = _sweep_order(key, d3)
+    return _window_pair_count(end, w[order], d3[order], d4[order], w3, w4)
+
+
+def grouped_rows(sizes, seed):
+    """(key, w, d3, d4) of shuffled groups of the given sizes, d3 on the
+    tenths grid, d4 on a coarser one and w in 1..720."""
+    rng = np.random.default_rng(seed)
+    key = np.repeat(rng.permutation(len(sizes)), sizes)
+    rng.shuffle(key)
+    n = key.size
+    return key, rng.integers(1, 721, n), tenths(rng, n), rng.integers(0, 6, n) * 0.1
+
+
 def test_window_pair_sweep_keeps_float_decisions():
-    # d3 on a grid of tenths makes fl(d3[i] + w3) and fl(d3[j] - w3) round
-    # differently, so some pairs pass the d3 test in one direction only
-    # (0.1 + 0.2 >= 0.30000000000000004 but 0.30000000000000004 - 0.2 > 0.1);
-    # the sweep must count each direction as the plain pair loop does
+    # the sweep must count each direction of a pair as the plain pair loop
+    # does, also where fl(d3 +- w3) rounds asymmetrically
     rng = np.random.default_rng(3)
     n = 400
     key = rng.integers(0, 8, n)
-    d3 = np.array([sum([0.1] * int(k)) for k in rng.integers(0, 40, n)])
+    d3 = tenths(rng, n)
     d4 = rng.integers(0, 6, n) * 0.1
     w = rng.integers(1, 721, n)
     for w3, w4 in [(0.2, 0.3), (0.1, 0.2), (0.30000000000000004, math.inf), (math.inf, 0.1)]:
-        expected = 0
-        for i in range(n):
-            for j in range(n):
-                if (key[i] == key[j] and d3[i] - w3 <= d3[j] <= d3[i] + w3
-                        and abs(d4[j] - d4[i]) <= w4):
-                    expected += int(w[i]) * int(w[j])
-        order, end = _sweep_order(key, d3)
-        assert _window_pair_count(end, w[order], d3[order], d4[order], w3, w4) == expected
+        expected = loop_window_pairs(key, w, d3, d4, w3, w4)
+        assert sweep_window_pairs(key, w, d3, d4, w3, w4) == expected
+
+
+@pytest.mark.parametrize("sizes,w3,w4,dense", [
+    # all but six rows alone: the gathered phase from k = 1
+    ([1] * 40 + [2, 3, 4], 0.3, 0.3, False),
+    ([1] * 40, 0.3, 0.3, False),  # every row alone: no pair at all
+    # one group: the dense phase until two thirds of the offsets, then the
+    # gathered phase for the rest
+    ([90], math.inf, math.inf, True),
+    ([90], math.inf, 0.2, True),
+    ([90], 0.5, 0.3, True),
+    # mixed groups
+    ([1] * 20 + [2, 5, 9, 30, 60], 0.2, 0.3, True),
+    ([1] * 60 + [7, 25], 0.4, math.inf, False),
+    ([1], 0.3, 0.3, False),  # n = 1
+])
+def test_window_pair_sweep_phases_match_group_loop(sizes, w3, w4, dense):
+    key, w, d3, d4 = grouped_rows(sizes, seed=len(sizes))
+    # the sweep stays dense at k = 1 when a third of the rows have a partner there
+    assert (3 * sum(s - 1 for s in sizes) >= key.size) == dense
+    expected = loop_window_pairs(key, w, d3, d4, w3, w4)
+    assert sweep_window_pairs(key, w, d3, d4, w3, w4) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=12),
+    st.sampled_from([0.1, 0.2, 0.30000000000000004, 1.0, math.inf]),
+    st.sampled_from([0.1, 0.3, math.inf]),
+    st.integers(0, 2**32 - 1),
+)
+def test_window_pair_sweep_matches_group_loop(sizes, w3, w4, seed):
+    key, w, d3, d4 = grouped_rows(sizes, seed)
+    assert sweep_window_pairs(key, w, d3, d4, w3, w4) == loop_window_pairs(key, w, d3, d4, w3, w4)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -402,8 +469,10 @@ def test_sweep_order_of_every_band_equals_two_argsorts():
 
 
 def test_windowed_band_memory_per_multiset(monkeypatch):
-    # one core: the largest band alone sets the peak; measured at 55.0 bytes
-    # per multiset of that band (126 before the builder and the lean sweep)
+    # one core: the largest band alone sets the peak; measured at 47.3 bytes
+    # per multiset of that band, in the builder's last level and in the
+    # pair sweep alike (55.0 before the last-level key and the in-place
+    # weighted hits, 126 before the builder and the lean sweep)
     monkeypatch.setattr(meanvalue, "_cores", lambda: 1)
     largest = max(int(_sum_counts(24, 6)[lo:hi + 1].sum())
                   for lo, hi in _bands(_sum_counts(24, 6), meanvalue.SHARD_ROWS))
@@ -418,7 +487,7 @@ def test_windowed_band_memory_per_multiset(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak / largest <= 56
+    assert peak / largest <= 48
 
 
 SHARD_CASES = [
