@@ -9,13 +9,16 @@ evaluating e(.); for the polynomial part n*x1 + n^2*x2 the reduction is done
 in exact head/tail form so no precision is lost up to the size guard
 N <= 2**26 (beyond that an extended-precision path would be required, which
 is out of scope). Phases are reduced in place as x - floor(x), the same
-bits as x % 1.0. Summation is `numerics.neumaier_sum` (`zeta` sums through
+bits as x % 1.0, and every reduced phase goes through `numerics.unit_phase`,
+the one evaluator of e(.), within UNIT_PHASE_K * machine_eps of the exact
+e(theta). Summation is `numerics.neumaier_sum` (`zeta` sums through
 `dirichlet_sum`), run on the real and imaginary parts of the term array
-without copying them; the reported `err` is its contract bound
-2 * machine_eps * sum(|a_n|). It covers the rounding of the summation only,
-not the float64 rounding of the phases before they are reduced: a phase of
-size P is off by about eps * P cycles, which matters for the half-power
-phases of `eval_quadruple_sum` at large N; only `dirichlet_sum` models it.
+without copying them. The reported `err` covers both steps:
+(2 + UNIT_PHASE_K) * machine_eps * sum(|a_n|), the summation contract plus
+the evaluation of each term. It does not cover the float64 rounding of the
+phases before they are reduced: a phase of size P is off by about eps * P
+cycles, which matters for the half-power phases of `eval_quadruple_sum` at
+large N; only `dirichlet_sum` models it.
 """
 
 from __future__ import annotations
@@ -28,12 +31,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError
-from .numerics import MACHINE_EPS, frac_in_place, frac_poly_phase, neumaier_sum
+from .numerics import (
+    MACHINE_EPS,
+    UNIT_PHASE_K,
+    frac_in_place,
+    frac_poly_phase,
+    neumaier_sum,
+    unit_phase,
+)
 
 MAX_QUADRUPLE_N = 1 << 26
 # About 24 bytes per term: the phase, formed in place from m, and the complex
-# terms, exponentiated in place, are alive together; at the guard a fresh
-# process peaked at 414 MB (2-core host).
+# terms from `unit_phase` are alive together; at the guard a fresh process
+# peaked at 414 MB (2-core host).
 DYADIC_MAX_TERMS = 1 << 24
 # Entries (terms x points) in one block of `phase_sums`.
 PHASE_BLOCK = 1 << 15
@@ -60,10 +70,14 @@ class ComplexValue:
         return abs(self.value)
 
 
-def _sum_terms(values: np.ndarray, weight: float) -> ComplexValue:
+def _sum_terms(values: np.ndarray, weight: float, term_err: float = 0.0) -> ComplexValue:
+    """The compensated sum of terms a_n e(theta_n) with sum |a_n| = weight.
+    `err` is (2 + UNIT_PHASE_K) eps * weight, the summation contract of
+    `neumaier_sum` plus the `unit_phase` bound on each term, plus term_err,
+    a caller's bound on the other roundings of its terms."""
     re = neumaier_sum(values.real)
     im = neumaier_sum(values.imag)
-    return ComplexValue(re, im, 2.0 * MACHINE_EPS * weight)
+    return ComplexValue(re, im, (2.0 + UNIT_PHASE_K) * MACHINE_EPS * weight + term_err)
 
 
 def phase_terms(phi, X) -> np.ndarray:
@@ -75,7 +89,7 @@ def phase_terms(phi, X) -> np.ndarray:
     phase = phi[:, 0, None] * X[:, 0]
     for j in range(1, phi.shape[1]):
         phase += phi[:, j, None] * X[:, j]
-    return np.exp((2j * np.pi) * frac_in_place(phase))
+    return unit_phase(frac_in_place(phase))
 
 
 def phase_sums(phi, coeffs, X) -> np.ndarray:
@@ -120,9 +134,9 @@ def eval_quadruple_sum(N: int, x: Sequence[float]) -> ComplexValue:
 
     The polynomial phases are reduced mod 1 exactly; the half-integer power
     phases are double precision, each off by about eps * sqrt(N) n^{3/2} |x3|
-    cycles. `err` bounds the summation rounding only, not this phase
-    rounding: at N = 2**20 those phases reach 2**40 |x3|, and for x3 of
-    order 1 the sum is off by about 0.05 while `err` reads 4.7e-10.
+    cycles. `err` bounds the summation and the evaluation of e(.), not this
+    phase rounding: at N = 2**20 those phases reach 2**40 |x3|, and for x3
+    of order 1 the sum is off by about 0.05 while `err` reads 9.3e-10.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -146,9 +160,7 @@ def eval_quadruple_sum(N: int, x: Sequence[float]) -> ComplexValue:
     del nf
     phase += frac_in_place((x4 * root_n) * sqrt_n)
     del sqrt_n
-    frac_in_place(phase)
-    values = np.exp((2j * math.pi) * phase)
-    return _sum_terms(values, float(N))
+    return _sum_terms(unit_phase(frac_in_place(phase)), float(N))
 
 
 def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> ComplexValue:
@@ -176,23 +188,24 @@ def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> Compl
     else:
         raise ValueError(f"unknown dyadic phase kind {kind!r}")
     phase *= T
-    values = (2j * math.pi) * frac_in_place(phase)
-    return _sum_terms(np.exp(values, out=values), float(M - M // 2))
+    return _sum_terms(unit_phase(frac_in_place(phase)), float(M - M // 2))
 
 
 def dirichlet_sum(s: complex, m: int) -> ComplexValue:
     """Sum_{1<=n<=m} n^{-s} = sum n^{-sigma} e(-(t/2pi) log n), s = sigma + it,
     for the AFE main sum and the Euler-Maclaurin head of `zeta`. The phase is
-    reduced in place and dropped before the weights are built: about 24 bytes
-    per term. `err` = eps * sum(n^{-sigma}) * (4 + 4|t| log(m+1)) adds a model
-    of the rounding of (t/2pi) log n before its reduction to the summation bound.
+    reduced in place and dropped once `unit_phase` has turned it into terms,
+    before the weights are built: about 24 bytes per term.
+    `err` = eps * sum(n^{-sigma}) * (4 + UNIT_PHASE_K + 4|t| log(m+1)): the
+    summation and e(.) bounds of `_sum_terms`, 2 eps for the weights and
+    their product, and a model of the rounding of (t/2pi) log n before its
+    reduction.
     """
     phase = np.log(np.arange(1, m + 1, dtype=np.float64))
     phase *= -s.imag / (2 * math.pi)
-    values = (2j * math.pi) * frac_in_place(phase)
+    values = unit_phase(frac_in_place(phase))
     del phase
-    np.exp(values, out=values)
     weights = np.arange(1, m + 1, dtype=np.float64)
     values *= np.power(weights, -s.real, out=weights)
-    # `_sum_terms` reports 2 eps times this weight: the err above
-    return _sum_terms(values, float(weights.sum()) * (2.0 + 2.0 * abs(s.imag) * math.log(m + 1.0)))
+    weight = float(weights.sum())
+    return _sum_terms(values, weight, MACHINE_EPS * weight * (2.0 + 4.0 * abs(s.imag) * math.log(m + 1.0)))

@@ -46,7 +46,7 @@ from .errors import GuardError
 from .expsum import phase_sums
 
 WINDOWED_MAX_N = 48
-# r = 6 takes 4.9-6.0 s and 57-59 MB peak RSS at N = 32 on a 2-core host; the guard
+# r = 6 takes 5.0-5.6 s and 56-58 MB peak RSS at N = 32 on a 2-core host; the guard
 # keeps one call within about 15 s, like the windowed guard (6.4-6.6 s and 57-59 MB
 # at N = 48, where single s1 values fill the budget and the bands run one by one).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
@@ -452,7 +452,10 @@ def _kernel_group_sums(end, w, d3, d4, scale3, scale4) -> np.ndarray:
     the diagonal, 4 w^2 per row, and adds 2 (w_i w_j) k3 k4 for the pairs
     (i, i + k) at offsets k = 1, 2, ...: fl(a - b) = -fl(b - a) and sinc is
     even, so both directions of a pair have the same bits, and doubling is
-    exact. The sums are binned by the group end."""
+    exact. The sums are binned by the group end. At each offset only the
+    groups of the live rows get a bin (`_add_by_group`), and bincount adds a
+    group's pairs in index order, as a bin per row would, so the bits are
+    those of binning every row."""
     wf = w.astype(np.float64)
     sums = np.bincount(end, weights=4.0 * wf * wf, minlength=end.size + 1)
     i = np.arange(end.size)
@@ -462,10 +465,25 @@ def _kernel_group_sums(end, w, d3, d4, scale3, scale4) -> np.ndarray:
         if not i.size:
             return sums[end[_group_starts(end)]]
         j = i + k
-        k3 = _interval_kernel((d3[i] - d3[j]) * scale3)
-        k4 = _interval_kernel((d4[i] - d4[j]) * scale4)
-        sums += np.bincount(end[i], weights=2.0 * ((wf[i] * wf[j]) * k3 * k4), minlength=end.size + 1)
+        # 2 ((w_i w_j) k3) k4, rounded in that order, built in one array
+        terms = _interval_kernel((d3[i] - d3[j]) * scale3)
+        terms *= wf[i] * wf[j]
+        terms *= _interval_kernel((d4[i] - d4[j]) * scale4)
+        terms *= 2.0
+        _add_by_group(sums, end[i], terms)
         k += 1
+
+
+def _add_by_group(sums, group, terms) -> None:
+    """sums[g] += the terms of each run g of the sorted group ends, added in
+    index order: the runs, numbered in order by a cumsum over their
+    boundaries, are the bins of one bincount."""
+    new = np.empty(group.size, dtype=bool)
+    new[0] = True
+    np.not_equal(group[1:], group[:-1], out=new[1:])
+    slot = np.cumsum(new)
+    slot -= 1
+    sums[group[new]] += np.bincount(slot, weights=terms)
 
 
 def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> CountResult:

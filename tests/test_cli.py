@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from zetalab import zeta
+from zetalab import cli, zeta
 from zetalab.cli import (
     EXIT_GUARD,
     EXIT_IO,
@@ -426,6 +426,20 @@ def test_global_flags_parse_alike_before_and_after_subcommand():
         code, _, err = run_cli(argv)
         assert code == EXIT_OK
         assert "# seed=3" in err
+
+
+def test_parser_built_once_keeps_no_flags_between_runs(tmp_path):
+    # main reuses one parser per process; a second run without the global
+    # flags is back on the defaults (seed 0, CSV)
+    first, second = tmp_path / "first", tmp_path / "second"
+    scan = ["zeta", "scan", "--t-min", "10", "--t-max", "100", "--points", "4"]
+    code, _, err = run_cli(["--seed", "5", "--format", "json", "--out", str(first)] + scan)
+    assert code == EXIT_OK and "# seed=5" in err
+    assert json.loads(first.read_text())["schema"] == SCHEMA_VERSION
+    code, _, err = run_cli(["--out", str(second)] + scan)
+    assert code == EXIT_OK and "# seed=0" in err
+    assert second.read_text().startswith("t,abs_zeta")
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_threads_flag_is_refused():

@@ -664,6 +664,42 @@ def test_kernel_route_matches_group_loop_bit_for_bit(N, r, delta, Delta):
         assert largest > 90  # groups past numpy's 8192-element buffer
 
 
+def full_bin_group_sums(end, w, d3, d4, scale3, scale4):
+    """The offset sweep of `_kernel_group_sums` with a bin per row at every
+    offset, as the route was first vectorised: the bit-for-bit reference of
+    its live-group binning."""
+    wf = w.astype(np.float64)
+    sums = np.bincount(end, weights=4.0 * wf * wf, minlength=end.size + 1)
+    i = np.arange(end.size)
+    k = 1
+    while True:
+        i = i[i + k < end[i]]
+        if not i.size:
+            return sums[end[_group_starts(end)]]
+        j = i + k
+        k3 = _interval_kernel((d3[i] - d3[j]) * scale3)
+        k4 = _interval_kernel((d4[i] - d4[j]) * scale4)
+        sums += np.bincount(end[i], weights=2.0 * ((wf[i] * wf[j]) * k3 * k4), minlength=end.size + 1)
+        k += 1
+
+
+@pytest.mark.parametrize("N,r,delta,Delta", [(8, 6, None, None), (30, 3, 0.05, 0.2), (16, 6, 0.1, 0.4)])
+def test_kernel_group_sums_match_full_binning_bit_for_bit(monkeypatch, N, r, delta, Delta):
+    spec = MeanValueSpec(N, r, delta, Delta)
+    scales = 1.0 / (spec.delta * N**1.5), 1.0 / (spec.Delta * N**0.5)
+    for shard in kernel_shards(N, r):
+        got = _kernel_group_sums(*shard, *scales)
+        assert got.tobytes() == full_bin_group_sums(*shard, *scales).tobytes()
+    value = moment_kernel_sum(spec).value
+    monkeypatch.setattr(meanvalue, "_kernel_group_sums", full_bin_group_sums)
+    assert value == moment_kernel_sum(spec).value
+
+
+def test_shard_case_kernel_values_pinned():
+    # the kernel cases of SHARD_CASES, as the full binning computed them
+    assert [case() for case in SHARD_CASES[6:]] == [348667592.79885393, 787412.3024183133]
+
+
 def test_kernel_value_pinned():
     # the value of the per-group loop before the route was vectorised
     spec = MeanValueSpec(120, 3, delta=1e-3, Delta=0.05)

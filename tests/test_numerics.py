@@ -1,5 +1,6 @@
 """The compensated sum: exactness against Fraction sums, its documented
-bound, and its agreement with math.fsum; the Halton block."""
+bound, and its agreement with math.fsum; the e(.) kernel against mpmath;
+the Halton block."""
 
 import math
 import tracemalloc
@@ -8,7 +9,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetalab.numerics import MACHINE_EPS, SUM_WIDTH, halton, neumaier_sum
+from zetalab import numerics
+from zetalab.numerics import (
+    MACHINE_EPS,
+    SUM_WIDTH,
+    UNIT_PHASE_BLOCK,
+    UNIT_PHASE_K,
+    halton,
+    neumaier_sum,
+    unit_phase,
+)
 
 W = SUM_WIDTH
 LENGTHS = (0, 1, W - 1, W, 2 * W - 1, 2 * W, 2 * W + 1, (1 << 20) + 3)
@@ -109,6 +119,53 @@ def test_lists_and_short_arrays_are_fsum():
     assert neumaier_sum([0.1] * 10) == math.fsum([0.1] * 10)
     v = np.random.default_rng(5).standard_normal(2 * W - 1)
     assert neumaier_sum(v) == math.fsum(v.tolist())
+
+
+def unit_phase_error(theta, got):
+    """max |got - e(theta)| in units of MACHINE_EPS, against 40-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    worst = max(abs(mp.mpc(g) - mp.expjpi(2 * mp.mpf(t))) for t, g in zip(theta.tolist(), got.tolist()))
+    return float(worst) / MACHINE_EPS
+
+
+def test_unit_phase_within_its_bound():
+    rng = np.random.default_rng(17)
+    table = np.arange(numerics._TABLE_SIZE + 1) / numerics._TABLE_SIZE
+    theta = np.concatenate([
+        rng.random(20_000),
+        [0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0],
+        np.nextafter(table, 2.0)[:-1],  # k/1024 + 1 ulp
+        np.nextafter(table, -1.0)[1:],  # k/1024 - 1 ulp
+    ])
+    assert unit_phase_error(theta, unit_phase(theta)) <= UNIT_PHASE_K
+
+
+def test_unit_phase_table_is_correctly_rounded():
+    # each part correctly rounded: |T[k] - e(k/M)| <= MACHINE_EPS / 2
+    theta = np.arange(numerics._TABLE_SIZE) / numerics._TABLE_SIZE
+    assert unit_phase_error(theta, numerics._UNIT_PHASE_TABLE) <= 0.5
+
+
+@pytest.mark.parametrize("size", [1, UNIT_PHASE_BLOCK - 1, UNIT_PHASE_BLOCK, UNIT_PHASE_BLOCK + 1])
+def test_unit_phase_block_edges(size):
+    # every block, the last partial one included, gives the values of
+    # one entry at a time
+    theta = np.random.default_rng(size).random(size)
+    got = unit_phase(theta)
+    assert got.shape == (size,) and got.dtype == np.complex128
+    assert got.tobytes() == b"".join(unit_phase(theta[i:i + 1]).tobytes() for i in range(size))
+    assert np.max(np.abs(got - np.exp(2j * np.pi * theta))) <= (UNIT_PHASE_K + 4) * MACHINE_EPS
+
+
+def test_unit_phase_keeps_shape_and_modulus():
+    theta = np.random.default_rng(3).random((37, 300))
+    got = unit_phase(theta)
+    assert got.shape == theta.shape
+    assert got.tobytes() == unit_phase(theta.ravel()).tobytes()
+    assert unit_phase(theta.T).tobytes() == got.T.copy().tobytes()  # a strided input
+    assert np.max(np.abs(np.abs(got) - 1.0)) <= 2 * MACHINE_EPS
+    assert unit_phase(np.empty(0)).shape == (0,)
 
 
 def radical_inverse(base, index):

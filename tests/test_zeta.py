@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from zetalab import zeta
@@ -90,10 +91,24 @@ def test_afe_main_sum_against_high_precision():
 
 
 def test_afe_main_sum_bits_are_pinned():
-    # through `expsum.dirichlet_sum` the main sum keeps the bits it had when
-    # it reduced and summed its own phases
+    # the bits of the main sum with e(.) from `numerics.unit_phase`; with
+    # np.exp it read (0.5079599941572488, -0.40109815218053313)
     res = afe_main_sum(1000.0)
-    assert (res.re, res.im) == (0.5079599941572488, -0.40109815218053313)
+    assert (res.re, res.im) == (0.507959994157249, -0.4010981521805334)
+    old = complex(0.5079599941572488, -0.40109815218053313)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    t, cut = 1000.0, 12
+    true = sum(mp.power(n, mp.mpc(-0.5, t)) for n in range(1, cut + 1))
+    assert abs(res.value - complex(true)) <= res.err
+    # both values are off from the true sum by about 2.7e-13, the rounding of
+    # the phases (t / 2 pi) log n before their reduction, which no e(.)
+    # evaluator sees; against the exact sum of the reduced float phases and
+    # float weights that are actually summed, unit_phase is the closer
+    phase = np.log(np.arange(1, cut + 1, dtype=np.float64)) * (t / (2 * math.pi)) % 1.0
+    weight = np.arange(1, cut + 1, dtype=np.float64) ** -0.5
+    summed = sum(mp.mpf(w) * mp.expjpi(2 * mp.mpf(p)) for w, p in zip(weight.tolist(), phase.tolist()))
+    assert abs(mp.mpc(res.value) - summed) <= abs(mp.mpc(old) - summed)
 
 
 def test_afe_one_sided_bound_at_100():
