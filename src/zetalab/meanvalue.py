@@ -18,9 +18,15 @@ Vinogradov count, group multisets by the exact integer key (sum, sum of
 squares). One engine serves all three: `_map_shards` cuts the multisets
 into consecutive bands of the linear sum s1, which no group crosses, and
 each route reduces a band to an exact integer or to kernel group sums. The
-bands run on one thread per core under a budget of SHARD_ROWS multisets in
-flight, so memory is bounded by that budget, not by the C(N + r - 1, r) of
-the whole table, and the results do not depend on the core count. `_band`
+bands run on the process's one pool of a thread per core, kept between
+calls, under a budget of SHARD_ROWS multisets in flight, so memory is
+bounded by that budget, not by the C(N + r - 1, r) of the whole table, and
+the results do not depend on the core count. The unwindowed counts
+(`_square_count`) reduce only the half s1 < r(N + 1)/2: the reflection
+n -> N + 1 - n maps each group at s1 to a group of the same orderings at
+r(N + 1) - s1, so that half is doubled and the middle s1 value, if any,
+added once. The windowed and kernel routes reduce every band, since the
+reflection does not keep the 3/2- and 1/2-power sums. `_band`
 builds a band entry by entry straight into the group key, the orderings and
 the power sums, with no table of tuples, and gathers the last level's key
 from its parents' keys in one pass. No route walks the groups in Python:
@@ -50,7 +56,10 @@ WINDOWED_MAX_N = 48
 # keeps one call within about 15 s, like the windowed guard (6.4-6.6 s and 57-59 MB
 # at N = 48, where single s1 values fill the budget and the bands run one by one).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
-VINOGRADOV_MAX_N = 256
+# s = 3 takes 8.0-8.6 s and 52 MB peak RSS at N = 1024 on a quiet 2-core host
+# (9.7-13.6 s beside other work; 16.3 s before `_square_count` halved it), within
+# the ~15 s of the other guards; N = 512 takes 0.70-0.73 s and 41 MB.
+VINOGRADOV_MAX_N = 1024
 MIN_SAMPLES = 1000
 
 METHOD_WINDOWED = "windowed"
@@ -213,34 +222,42 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_shards(N: int, size: int, reduce) -> list:
+def _map_shards(N: int, size: int, reduce, top: int | None = None) -> list:
     """[reduce(lo, hi)] over consecutive bands lo <= s1 <= hi of the
-    non-decreasing `size`-tuples from {1..N}, in band order; each reduction
-    builds its band (`_band`). No (s1, s2) group crosses a band. The bands
-    run on one thread per core (numpy releases the GIL in the sorts, gathers
-    and ufuncs of every reduction) and hold SHARD_ROWS // cores tuples each,
-    unless one s1 value alone holds more. A band starts only while the
-    tuples in flight stay within SHARD_ROWS, so memory is bounded by
-    SHARD_ROWS tuples whatever the core count; a band claims at most
-    SHARD_ROWS, so it always fits alone. If a band raises, the queued bands
-    are cancelled."""
-    counts = _sum_counts(N, size)
+    non-decreasing `size`-tuples from {1..N}, in band order, up to s1 = top
+    (default: all of them); each reduction builds its band (`_band`). No
+    (s1, s2) group crosses a band, and no band crosses top. The bands run
+    on the process's pool of one thread per core (`_shard_pool`; numpy
+    releases the GIL in the sorts, gathers and ufuncs of every reduction),
+    which lives as long as the process (a forked child starts its own), so
+    a reduction must not call `_map_shards` itself. A band holds
+    SHARD_ROWS // cores tuples, unless one s1 value alone holds more. A
+    band starts only while the tuples in flight stay within SHARD_ROWS, so
+    memory is bounded by SHARD_ROWS tuples whatever the core count; a band
+    claims at most SHARD_ROWS, so it always fits alone. If a band raises,
+    this call's queued bands are cancelled, those waiting for the budget
+    return without building, and the running ones are waited for before
+    the error is re-raised, so no band of a failed call runs on into the
+    next call."""
+    counts = _sum_counts(N, size)[:None if top is None else top + 1]
     cores = _cores()
     bands = list(_bands(counts, SHARD_ROWS // cores))
     # importing concurrent.futures and starting a thread add about 0.5 MB of
     # peak RSS, which one band does not need
-    if cores == 1 or len(bands) == 1:
+    if cores == 1 or len(bands) <= 1:
         return [reduce(lo, hi) for lo, hi in bands]
-    from concurrent.futures import ThreadPoolExecutor
 
     budget = threading.Condition()
     in_flight = 0
+    failed = False
 
     def run(lo, hi):
         nonlocal in_flight
         claim = min(int(counts[lo:hi + 1].sum()), SHARD_ROWS)
         with budget:
-            budget.wait_for(lambda: in_flight + claim <= SHARD_ROWS)
+            budget.wait_for(lambda: failed or in_flight + claim <= SHARD_ROWS)
+            if failed:
+                return None
             in_flight += claim
         try:
             return reduce(lo, hi)
@@ -249,13 +266,55 @@ def _map_shards(N: int, size: int, reduce) -> list:
                 in_flight -= claim
                 budget.notify_all()
 
-    with ThreadPoolExecutor(cores) as pool:
+    with _POOL_LOCK:
+        pool = _shard_pool(cores)
         futures = [pool.submit(run, lo, hi) for lo, hi in bands]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    try:
+        return [f.result() for f in futures]
+    except BaseException:
+        with budget:
+            failed = True
+            budget.notify_all()
+        for f in futures:
+            f.cancel()
+        from concurrent.futures import wait
+
+        wait(futures)
+        raise
+
+
+# The worker threads of `_map_shards`, as (cores, executor): one pool per
+# process, started on first use and rebuilt only when the core count
+# changes. Starting and joining a pool on every call cost time and, through
+# the allocator, peak RSS.
+_POOL_LOCK = threading.Lock()
+_pool = None
+
+
+def _forget_pool_after_fork() -> None:
+    """A forked child has none of its parent's pool threads, and the lock
+    may have been held by one of them: the child starts afresh, else its
+    first count would queue bands that no thread runs."""
+    global _pool, _POOL_LOCK
+    _pool, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
+def _shard_pool(cores: int):
+    """The process's executor of `cores` threads; call with _POOL_LOCK held.
+    A pool of another size is shut down first, after the bands already
+    submitted to it."""
+    global _pool
+    if _pool is None or _pool[0] != cores:
+        from concurrent.futures import ThreadPoolExecutor
+
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (cores, ThreadPoolExecutor(cores))
+    return _pool[1]
 
 
 def _group_starts(key: np.ndarray) -> np.ndarray:
@@ -284,12 +343,30 @@ def _square_sum(key: np.ndarray, w: np.ndarray) -> int:
     # most sum(w)^2 <= (size! * rows)^2. A band holds more than SHARD_ROWS rows
     # only where one s1 value does, and under WINDOWED_MAX_N and
     # VINOGRADOV_MAX_N one s1 value holds at most 250,510 (6-multisets at
-    # N = 48), so the dot stays below (720 * 2^18)^2 < 2^63.
+    # N = 48; the largest 3-multiset s1 value holds 131,328 at N = 1024), so
+    # the dot stays below (720 * 2^18)^2 < 2^63.
     if int(w.sum(dtype=np.int64)) ** 2 >= 1 << 63:
         raise OverflowError("group sums too large for an int64 dot")
     order = _radix_order(key, np.arange(key.size, dtype=np.int32))
     sums = np.add.reduceat(w[order], _group_starts(key[order]), dtype=np.int64)
     return int(np.dot(sums, sums))
+
+
+def _square_count(N: int, size: int) -> int:
+    """Sum over all (s1, s2) groups of the `size`-multisets from {1..N} of
+    (sum of orderings)^2, from half of them. The reflection n -> N + 1 - n
+    maps the multisets with key (s1, s2) one to one, orderings kept, onto
+    those with key (t - s1, s2 - 2 (N + 1) s1 + (N + 1) t), t = size (N + 1),
+    so the groups at s1 and t - s1 have equal sums. The bands below t/2 are
+    reduced and doubled, and the middle value s1 = t/2, when t is even, is
+    added once."""
+    t = size * (N + 1)
+
+    def band(lo, hi):
+        return _square_sum(*_band(N, size, lo, hi, powers=False)[:2])
+
+    total = 2 * sum(_map_shards(N, size, band, top=(t - 1) // 2))
+    return total if t % 2 else total + band(t // 2, t // 2)
 
 
 def count_windowed(N: int, window3: float | None = None, window4: float | None = None) -> CountResult:
@@ -306,9 +383,10 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
 
     The 6-multisets are cut into s1 bands (`_map_shards`); each band is
     reduced to an exact integer on its own, so the total does not depend on
-    the bands or on the threads that reduce them. The window tests are
-    decided in float64, as d3[j] >= fl(d3[i] - w3), d3[j] <= fl(d3[i] + w3)
-    and |d4[j] - d4[i]| <= w4 for the pair (i, j).
+    the bands or on the threads that reduce them. With both windows
+    infinite the count is `_square_count`, over half of the bands. The
+    window tests are decided in float64, as d3[j] >= fl(d3[i] - w3),
+    d3[j] <= fl(d3[i] + w3) and |d4[j] - d4[i]| <= w4 for the pair (i, j).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -321,12 +399,10 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
     if not (w3 > 0 and w4 > 0):
         raise ValueError("windows must be positive")
 
-    def band(lo, hi):
-        if math.isinf(w3) and math.isinf(w4):
-            return _square_sum(*_band(N, 6, lo, hi, powers=False)[:2])
-        return _window_pair_count(*_swept_band(N, 6, lo, hi), w3, w4)
-
-    total = sum(_map_shards(N, 6, band))
+    if math.isinf(w3) and math.isinf(w4):
+        total = _square_count(N, 6)
+    else:
+        total = sum(_map_shards(N, 6, lambda lo, hi: _window_pair_count(*_swept_band(N, 6, lo, hi), w3, w4)))
     return CountResult(float(total), True, 0.0, METHOD_WINDOWED, total)
 
 
@@ -411,8 +487,18 @@ def _weighted_hits(wa, wb, hits) -> int:
 
 
 def _interval_kernel(theta: np.ndarray) -> np.ndarray:
-    """integral of e(theta z) over [-1, 1] = sin(2 pi theta)/(pi theta)."""
-    return 2.0 * np.sinc(2.0 * theta)
+    """integral of e(theta z) over [-1, 1] = sin(2 pi theta)/(pi theta),
+    with the bits of 2 * np.sinc(2 * theta). Consumes theta: its buffer is
+    overwritten, so callers pass a fresh temporary. The steps are np.sinc's,
+    in place: x = 2 theta, exact zeros set to 1e-20, y = pi x, then
+    2 sin(y)/y, with one temporary (the sine) where np.sinc takes four."""
+    theta *= 2.0
+    theta[theta == 0] = 1.0e-20
+    theta *= np.pi
+    value = np.sin(theta)
+    value /= theta
+    value *= 2.0
+    return value
 
 
 def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
@@ -518,7 +604,8 @@ def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> Coun
 def vinogradov_count(N: int, s: int) -> CountResult:
     """J_{s,2}(N): the number of ordered 2s-tuples from {1..N} whose two
     halves share linear and quadratic sums. Exact integer; equals the [0,1]^2
-    integral of |sum_{n<=N} e(n a + n^2 b)|^{2s}."""
+    integral of |sum_{n<=N} e(n a + n^2 b)|^{2s}. Counted over half of the
+    multisets by reflection (`_square_count`)."""
     if s not in (2, 3):
         raise ValueError("s must be 2 or 3")
     if N < 1:
@@ -527,7 +614,7 @@ def vinogradov_count(N: int, s: int) -> CountResult:
         raise GuardError(
             "meanvalue.vinogradov.N", f"N={N} exceeds the count guard {VINOGRADOV_MAX_N}"
         )
-    total = sum(_map_shards(N, s, lambda lo, hi: _square_sum(*_band(N, s, lo, hi, powers=False)[:2])))
+    total = _square_count(N, s)
     return CountResult(float(total), True, 0.0, METHOD_VINOGRADOV, total)
 
 

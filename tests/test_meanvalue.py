@@ -1,14 +1,16 @@
 """Mean-value counts and integrals against brute-force enumeration oracles."""
 
+import concurrent.futures
 import itertools
 import math
+import os
+import signal
 import sys
 import threading
 import time
 import tracemalloc
 from array import array
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from zetalab.meanvalue import (
     _kernel_group_sums,
     _map_shards,
     _radix_order,
+    _square_count,
     _square_sum,
     _sum_counts,
     _sweep_order,
@@ -74,6 +77,12 @@ def brute_vinogradov(N, s):
             if sum(left) == sum(right) and sum(v * v for v in left) == sum(v * v for v in right):
                 total += 1
     return total
+
+
+def unhalved_square_count(N, size):
+    """The unwindowed count over every band, without the reflection: the
+    sum over all (s1, s2) groups of (sum of orderings)^2."""
+    return sum(_map_shards(N, size, lambda lo, hi: _square_sum(*_band(N, size, lo, hi, powers=False)[:2])))
 
 
 def diagonal_count(N, s):
@@ -248,6 +257,11 @@ def test_windowed_infinite_windows_equal_two_constraint_count():
     for N in (2, 3, 4):
         inf_count = count_windowed(N, math.inf, math.inf).integer_value
         assert inf_count == brute_windowed(N, math.inf, math.inf)
+
+
+@pytest.mark.parametrize("N", [5, 6, 7, 8, 9])
+def test_windowed_infinite_windows_halved_equal_unhalved(N):
+    assert count_windowed(N, math.inf, math.inf).integer_value == unhalved_square_count(N, 6)
 
 
 def test_windowed_diagonal_lower_bound():
@@ -514,8 +528,9 @@ def one_band_values(monkeypatch):
 @pytest.mark.parametrize("limit", [1, 1000], ids=["one_s1_per_shard", "several_s1_per_shard"])
 def test_counts_independent_of_shard_size(monkeypatch, limit):
     whole = one_band_values(monkeypatch)
-    # values of the earlier engine, which sorted one table of all multisets
-    assert whole[0] == 3384230526
+    # values of the earlier engine, which sorted one table of all multisets,
+    # and of the count cases before the reflection halving
+    assert whole[:6] == [3384230526, 174490401, 1342958770, 185121960, 211080, 3160]
     assert whole[6] == 348667592.79885393
     monkeypatch.setattr(meanvalue, "SHARD_ROWS", limit)
     assert [case() for case in SHARD_CASES] == whole  # floats bit for bit
@@ -529,6 +544,23 @@ def test_counts_independent_of_core_count(monkeypatch, cores):
     monkeypatch.setattr(meanvalue, "SHARD_ROWS", 1000)
     monkeypatch.setattr(meanvalue, "_cores", lambda: cores)
     assert [case() for case in SHARD_CASES] == whole
+    if cores > 1:  # one core reduces on the calling thread
+        assert meanvalue._pool[0] == cores and meanvalue._pool[1]._max_workers == cores
+
+
+def test_shard_pool_is_kept_between_calls(monkeypatch):
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", 1000)
+    monkeypatch.setattr(meanvalue, "_cores", lambda: 2)
+    # the first two bands meet at a barrier, so both workers have started
+    first_two = _map_shards(40, 3, lambda lo, hi: lo)[:2]
+    both = threading.Barrier(2, timeout=30)
+    _map_shards(40, 3, lambda lo, hi: lo in first_two and both.wait())
+    pool, threads = meanvalue._pool, threading.active_count()
+    for _ in range(5):
+        assert vinogradov_count(40, 3).integer_value == 534136  # the unhalved engine's value
+        assert vinogradov_count(40, 2).integer_value == 3160
+    assert threading.active_count() == threads
+    assert meanvalue._pool is pool
 
 
 def test_map_shards_keeps_tuples_in_flight_within_budget(monkeypatch):
@@ -574,35 +606,78 @@ def test_map_shards_keeps_tuples_in_flight_within_budget(monkeypatch):
     assert sum(key.size for _, _, (key, _) in bands) == math.comb(13, 6)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_pool(monkeypatch):
+    # the child inherits no pool thread: it must not queue its bands on the
+    # parent's pool, where no thread would run them
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", 1000)
+    monkeypatch.setattr(meanvalue, "_cores", lambda: 2)
+    assert vinogradov_count(40, 3).integer_value == 534136  # the pool exists
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child writes its count; if it hangs, the alarm ends it
+        try:
+            signal.alarm(30)
+            os.write(write, str(vinogradov_count(40, 3).integer_value).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        got = pipe.read()
+    os.waitpid(pid, 0)
+    assert got == "534136"
+
+
 def test_map_shards_raising_band_cancels_the_queued_bands(monkeypatch):
-    # the bands that do not raise hold their worker until the pool has been
-    # shut down, so no band can start between the failure and the cancel,
-    # however slowly the calling thread gets there
+    # the bands that do not raise hold their worker until the failed call
+    # has cancelled its queued bands and waits for its running ones, so no
+    # band can start between the failure and the cancel, however slowly the
+    # calling thread gets there; none may still run when the error arrives
     monkeypatch.setattr(meanvalue, "SHARD_ROWS", 20)
     monkeypatch.setattr(meanvalue, "_cores", lambda: 2)
-    started = []
-    shut = threading.Event()
-    shutdown = ThreadPoolExecutor.shutdown
+    started, finished = [], []
+    cancelled = threading.Event()
+    wait = concurrent.futures.wait
 
-    def shutdown_then_release(pool, wait=True, *, cancel_futures=False):
-        shutdown(pool, wait=False, cancel_futures=cancel_futures)
-        shut.set()
-        shutdown(pool, wait=wait)
+    def cancelled_then_wait(futures, *args, **kwargs):
+        assert all(f.done() or f.running() for f in futures)  # none left queued
+        cancelled.set()
+        return wait(futures, *args, **kwargs)
 
-    monkeypatch.setattr(ThreadPoolExecutor, "shutdown", shutdown_then_release)
+    monkeypatch.setattr(concurrent.futures, "wait", cancelled_then_wait)
 
     def reduce(lo, hi):
         started.append(lo)
-        if lo == 3:
-            raise RuntimeError("band failed")
-        assert shut.wait(timeout=30)
-        return lo
+        try:
+            if lo == 3:
+                raise RuntimeError("band failed")
+            assert cancelled.wait(timeout=30)
+            return lo
+        finally:
+            finished.append(lo)
 
     with pytest.raises(RuntimeError, match="band failed"):
         _map_shards(9, 3, reduce)
+    assert sorted(finished) == sorted(started)  # no band runs on
+    assert len(started) <= 3  # the failed band and at most two beside it
     bands = _map_shards(9, 3, lambda lo, hi: lo)
     assert len(bands) > 10
-    assert len(started) <= 3  # the failed band and at most two beside it
+    assert vinogradov_count(9, 3).integer_value == 4077  # the pool still serves
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("N", [1, 2, 7, 8, 63, 64])
+def test_square_count_halved_equals_unhalved(N, size):
+    # size (N + 1) takes both parities for size 3: with and without a middle s1
+    assert _square_count(N, size) == unhalved_square_count(N, size)
+
+
+@pytest.mark.parametrize("N,size", [(1, 2), (1, 3), (2, 3), (7, 3), (8, 3), (9, 6), (20, 6), (64, 3)])
+def test_sum_counts_are_symmetric_under_reflection(N, size):
+    c = _sum_counts(N, size)
+    top = size * (N + 1)
+    assert all(c[s1] == c[top - s1] for s1 in range(size, size * N + 1))
+    assert c[:size].sum() == 0
 
 
 def test_square_sum_refuses_an_int64_overflow():
@@ -698,6 +773,15 @@ def test_kernel_group_sums_match_full_binning_bit_for_bit(monkeypatch, N, r, del
 def test_shard_case_kernel_values_pinned():
     # the kernel cases of SHARD_CASES, as the full binning computed them
     assert [case() for case in SHARD_CASES[6:]] == [348667592.79885393, 787412.3024183133]
+
+
+def test_interval_kernel_has_the_bits_of_sinc():
+    theta = np.random.default_rng(3).normal(0.0, 5.0, 4_000_000)
+    theta = np.append(theta, [0.0, -0.0, 1e-9, -1e-9, -1e-300])
+    want = 2.0 * np.sinc(2.0 * theta)
+    got = _interval_kernel(theta.copy())
+    assert got.tobytes() == want.tobytes()
+    assert got[-5:-3].tolist() == [2.0, 2.0]
 
 
 def test_kernel_value_pinned():
@@ -830,11 +914,17 @@ def test_vinogradov_growth_slope():
     assert 3.0 <= slope <= 3.4
 
 
+def test_vinogradov_j22_closed_form():
+    # J_{2,2}(N) = 2 N^2 - N: only the rearrangement pairs share both sums
+    for N in range(1, 257):
+        assert vinogradov_count(N, 2).integer_value == 2 * N * N - N
+
+
 def test_vinogradov_validation():
     with pytest.raises(ValueError):
         vinogradov_count(4, 4)
     with pytest.raises(GuardError):
-        vinogradov_count(257, 3)
+        vinogradov_count(1025, 3)
 
 
 # ------------------------------------------------------------------ diagonal
