@@ -156,6 +156,14 @@ def _seed_pair(text: str) -> pairs.ExponentPair:
         raise argparse.ArgumentTypeError(f"expected k,l in the admissible region, got {text!r} ({exc})")
 
 
+def _fraction(text: str) -> Fraction:
+    """The rational of --exponent, such as 3/2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"expected a rational such as 3/2, got {text!r} ({exc})")
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -499,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--T", type=float, required=True)
     d.add_argument("--M", type=int, required=True)
     d.add_argument("--kind", choices=("log", "monomial"), default="log")
-    d.add_argument("--exponent", type=Fraction, default=None)
+    d.add_argument("--exponent", type=_fraction, default=None)
     d.add_argument("--radians", action="store_true",
                    help="interpret --T as radians t (cycles T = t/(2 pi))")
     d.set_defaults(func=_cmd_expsum_dyadic)

@@ -242,14 +242,16 @@ def ratio_scan(
     """Parabola decoupling-ratio scan over several N.
 
     With the unit ensemble both sides are exact (the lhs via the count
-    identity); random ensembles average `trials` deterministic draws of the
-    randomized-QMC estimate.
+    identity), so it takes one trial; random ensembles average `trials`
+    deterministic draws of the randomized-QMC estimate.
     """
     ns = _distinct_ns(Ns, 3)
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if ensemble == ENSEMBLE_ONES and trials != 1:
+        raise ValueError(f"the exact ones ensemble takes one trial, got {trials}")
     rows = []
     for N in ns:
         # every ensemble is unit-modulus: rhs = sqrt(N) for all draws

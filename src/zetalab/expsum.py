@@ -164,7 +164,8 @@ def eval_quadruple_sum(N: int, x: Sequence[float]) -> ComplexValue:
 
 
 def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> ComplexValue:
-    """Sum_{M/2 < m <= M} e(T * F(m/M)) with F = log or the monomial u^exponent.
+    """Sum_{M/2 < m <= M} e(T * F(m/M)) with F = log (no exponent) or the
+    monomial u^exponent.
 
     T is in cycle units: e(T log(m/M)) = (m/M)^{it} with t = 2*pi*T.
     """
@@ -180,6 +181,8 @@ def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> Compl
     phase = np.arange(M // 2 + 1, M + 1, dtype=np.float64)
     phase /= M  # m/M, then F(m/M), then T F(m/M) mod 1, all in place
     if kind == "log":
+        if exponent is not None:
+            raise ValueError("the log phase takes no exponent")
         np.log(phase, out=phase)
     elif kind == "monomial":
         if exponent is None:

@@ -17,11 +17,14 @@ windowed count replaces the kernels by sharp windows. Both, and the
 Vinogradov count, group multisets by the exact integer key (sum, sum of
 squares). One engine serves all three: `_map_shards` cuts the multisets
 into consecutive bands of the linear sum s1, which no group crosses, and
-each route reduces a band to an exact integer or to kernel group sums. The
-bands run on the process's one pool of a thread per core, kept between
-calls, under a budget of SHARD_ROWS multisets in flight, so memory is
-bounded by that budget, not by the C(N + r - 1, r) of the whole table, and
-the results do not depend on the core count. The unwindowed counts
+each route reduces a band to an exact integer or to kernel group sums. A
+band holds at most SHARD_ROWS // cores multisets unless one s1 value alone
+holds more, and the bands run in waves on the process's one pool of a
+thread per core, kept between calls: the bands within that share side by
+side, each run of larger ones in order on one thread. So memory is bounded
+by SHARD_ROWS multisets, or by one band that alone holds more, not by the
+C(N + r - 1, r) of the whole table, and the results do not depend on the
+core count. The unwindowed counts
 (`_square_count`) reduce only the half s1 < r(N + 1)/2: the reflection
 n -> N + 1 - n maps each group at s1 to a group of the same orderings at
 r(N + 1) - s1, so that half is doubled and the middle s1 value, if any,
@@ -41,6 +44,7 @@ quadrature provides the independent statistical route.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -53,10 +57,10 @@ from .expsum import phase_sums
 
 WINDOWED_MAX_N = 48
 # r = 6 takes 5.0-5.6 s and 56-58 MB peak RSS at N = 32 on a 2-core host; the guard
-# keeps one call within about 15 s, like the windowed guard (6.4-6.6 s and 57-59 MB
-# at N = 48, where single s1 values fill the budget and the bands run one by one).
+# keeps one call within about 15 s, like the windowed guard (4.7-5.5 s and 58-61 MB
+# at N = 48, where single s1 values exceed the share and run one by one on one thread).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
-# s = 3 takes 8.0-8.6 s and 52 MB peak RSS at N = 1024 on a quiet 2-core host
+# s = 3 takes 6.4-7.4 s and 52 MB peak RSS at N = 1024 on a quiet 2-core host
 # (9.7-13.6 s beside other work; 16.3 s before `_square_count` halved it), within
 # the ~15 s of the other guards; N = 512 takes 0.70-0.73 s and 41 MB.
 VINOGRADOV_MAX_N = 1024
@@ -70,7 +74,7 @@ METHOD_VINOGRADOV = "vinogradov"
 _SAMPLE_CHUNK = 1 << 15
 # Most multisets in flight across the threads of the grouped counts, each band
 # holding SHARD_ROWS // cores unless one value of s1 alone holds more; the
-# windowed count at N = 48 then peaks at 57-59 MB RSS.
+# windowed count at N = 48 then peaks at 58-61 MB RSS.
 SHARD_ROWS = 1 << 18
 
 
@@ -226,61 +230,48 @@ def _map_shards(N: int, size: int, reduce, top: int | None = None) -> list:
     """[reduce(lo, hi)] over consecutive bands lo <= s1 <= hi of the
     non-decreasing `size`-tuples from {1..N}, in band order, up to s1 = top
     (default: all of them); each reduction builds its band (`_band`). No
-    (s1, s2) group crosses a band, and no band crosses top. The bands run
-    on the process's pool of one thread per core (`_shard_pool`; numpy
-    releases the GIL in the sorts, gathers and ufuncs of every reduction),
-    which lives as long as the process (a forked child starts its own), so
-    a reduction must not call `_map_shards` itself. A band holds
-    SHARD_ROWS // cores tuples, unless one s1 value alone holds more. A
-    band starts only while the tuples in flight stay within SHARD_ROWS, so
-    memory is bounded by SHARD_ROWS tuples whatever the core count; a band
-    claims at most SHARD_ROWS, so it always fits alone. If a band raises,
-    this call's queued bands are cancelled, those waiting for the budget
-    return without building, and the running ones are waited for before
-    the error is re-raised, so no band of a failed call runs on into the
-    next call."""
+    (s1, s2) group crosses a band, and no band crosses top. A band holds at
+    most share = SHARD_ROWS // cores tuples, unless one s1 value alone holds
+    more. The bands run in waves, one after another: a run of bands within
+    the share is a wave of one task per band, side by side on the process's
+    pool of one thread per core (`_shard_pool`; numpy releases the GIL in
+    the sorts, gathers and ufuncs of every reduction); a run of larger bands
+    is a wave of one task that reduces them in order on one thread. So at
+    most SHARD_ROWS tuples are in flight, or one band that alone holds more,
+    whatever the core count, and the threads share nothing. The pool lives
+    as long as the process (a forked child starts its own), so a reduction
+    must not call `_map_shards` itself. If a band raises, its wave's queued
+    tasks are cancelled and the running ones waited for before the error is
+    re-raised, so no band of a failed call runs on into the next call."""
     counts = _sum_counts(N, size)[:None if top is None else top + 1]
     cores = _cores()
-    bands = list(_bands(counts, SHARD_ROWS // cores))
+    share = SHARD_ROWS // cores
+    bands = list(_bands(counts, share))
     # importing concurrent.futures and starting a thread add about 0.5 MB of
     # peak RSS, which one band does not need
     if cores == 1 or len(bands) <= 1:
         return [reduce(lo, hi) for lo, hi in bands]
 
-    budget = threading.Condition()
-    in_flight = 0
-    failed = False
+    def reduce_all(task):
+        return [reduce(lo, hi) for lo, hi in task]
 
-    def run(lo, hi):
-        nonlocal in_flight
-        claim = min(int(counts[lo:hi + 1].sum()), SHARD_ROWS)
-        with budget:
-            budget.wait_for(lambda: failed or in_flight + claim <= SHARD_ROWS)
-            if failed:
-                return None
-            in_flight += claim
+    results = []
+    for large, wave in itertools.groupby(bands, lambda b: counts[b[0]:b[1] + 1].sum() > share):
+        tasks = [list(wave)] if large else [[band] for band in wave]
+        with _POOL_LOCK:
+            pool = _shard_pool(cores)
+            futures = [pool.submit(reduce_all, task) for task in tasks]
         try:
-            return reduce(lo, hi)
-        finally:
-            with budget:
-                in_flight -= claim
-                budget.notify_all()
+            for f in futures:
+                results += f.result()
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            from concurrent.futures import wait
 
-    with _POOL_LOCK:
-        pool = _shard_pool(cores)
-        futures = [pool.submit(run, lo, hi) for lo, hi in bands]
-    try:
-        return [f.result() for f in futures]
-    except BaseException:
-        with budget:
-            failed = True
-            budget.notify_all()
-        for f in futures:
-            f.cancel()
-        from concurrent.futures import wait
-
-        wait(futures)
-        raise
+            wait(futures)
+            raise
+    return results
 
 
 # The worker threads of `_map_shards`, as (cores, executor): one pool per

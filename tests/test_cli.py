@@ -173,6 +173,18 @@ def test_bad_seed_pair_is_usage_error(leaf, pair):
     assert out == ""
 
 
+@pytest.mark.parametrize("kind, exponent", [("monomial", "1/0"), ("monomial", "x"), ("log", "3/2")])
+def test_bad_dyadic_exponent_is_usage_error(kind, exponent):
+    # a log phase has no exponent, so the flag would change no output
+    base = ["expsum", "dyadic", "--T", "5", "--M", "100", "--kind", kind]
+    code, out, err = run_cli(base + ["--exponent", exponent])
+    assert code == EXIT_USAGE
+    assert "--exponent" in err or "kind=usage" in err
+    assert "Traceback" not in err and out == ""
+    good = ["--exponent", "3/2"] if kind == "monomial" else []
+    assert run_cli(base + good)[0] == EXIT_OK
+
+
 def test_qmc_sample_count_hits_guard():
     args = ["decouple", "parabola", "--ensemble", "random_signs", "--samples", str(1 << 31)]
     code, _, err = run_cli(args)
@@ -334,6 +346,15 @@ def test_bilinear_trials_is_refused():
     base = ["decouple", "bilinear", "--Ns", "8,12", "--samples", "256"]
     assert run_cli(base + ["--trials", "3"])[0] == EXIT_USAGE
     assert run_cli(base)[0] == EXIT_OK
+
+
+def test_exact_parabola_trials_is_refused():
+    # the unit ensemble's rows are exact, so a trial count would change no byte
+    base = ["decouple", "parabola", "--Ns", "4,5,6", "--ensemble", "ones"]
+    code, out, err = run_cli(base + ["--trials", "5"])
+    assert code == EXIT_USAGE
+    assert "kind=usage" in err and out == ""
+    assert run_cli(base + ["--trials", "1"])[0] == EXIT_OK
 
 
 def test_exact_parabola_rows_leave_samples_and_seed_empty():

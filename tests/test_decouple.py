@@ -174,6 +174,8 @@ def test_ratio_scan_validation():
         ratio_scan([8, 16, 32], ensemble="bogus")
     with pytest.raises(ValueError):
         ratio_scan([8, 16, 32], trials=0)
+    with pytest.raises(ValueError, match="one trial"):  # exact rows: more trials repeat them
+        ratio_scan([8, 16, 32], trials=5)
 
 
 def test_ratio_scan_random_signs_deterministic():

@@ -171,6 +171,8 @@ def test_dyadic_validation():
         eval_dyadic_sum(1.0, 10, "monomial")
     with pytest.raises(ValueError):
         eval_dyadic_sum(1.0, 10, "cubic")
+    with pytest.raises(ValueError, match="no exponent"):  # it would change nothing
+        eval_dyadic_sum(1.0, 10, "log", exponent="3/2")
 
 
 def eval_curve_sum(coeffs, curve_samples, x) -> ComplexValue:

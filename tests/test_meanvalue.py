@@ -566,23 +566,31 @@ def test_shard_pool_is_kept_between_calls(monkeypatch):
 def test_map_shards_keeps_tuples_in_flight_within_budget(monkeypatch):
     # single s1 values of 6-multisets from {1..8} hold up to 94 tuples, so
     # two such bands exceed the budget of 100 and must not run together; more
-    # workers than cores and a short switch interval stress the shared count
+    # workers than cores and a short switch interval stress the wave rule
     monkeypatch.setattr(meanvalue, "SHARD_ROWS", 100)
     monkeypatch.setattr(meanvalue, "_cores", lambda: 7)
+    share = 100 // 7
     lock = threading.Lock()
-    state = {"rows": 0, "bands": 0, "most_rows": 0, "most_bands": 0}
+    state = {"rows": 0, "bands": 0, "large": 0, "most_rows": 0, "most_bands": 0}
+    started, beside_large = [], []  # (lo, thread) in start order; overlaps
 
     def reduce(lo, hi):
         key, w, _, _ = _band(8, 6, lo, hi, powers=False)
+        large = key.size > share
         with lock:
+            started.append((lo, threading.get_ident()))
+            if state["bands"] and (large or state["large"]):
+                beside_large.append(lo)
             state["rows"] += min(key.size, 100)
             state["bands"] += 1
+            state["large"] += large
             state["most_rows"] = max(state["most_rows"], state["rows"])
             state["most_bands"] = max(state["most_bands"], state["bands"])
         time.sleep(0.002)
         with lock:
             state["rows"] -= min(key.size, 100)
             state["bands"] -= 1
+            state["large"] -= large
         return lo, hi, (key, w)
 
     result = []
@@ -599,6 +607,14 @@ def test_map_shards_keeps_tuples_in_flight_within_budget(monkeypatch):
     assert max(key.size for _, _, (key, _) in bands) > 50
     assert state["most_rows"] <= 100
     assert state["most_bands"] >= 2  # the small bands did run side by side
+    # no band runs beside a band past the share; the one run of such bands
+    # starts in s1 order on one thread
+    assert beside_large == []
+    (run,) = [[lo for lo, _, _ in run] for large, run in
+              itertools.groupby(bands, lambda band: band[2][0].size > share) if large]
+    at = [lo for lo, _ in started].index(run[0])
+    assert len(run) > 1 and [lo for lo, _ in started[at:at + len(run)]] == run == sorted(run)
+    assert len({thread for _, thread in started[at:at + len(run)]}) == 1
     # the bands come back in order and hold every tuple once
     want = reference_bands(8, 6, [(lo, hi) for lo, hi, _ in bands])
     for (_, _, got), ref in zip(bands, want):

@@ -299,6 +299,46 @@ def test_make_plan_reasons_keep_their_text_and_order():
     assert make_plan(Scenario(T=1.0e6, M=126)).reasons == ("no block parameters required",)
 
 
+def assert_arc_modulus(T, M, N, R):
+    """R is the least integer >= 1 with R^2 >= 2 M^3 / (N T), decided exactly."""
+    bound = 2 * F(M) ** 3 / (F(N) * F(T))
+    assert R * R >= bound and (R == 1 or (R - 1) ** 2 < bound)
+
+
+def test_make_plan_refined_regime():
+    # alpha = 21/50 in [5/12, 49/114): the second branch of max(...) wins
+    T, M = 2.0**100, 2**42
+    plan = make_plan(Scenario(T=T, M=M))
+    assert plan.alpha == F(21, 50)
+    assert (plan.regime, plan.witness) == (planner.REGIME_REFINED, planner.TAG_SIEVE_MID)
+    assert plan.predicted_exponent == envelope(plan.alpha)[0]
+    assert M * T ** (-17 / 57) < math.sqrt(M) * T ** (-1 / 12) == plan.N
+    assert_arc_modulus(T, M, plan.N, plan.R)
+    assert plan.valid
+
+
+def test_make_plan_compact_regime():
+    # alpha = 41/100 in [17/42, 5/12): N = sqrt(2 M^3 / T) = 2^12 = R^2
+    T, M = 2.0**100, 2**41
+    plan = make_plan(Scenario(T=T, M=M))
+    assert plan.alpha == F(41, 100)
+    assert (plan.regime, plan.witness) == (planner.REGIME_COMPACT, planner.TAG_SIEVE_LOW)
+    assert plan.predicted_exponent == envelope(plan.alpha)[0]
+    assert plan.N == math.sqrt(2.0 * M**3 / T) == 4096
+    assert_arc_modulus(T, M, plan.N, plan.R)
+    assert plan.R == 64 and plan.valid
+
+
+def test_make_plan_resonance_regime():
+    # alpha = 2/5 in (12/31, 17/42): the resonance bound is the envelope
+    plan = make_plan(Scenario(T=2.0**100, M=2**40))
+    assert plan.alpha == F(2, 5)
+    assert (plan.regime, plan.witness) == (planner.REGIME_RESONANCE, planner.TAG_RESONANCE)
+    assert plan.predicted_exponent == envelope(plan.alpha)[0] == F(1, 32) + F(103, 128) * F(2, 5)
+    assert plan.N is None and plan.R is None
+    assert plan.valid and plan.reasons == ("no block parameters required",)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.fractions(min_value=0, max_value=F(1, 2), max_denominator=499))
 def test_envelope_meets_critical_target_on_half_interval(alpha):
