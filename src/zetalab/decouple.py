@@ -37,6 +37,12 @@ from .meanvalue import vinogradov_count
 from .numerics import fit_loglog, halton
 
 BILINEAR_MAX_N = 64
+# The sampled parabola probe holds about 290 bytes per term (325 MB at
+# N = 10^6) and takes about 4.4 ns per sample and term: at N = 1024 it took
+# 0.43 s for 65536 samples and 4.6 s for 2^20 (fresh processes, 2-core
+# host), about 75 s at the QMC guard. The exact ones rows stop at the same N
+# (`meanvalue.VINOGRADOV_MAX_N`).
+PARABOLA_MAX_N = 1024
 # One Halton block of samples // REPLICATES points is held at once, beside
 # the values of one slice. At 2^24 samples the parabola probe (N=16) took
 # 3.4 s and 115 MB, the bilinear probe 17.1 s and 147 MB at N=32, in fresh
@@ -252,6 +258,10 @@ def ratio_scan(
         raise ValueError("trials must be >= 1")
     if ensemble == ENSEMBLE_ONES and trials != 1:
         raise ValueError(f"the exact ones ensemble takes one trial, got {trials}")
+    if ensemble != ENSEMBLE_ONES and ns[-1] > PARABOLA_MAX_N:
+        raise GuardError(
+            "decouple.parabola.N", f"N={ns[-1]} exceeds the sampled parabola guard {PARABOLA_MAX_N}"
+        )
     rows = []
     for N in ns:
         # every ensemble is unit-modulus: rhs = sqrt(N) for all draws

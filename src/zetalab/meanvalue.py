@@ -19,10 +19,11 @@ squares). One engine serves all three: `_map_shards` cuts the multisets
 into consecutive bands of the linear sum s1, which no group crosses, and
 each route reduces a band to an exact integer or to kernel group sums. A
 band holds at most SHARD_ROWS // cores multisets unless one s1 value alone
-holds more, and the bands run in waves on the process's one pool of a
-thread per core, kept between calls: the bands within that share side by
-side, each run of larger ones in order on one thread. So memory is bounded
-by SHARD_ROWS multisets, or by one band that alone holds more, not by the
+holds more, and the bands run in waves on one executor of a thread per
+core, cached between calls (`_shard_pool`, an lru_cache of size one keyed
+on the core count): the bands within that share side by side, each run of
+larger ones in order on one thread. So memory is bounded by SHARD_ROWS
+multisets, or by one band that alone holds more, not by the
 C(N + r - 1, r) of the whole table, and the results do not depend on the
 core count. The unwindowed counts
 (`_square_count`) reduce only the half s1 < r(N + 1)/2: the reflection
@@ -44,10 +45,10 @@ quadrature provides the independent statistical route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,11 @@ KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
 # the ~15 s of the other guards; N = 512 takes 0.70-0.73 s and 41 MB.
 VINOGRADOV_MAX_N = 1024
 MIN_SAMPLES = 1000
+# The quadrature takes about 25 ns per sample and term: 10^8 of them took
+# 2.2-2.6 s (N = 1000 and 10^5) and 40-44 MB, N = 10^6 at 1000 samples
+# 32 s and 119 MB (fresh processes, 2-core host). The guard keeps a call
+# within about 15 s.
+QUADRATURE_MAX_TERMS = 1 << 29
 
 METHOD_WINDOWED = "windowed"
 METHOD_KERNEL = "kernel"
@@ -233,16 +239,18 @@ def _map_shards(N: int, size: int, reduce, top: int | None = None) -> list:
     (s1, s2) group crosses a band, and no band crosses top. A band holds at
     most share = SHARD_ROWS // cores tuples, unless one s1 value alone holds
     more. The bands run in waves, one after another: a run of bands within
-    the share is a wave of one task per band, side by side on the process's
-    pool of one thread per core (`_shard_pool`; numpy releases the GIL in
-    the sorts, gathers and ufuncs of every reduction); a run of larger bands
-    is a wave of one task that reduces them in order on one thread. So at
-    most SHARD_ROWS tuples are in flight, or one band that alone holds more,
-    whatever the core count, and the threads share nothing. The pool lives
-    as long as the process (a forked child starts its own), so a reduction
-    must not call `_map_shards` itself. If a band raises, its wave's queued
-    tasks are cancelled and the running ones waited for before the error is
-    re-raised, so no band of a failed call runs on into the next call."""
+    the share is a wave of one task per band, side by side on the cached
+    executor of one thread per core (`_shard_pool`; numpy releases the GIL
+    in the sorts, gathers and ufuncs of every reduction); a run of larger
+    bands is a wave of one task that reduces them in order on one thread.
+    So at most SHARD_ROWS tuples are in flight, or one band that alone
+    holds more, whatever the core count, and the threads share nothing. A
+    call fetches the executor once and keeps it to the end, even if another
+    core count replaces it in the cache meanwhile. Its threads serve every
+    call, so a reduction must not call `_map_shards` itself. If a band
+    raises, its wave's queued tasks are cancelled and the running ones
+    waited for before the error is re-raised, so no band of a failed call
+    runs on into the next call."""
     counts = _sum_counts(N, size)[:None if top is None else top + 1]
     cores = _cores()
     share = SHARD_ROWS // cores
@@ -255,12 +263,11 @@ def _map_shards(N: int, size: int, reduce, top: int | None = None) -> list:
     def reduce_all(task):
         return [reduce(lo, hi) for lo, hi in task]
 
+    pool = _shard_pool(cores)
     results = []
     for large, wave in itertools.groupby(bands, lambda b: counts[b[0]:b[1] + 1].sum() > share):
         tasks = [list(wave)] if large else [[band] for band in wave]
-        with _POOL_LOCK:
-            pool = _shard_pool(cores)
-            futures = [pool.submit(reduce_all, task) for task in tasks]
+        futures = [pool.submit(reduce_all, task) for task in tasks]
         try:
             for f in futures:
                 results += f.result()
@@ -274,38 +281,25 @@ def _map_shards(N: int, size: int, reduce, top: int | None = None) -> list:
     return results
 
 
-# The worker threads of `_map_shards`, as (cores, executor): one pool per
-# process, started on first use and rebuilt only when the core count
-# changes. Starting and joining a pool on every call cost time and, through
-# the allocator, peak RSS.
-_POOL_LOCK = threading.Lock()
-_pool = None
+@functools.lru_cache(maxsize=1)
+def _shard_pool(cores: int):
+    """The process's executor of `cores` threads for `_map_shards`, started
+    on first use and kept between calls. On the 2-core benchmark host,
+    running every band on the calling thread made `sextic-counts` take
+    2.13 s in place of 1.34 s, and a pool per call raised the
+    `cubic-counts` peak RSS from 54.7 to 56.4 MB (medians of 4 alternating
+    pairs each). A call with another core count evicts the pool; once no
+    call holds it, the executor is collected and its threads exit after the
+    bands already queued. Two first calls at once may each build a pool;
+    the one not cached goes the same way after its call. A forked child has
+    none of the pool's threads, so it forgets the pool and starts its own."""
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def _forget_pool_after_fork() -> None:
-    """A forked child has none of its parent's pool threads, and the lock
-    may have been held by one of them: the child starts afresh, else its
-    first count would queue bands that no thread runs."""
-    global _pool, _POOL_LOCK
-    _pool, _POOL_LOCK = None, threading.Lock()
+    return ThreadPoolExecutor(cores)
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_forget_pool_after_fork)
-
-
-def _shard_pool(cores: int):
-    """The process's executor of `cores` threads; call with _POOL_LOCK held.
-    A pool of another size is shut down first, after the bands already
-    submitted to it."""
-    global _pool
-    if _pool is None or _pool[0] != cores:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if _pool is not None:
-            _pool[1].shutdown()
-        _pool = (cores, ThreadPoolExecutor(cores))
-    return _pool[1]
+    os.register_at_fork(after_in_child=_shard_pool.cache_clear)
 
 
 def _group_starts(key: np.ndarray) -> np.ndarray:
@@ -570,6 +564,11 @@ def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> Coun
     single stream."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}")
+    if samples * spec.N > QUADRATURE_MAX_TERMS:
+        raise GuardError(
+            "meanvalue.quadrature.terms",
+            f"{samples} samples of N={spec.N} terms exceed the quadrature guard {QUADRATURE_MAX_TERMS}",
+        )
     rng = np.random.default_rng(seed)
     n = np.arange(1, spec.N + 1, dtype=np.float64)
     phi = np.column_stack(

@@ -30,6 +30,13 @@ SCAN_MAX_T = 1.0e6
 # About 24 bytes per head term (`expsum.dirichlet_sum`): `zeta value` at the
 # guard, t = 33554352, took 1.7 s and 414 MB in a fresh process (2-core host).
 ORACLE_MAX_TERMS = 1 << 24
+# A scan point costs its oracle terms, about 34 ns each at t = 1e6, plus
+# about 50 us of Python at any t, the time of SCAN_POINT_TERMS terms: 100
+# points on [9e5, 1e6] took 1.65 s and 50 MB, and 100000 points on [10, 11]
+# 5.3 s and 60 MB (`zeta scan`, fresh processes, 2-core host). The guard
+# keeps a scan within about 10 s, at any t.
+SCAN_POINT_TERMS = 1500
+SCAN_MAX_TERMS = 1 << 28
 
 BERNOULLI_TERMS = 8
 DEFAULT_SLACK = 2.0
@@ -112,6 +119,19 @@ def oracle_terms(t: float, terms: int | None = None) -> int:
     return terms
 
 
+def scan_terms(t_max: float, points: int) -> int:
+    """The terms a scan of `points` points up to t_max is charged, each point
+    at its oracle terms at t_max plus SCAN_POINT_TERMS; refused above
+    SCAN_MAX_TERMS."""
+    terms = points * (oracle_terms(t_max) + SCAN_POINT_TERMS)
+    if terms > SCAN_MAX_TERMS:
+        raise GuardError(
+            "zeta.scan.terms",
+            f"{points} points up to t={t_max:g} ask for {terms} terms, above the guard {SCAN_MAX_TERMS}",
+        )
+    return terms
+
+
 def zeta_em_oracle(t: float, terms: int | None = None) -> ComplexValue:
     """zeta(1/2 + i t) via Euler-Maclaurin with `oracle_terms(t, terms)` terms."""
     return zeta_euler_maclaurin(complex(0.5, t), oracle_terms(t, terms))
@@ -152,7 +172,9 @@ def afe_consistency_scan(
     """
     if points < 2:
         raise ValueError("points must be >= 2")
-    oracle_terms(max(t_min, t_max))
+    if not t_min < t_max:
+        raise ValueError(f"need t_min < t_max, got [{t_min}, {t_max}]")
+    scan_terms(t_max, points)
     ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), points))
     rows = []
     for t in ts.tolist():
@@ -214,6 +236,7 @@ def growth_scan(t_min: float, t_max: float, points: int, seed: int = 0) -> Growt
         )
     if points < 2:
         raise ValueError("points must be >= 2")
+    scan_terms(t_max, points)
     rng = np.random.default_rng(seed)
     edges = np.linspace(math.log(t_min), math.log(t_max), points + 1)
     ts = np.exp(edges[:-1] + rng.random(points) * np.diff(edges))

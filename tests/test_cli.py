@@ -147,6 +147,12 @@ def test_unbounded_inputs_hit_size_guards():
         (["zeta", "value", "--t", "1e12"], "zeta.oracle.terms"),
         (["planner", "envelope", "--denominator-bound", "100000"], "planner.grid.points"),
         (["planner", "coverage", "--denominator-bound", "100000"], "planner.grid.points"),
+        (["zeta", "afe", "--t-min", "10", "--t-max", "100", "--points", "1000000000000"], "zeta.scan.terms"),
+        (["zeta", "scan", "--t-min", "10", "--t-max", "100", "--points", "1000000000000"], "zeta.scan.terms"),
+        (["decouple", "parabola", "--ensemble", "random_signs", "--Ns", "4,5,1000000000000", "--samples", "8"],
+         "decouple.parabola.N"),
+        (["meanvalue", "quadrature", "--N", "1000000000000", "--r", "3", "--samples", "1000"],
+         "meanvalue.quadrature.terms"),
     ):
         code, _, err = run_cli(args)
         assert code == EXIT_GUARD
@@ -554,6 +560,15 @@ def test_zeta_oracle_guard_before_any_sum(args):
     assert out == ""
     assert "guard=zeta.oracle.terms" in err
     assert peak < 10 << 20
+
+
+@pytest.mark.parametrize("t_min, t_max", [("1000", "100"), ("100", "100")])
+def test_zeta_afe_empty_range_is_usage_error(t_min, t_max):
+    # `zeta scan` refuses these too; a reversed range gave a decreasing grid
+    code, out, err = run_cli(["zeta", "afe", "--t-min", t_min, "--t-max", t_max, "--points", "3"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "t_min < t_max" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("t_max", ["inf", "nan"])

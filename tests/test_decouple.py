@@ -178,6 +178,20 @@ def test_ratio_scan_validation():
         ratio_scan([8, 16, 32], trials=5)
 
 
+def test_ratio_scan_sampled_guard():
+    # checked for the largest N before any row is computed
+    top = decouple.PARABOLA_MAX_N
+    rep = ratio_scan([top - 2, top - 1, top], ensemble="random_signs", samples=8)
+    assert [row.N for row in rep.rows] == [top - 2, top - 1, top]
+    for ensemble in ("random_signs", "random_phase"):
+        with pytest.raises(GuardError) as exc:
+            ratio_scan([4, 5, 10**12], ensemble=ensemble, samples=8)
+        assert exc.value.guard == "decouple.parabola.N"
+    with pytest.raises(GuardError) as exc:  # the exact rows keep the count's guard
+        ratio_scan([4, 5, top + 1])
+    assert exc.value.guard == "meanvalue.vinogradov.N"
+
+
 def test_ratio_scan_random_signs_deterministic():
     kwargs = dict(ensemble="random_signs", trials=2, seed=17, samples=2048)
     r1 = ratio_scan([8, 16, 32], **kwargs)

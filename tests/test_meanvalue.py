@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from array import array
 from collections import Counter, defaultdict
 from decimal import Decimal, localcontext
@@ -536,6 +537,15 @@ def test_counts_independent_of_shard_size(monkeypatch, limit):
     assert [case() for case in SHARD_CASES] == whole  # floats bit for bit
 
 
+def cached_pool(cores):
+    """The executor `_shard_pool` holds, which must be one of `cores` threads."""
+    hits = meanvalue._shard_pool.cache_info().hits
+    pool = meanvalue._shard_pool(cores)
+    assert meanvalue._shard_pool.cache_info().hits == hits + 1  # not a new one
+    assert meanvalue._shard_pool.cache_info().currsize == 1 and pool._max_workers == cores
+    return pool
+
+
 @pytest.mark.parametrize("cores", [1, 2, 3, 7])
 def test_counts_independent_of_core_count(monkeypatch, cores):
     # each band reduces exactly, so neither the band cut (SHARD_ROWS // cores)
@@ -545,7 +555,7 @@ def test_counts_independent_of_core_count(monkeypatch, cores):
     monkeypatch.setattr(meanvalue, "_cores", lambda: cores)
     assert [case() for case in SHARD_CASES] == whole
     if cores > 1:  # one core reduces on the calling thread
-        assert meanvalue._pool[0] == cores and meanvalue._pool[1]._max_workers == cores
+        cached_pool(cores)
 
 
 def test_shard_pool_is_kept_between_calls(monkeypatch):
@@ -555,12 +565,36 @@ def test_shard_pool_is_kept_between_calls(monkeypatch):
     first_two = _map_shards(40, 3, lambda lo, hi: lo)[:2]
     both = threading.Barrier(2, timeout=30)
     _map_shards(40, 3, lambda lo, hi: lo in first_two and both.wait())
-    pool, threads = meanvalue._pool, threading.active_count()
+    # threads of a pool replaced before this test may still be ending, so
+    # the test compares sets of threads, not counts: no thread starts
+    pool, threads = cached_pool(2), set(threading.enumerate())
+    workers = set(pool._threads)
     for _ in range(5):
         assert vinogradov_count(40, 3).integer_value == 534136  # the unhalved engine's value
         assert vinogradov_count(40, 2).integer_value == 3160
-    assert threading.active_count() == threads
-    assert meanvalue._pool is pool
+    assert set(threading.enumerate()) <= threads
+    assert cached_pool(2) is pool and pool._threads == workers
+    assert len(workers) == 2 and all(thread.is_alive() for thread in workers)
+
+
+def test_core_count_change_replaces_the_pool(monkeypatch):
+    # a replaced pool is collected once no call holds it, and its threads
+    # exit; the counts do not move
+    whole = one_band_values(monkeypatch)
+    monkeypatch.setattr(meanvalue, "SHARD_ROWS", 1000)
+    meanvalue._shard_pool.cache_clear()  # every pool below is this test's own
+    replaced, threads = None, []
+    for cores in (2, 3, 7, 2):
+        monkeypatch.setattr(meanvalue, "_cores", lambda: cores)
+        assert [case() for case in SHARD_CASES] == whole
+        pool = cached_pool(cores)
+        assert replaced is None or replaced() is None  # the last pool is gone
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert pool._threads
+        replaced, threads = weakref.ref(pool), list(pool._threads)
+        del pool
 
 
 def test_map_shards_keeps_tuples_in_flight_within_budget(monkeypatch):
@@ -833,6 +867,19 @@ def test_kernel_guards():
 
 
 # ---------------------------------------------------------------- quadrature
+
+
+def test_quadrature_guard(monkeypatch):
+    # samples times N terms, checked before anything is allocated
+    with pytest.raises(GuardError) as exc:
+        moment_monte_carlo(MeanValueSpec(10**12, 3), meanvalue.MIN_SAMPLES)
+    assert exc.value.guard == "meanvalue.quadrature.terms"
+    monkeypatch.setattr(meanvalue, "QUADRATURE_MAX_TERMS", 2 * meanvalue.MIN_SAMPLES)
+    assert moment_monte_carlo(MeanValueSpec(2, 3), meanvalue.MIN_SAMPLES).value > 0
+    with pytest.raises(GuardError):
+        moment_monte_carlo(MeanValueSpec(2, 3), meanvalue.MIN_SAMPLES + 1)
+    with pytest.raises(GuardError):
+        moment_monte_carlo(MeanValueSpec(3, 3), meanvalue.MIN_SAMPLES)
 
 
 def test_quadrature_r1_converges_to_4n():

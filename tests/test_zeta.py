@@ -122,6 +122,27 @@ def test_afe_consistency_scan_clean():
     assert violations == []
 
 
+def test_afe_consistency_scan_refuses_an_empty_range():
+    for t_min, t_max in ((1.0e3, 100.0), (100.0, 100.0), (math.nan, 100.0)):
+        with pytest.raises(ValueError, match="t_min < t_max") as exc:
+            afe_consistency_scan(t_min, t_max, 3)
+        assert not isinstance(exc.value, GuardError)
+
+
+def test_scan_terms_guard():
+    # each point is charged its oracle terms at t_max plus SCAN_POINT_TERMS
+    per_point = zeta.default_oracle_terms(1.0e6) + zeta.SCAN_POINT_TERMS
+    most = zeta.SCAN_MAX_TERMS // per_point
+    assert zeta.scan_terms(1.0e6, most) == most * per_point
+    assert zeta.scan_terms(1.0e6, 24) < zeta.SCAN_MAX_TERMS // 20  # the benchmark's scan
+    for scan in (lambda: zeta.scan_terms(1.0e6, most + 1),
+                 lambda: growth_scan(10.0, 100.0, 10**12),
+                 lambda: afe_consistency_scan(10.0, 100.0, 10**12)):
+        with pytest.raises(GuardError) as exc:
+            scan()
+        assert exc.value.guard == "zeta.scan.terms"
+
+
 def test_siegel_theta_against_loggamma():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
