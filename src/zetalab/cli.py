@@ -8,13 +8,13 @@ grouped counts reduces exactly (an integer, or group sums that meet in one
 exactly rounded sum). Run metadata, including wall time, goes to stderr
 only, so it never perturbs the data files. The `seconds` column of the
 meanvalue leaves is populated only under their --timing flag for the same
-reason; the exact rows of `decouple parabola --ensemble ones` leave the
-`samples` and `seed` columns empty, since neither changes them, and the
-sampled rows record the points used, not the points asked for. Stdout holds
-one CSV or JSON document: without --out, a leaf's prose lines go to stderr;
-with --out, they go to stdout. A --config file holds `key=value` lines for
-the keys in CONFIG_KEYS; any other key, or a line without `=`, is a usage
-error.
+reason. The decouple leaves write each row's `RatioRow.samples`, and the
+seed only beside it, so the exact rows leave both empty. Every list of N
+is one option parsed by `_n_list`, spelled `--N` or `--Ns` on the meanvalue
+leaves. Stdout holds one CSV or JSON document: without --out, a leaf's
+prose lines go to stderr; with --out, they go to stdout. A --config file
+holds `key=value` lines for the keys in CONFIG_KEYS; any other key, or a
+line without `=`, is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 guard violation (the guard name is
 printed), 4 I/O failure.
@@ -143,8 +143,15 @@ def _parse_floats(text: str, n: int) -> list[float]:
     return vals
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+def _n_list(text: str) -> list[int]:
+    """The N of --N/--Ns, such as 8,12; a list without a value is refused."""
+    try:
+        ns = [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        ns = []
+    if not ns:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers such as 8,12, got {text!r}")
+    return ns
 
 
 def _seed_pair(text: str) -> pairs.ExponentPair:
@@ -257,12 +264,7 @@ def _cmd_planner_plan(args) -> Report:
 
 def _cmd_meanvalue(args) -> Report:
     rows = []
-    if args.Ns is None and args.N is None:
-        raise ValueError("one of --N or --Ns is required")
-    ns = _parse_ints(args.Ns) if args.Ns is not None else [args.N]
-    if not ns:
-        raise ValueError("--Ns lists no value of N")
-    for N in ns:
+    for N in args.Ns:
         started = time.perf_counter()
         delta = Delta = window3 = window4 = ""
         if args.mode == "count":
@@ -288,17 +290,12 @@ def _cmd_meanvalue(args) -> Report:
 
 
 def _cmd_decouple(args) -> Report:
-    ns = _parse_ints(args.Ns)
     if args.mode == "parabola":
-        d, rep = 2, decouple.ratio_scan(ns, args.ensemble, args.trials, args.seed, args.samples)
+        d, rep = 2, decouple.ratio_scan(args.Ns, args.ensemble, args.trials, args.seed, args.samples)
     else:
-        d, rep = 4, decouple.bilinear_scan(ns, args.samples, args.seed, args.ensemble)
-    # exact rows depend on neither the sample count nor the seed; sampled rows
-    # record the points qmc_mean used, whole blocks of REPLICATES
-    exact = args.mode == "parabola" and args.ensemble == decouple.ENSEMBLE_ONES
-    used = decouple.REPLICATES * (args.samples // decouple.REPLICATES)
-    samples, seed = (None, None) if exact else (used, args.seed)
-    rows = [(d, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, samples, seed) for r in rep.rows]
+        d, rep = 4, decouple.bilinear_scan(args.Ns, args.samples, args.seed, args.ensemble)
+    rows = [(d, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, r.samples,
+             None if r.samples is None else args.seed) for r in rep.rows]
     meta = {"command": f"decouple {args.mode}", "slope": rep.slope, "slope_stderr": rep.slope_stderr}
     if args.mode == "bilinear":
         meta["status"] = "exploratory"
@@ -451,8 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="mode", required=True)
     for mode in ("count", "kernel", "quadrature", "vinogradov"):
         m = ps.add_parser(mode, **leaf)
-        m.add_argument("--N", type=int, default=None)
-        m.add_argument("--Ns", default=None, help="comma list; overrides --N")
+        m.add_argument("--N", "--Ns", dest="Ns", type=_n_list, required=True, help="comma list of N")
         m.add_argument("--timing", action="store_true", help="populate the seconds column")
         if mode == "count":
             m.add_argument("--window3", type=float, default=None)
@@ -471,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="mode", required=True)
     for mode in ("parabola", "bilinear"):
         m = ps.add_parser(mode, **leaf)
-        m.add_argument("--Ns", default="16,32,64,128" if mode == "parabola" else "8,16,32")
+        m.add_argument("--Ns", type=_n_list, default="16,32,64,128" if mode == "parabola" else "8,16,32")
         m.add_argument("--ensemble", choices=decouple.ENSEMBLES, default="ones")
         m.add_argument("--samples", type=int, default=1 << 14)
         if mode == "parabola":

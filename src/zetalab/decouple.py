@@ -12,8 +12,10 @@ log(ratio) against log(N).
 Sampling is randomized low-discrepancy (Halton points under independent
 uniform shifts), which keeps estimators unbiased while the replicate spread
 yields an honest stderr (REPLICATES shifts); everything is deterministic
-for a fixed seed. `qmc_mean` alone walks the Halton block, QMC_SLICE points
+for a fixed seed. `qmc_points` alone rounds a sample count to whole blocks
+of REPLICATES; `qmc_mean` alone walks the Halton block, QMC_SLICE points
 at a time, so a probe returns the values of one slice, never of the block.
+A scan checks its guards, for its largest N, before its first row.
 
 The parabola probe rotates coefficients instead of shifting points: its
 frequencies (n, n^2) are integers and its domain [0,1)^2 is a period, so
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import GuardError
 from .expsum import PHASE_BLOCK, phase_sums, phase_terms
-from .meanvalue import vinogradov_count
+from .meanvalue import check_vinogradov_n, vinogradov_count
 from .numerics import fit_loglog, halton
 
 BILINEAR_MAX_N = 64
@@ -101,10 +103,24 @@ class DecouplingExperiment:
         return np.exp((2j * np.pi) * rng.random(self.N))
 
 
+def _guard(name: str, value: int, limit: int, what: str) -> None:
+    if value > limit:
+        raise GuardError(name, f"{what} exceeds the guard {limit}")
+
+
+def qmc_points(samples: int) -> int:
+    """The points `qmc_mean` evaluates for `samples`: whole blocks of
+    REPLICATES, at least one point per replicate, at most QMC_MAX_SAMPLES."""
+    if samples < REPLICATES:
+        raise ValueError(f"samples must be >= {REPLICATES} (one point per replicate), got {samples}")
+    _guard("decouple.qmc.samples", samples, QMC_MAX_SAMPLES, f"samples={samples}")
+    return REPLICATES * (samples // REPLICATES)
+
+
 def qmc_mean(f, dim: int, samples: int, seed: int):
     """Unbiased randomized-QMC mean of a function over [0,1)^dim.
 
-    One Halton block `base` of samples // REPLICATES points serves
+    One Halton block `base` of qmc_points(samples) / REPLICATES points serves
     REPLICATES independent uniform shifts, drawn as one (REPLICATES, dim)
     array `shifts`. For each slice `points` of QMC_SLICE points, row r of
     f(points, shifts) holds the function at (points + shifts[r]) mod 1, and
@@ -113,14 +129,9 @@ def qmc_mean(f, dim: int, samples: int, seed: int):
     in the last bits otherwise. The estimate is the replicate average and
     the stderr the replicate spread over sqrt(REPLICATES).
     """
-    if samples < REPLICATES:
-        raise ValueError(f"samples must be >= {REPLICATES} (one point per replicate), got {samples}")
-    if samples > QMC_MAX_SAMPLES:
-        raise GuardError(
-            "decouple.qmc.samples", f"samples={samples} exceeds the QMC guard {QMC_MAX_SAMPLES}"
-        )
+    block = qmc_points(samples) // REPLICATES
     shifts = np.random.default_rng(seed).random((REPLICATES, dim))
-    base = halton(dim, samples // REPLICATES)
+    base = halton(dim, block)
     sums = np.zeros(REPLICATES)
     for start in range(0, len(base), QMC_SLICE):
         sums += f(base[start:start + QMC_SLICE], shifts).sum(axis=1)
@@ -136,11 +147,8 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
     By periodicity this equals the average over the anisotropic box
     [0,N] x [0,N^2] of the parabola extension |sum a_n e(x.(n/N, n^2/N^2))|.
     With unit coefficients and exact=True the sixth power is the exact
-    Vinogradov-type count J_{3,2}(N). Returns (value, stderr).
-
-    The sampled route rotates the coefficients instead of shifting the
-    points: with rot[r, n] = a_n e(Phi_n . shift_r), one table of
-    e(Phi_n . base) per slice serves every replicate.
+    Vinogradov-type count J_{3,2}(N). Returns (value, stderr). The sampled
+    route rotates the coefficients, rot[r, n] = a_n e(Phi_n . shift_r).
     """
     a = np.asarray(coeffs, dtype=np.complex128)
     N = a.size
@@ -168,11 +176,15 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
 
 @dataclass(frozen=True)
 class RatioRow:
+    """One N of a scan. `samples` is the points of each `qmc_mean` call
+    behind the row, None on the exact rows."""
+
     N: int
     lhs: float
     rhs: float
     ratio: float
     stderr: float
+    samples: int | None
 
 
 @dataclass(frozen=True)
@@ -203,10 +215,7 @@ def bilinear_d4_ratio(exp: DecouplingExperiment) -> RatioRow:
     """
     if exp.d != 4:
         raise ValueError("the bilinear probe requires d=4")
-    if exp.N > BILINEAR_MAX_N:
-        raise GuardError(
-            "decouple.bilinear.N", f"N={exp.N} exceeds the bilinear guard {BILINEAR_MAX_N}"
-        )
+    _guard("decouple.bilinear.N", exp.N, BILINEAR_MAX_N, f"N={exp.N}")
     a = exp.coefficients()
     (a1, b1), (a2, b2) = exp.intervals
     N = exp.N
@@ -222,10 +231,11 @@ def bilinear_d4_ratio(exp: DecouplingExperiment) -> RatioRow:
 
     mean, stderr = qmc_mean(f, 4, exp.samples, exp.seed)
     rhs = math.sqrt(N) * float(np.max(np.abs(a)))
+    points = qmc_points(exp.samples)
     if mean <= 0.0:
-        return RatioRow(N, 0.0, rhs, 0.0, 0.0)
+        return RatioRow(N, 0.0, rhs, 0.0, 0.0, points)
     lhs = mean ** (1.0 / 12.0)
-    return RatioRow(N, lhs, rhs, lhs / rhs, stderr / (12.0 * mean ** (11.0 / 12.0)))
+    return RatioRow(N, lhs, rhs, lhs / rhs, stderr / (12.0 * mean ** (11.0 / 12.0)), points)
 
 
 def _distinct_ns(Ns, minimum: int) -> list[int]:
@@ -239,11 +249,7 @@ def _distinct_ns(Ns, minimum: int) -> list[int]:
 
 
 def ratio_scan(
-    Ns,
-    ensemble: str = ENSEMBLE_ONES,
-    trials: int = 1,
-    seed: int = 0,
-    samples: int = 1 << 14,
+    Ns, ensemble: str = ENSEMBLE_ONES, trials: int = 1, seed: int = 0, samples: int = 1 << 14
 ) -> RatioReport:
     """Parabola decoupling-ratio scan over several N.
 
@@ -256,34 +262,34 @@ def ratio_scan(
         raise ValueError(f"unknown ensemble {ensemble!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if ensemble == ENSEMBLE_ONES and trials != 1:
-        raise ValueError(f"the exact ones ensemble takes one trial, got {trials}")
-    if ensemble != ENSEMBLE_ONES and ns[-1] > PARABOLA_MAX_N:
-        raise GuardError(
-            "decouple.parabola.N", f"N={ns[-1]} exceeds the sampled parabola guard {PARABOLA_MAX_N}"
-        )
+    if ensemble == ENSEMBLE_ONES:
+        if trials != 1:
+            raise ValueError(f"the exact ones ensemble takes one trial, got {trials}")
+        check_vinogradov_n(ns[-1])
+    else:
+        _guard("decouple.parabola.N", ns[-1], PARABOLA_MAX_N, f"N={ns[-1]}")
+        # A row's trials share the QMC guard, each charged at least one phase block
+        # (a draw costs about 0.2 ms however few its points). At the edge N = 4, 5, 6
+        # took 0.5 s and 37 MB for 512 trials of 8 samples, N = 14, 15, 16 6.0 s and
+        # 42 MB for 16 trials of 2^20 (fresh processes, 2-core host).
+        points = qmc_points(samples)
+        charged = max(points, PHASE_BLOCK)
+        _guard("decouple.qmc.samples", trials * charged, QMC_MAX_SAMPLES, f"{trials} trials x {charged} points")
     rows = []
     for N in ns:
         # every ensemble is unit-modulus: rhs = sqrt(N) for all draws
         rhs = math.sqrt(N)
         if ensemble == ENSEMBLE_ONES:
             lhs, err = parabola_l6_lhs(np.ones(N, dtype=np.complex128), exact=True)
-            rows.append(RatioRow(N, lhs, rhs, lhs / rhs, err))
+            rows.append(RatioRow(N, lhs, rhs, lhs / rhs, err, None))
             continue
-        ratios = []
-        errs = []
-        for trial in range(trials):
-            exp = DecouplingExperiment(2, N, "parabola", ensemble, samples, seed + trial)
-            lhs, err = parabola_l6_lhs(exp.coefficients(), samples=samples, seed=(seed + trial))
-            ratios.append(lhs / rhs)
-            errs.append(err / rhs)
+        exps = (DecouplingExperiment(2, N, "parabola", ensemble, samples, seed + t) for t in range(trials))
+        draws = [parabola_l6_lhs(e.coefficients(), samples=samples, seed=e.seed) for e in exps]
+        ratios = [lhs / rhs for lhs, _ in draws]
         mean_ratio = math.fsum(ratios) / trials
-        if trials > 1:
-            spread = math.fsum((x - mean_ratio) ** 2 for x in ratios) / (trials - 1) / trials
-        else:
-            spread = 0.0
-        stderr = math.sqrt(spread + (math.fsum(errs) / trials) ** 2)
-        rows.append(RatioRow(N, mean_ratio * rhs, rhs, mean_ratio, stderr))
+        spread = math.fsum((x - mean_ratio) ** 2 for x in ratios) / max(trials - 1, 1) / trials
+        stderr = math.sqrt(spread + (math.fsum(err / rhs for _, err in draws) / trials) ** 2)
+        rows.append(RatioRow(N, mean_ratio * rhs, rhs, mean_ratio, stderr, points))
     slope, slope_err = fit_loglog([r.N for r in rows], [r.ratio for r in rows])
     return RatioReport(tuple(rows), slope, slope_err)
 
@@ -305,9 +311,10 @@ def bilinear_scan(
     threshold the probe should meet is an open question: none is derived
     here or in the accompanying documents.
     """
+    ns = _distinct_ns(Ns, 2)
+    _guard("decouple.bilinear.N", ns[-1], BILINEAR_MAX_N, f"N={ns[-1]}")
     rows = tuple(
-        bilinear_d4_ratio(DecouplingExperiment(4, N, "quadruple", ensemble, samples, seed))
-        for N in _distinct_ns(Ns, 2)
+        bilinear_d4_ratio(DecouplingExperiment(4, N, "quadruple", ensemble, samples, seed)) for N in ns
     )
     slope, slope_err = fit_loglog([r.N for r in rows], [r.ratio for r in rows])
     return RatioReport(rows, slope, slope_err)

@@ -61,9 +61,9 @@ WINDOWED_MAX_N = 48
 # keeps one call within about 15 s, like the windowed guard (4.7-5.5 s and 58-61 MB
 # at N = 48, where single s1 values exceed the share and run one by one on one thread).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
-# s = 3 takes 6.4-7.4 s and 52 MB peak RSS at N = 1024 on a quiet 2-core host
-# (9.7-13.6 s beside other work; 16.3 s before `_square_count` halved it), within
-# the ~15 s of the other guards; N = 512 takes 0.70-0.73 s and 41 MB.
+# s = 3 took 8.1-10.0 s and 52 MB peak RSS at N = 1024 in seven fresh processes on
+# a 2-core host, within the ~15 s of the other guards; N = 512 took 0.7-1.2 s and
+# 41 MB.
 VINOGRADOV_MAX_N = 1024
 MIN_SAMPLES = 1000
 # The quadrature takes about 25 ns per sample and term: 10^8 of them took
@@ -591,6 +591,15 @@ def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> Coun
     return CountResult(mean, False, math.sqrt(var / samples), METHOD_QUADRATURE, None)
 
 
+def check_vinogradov_n(N: int) -> None:
+    """The size guard of `vinogradov_count`, for callers that check a whole
+    list of N before the first count."""
+    if N > VINOGRADOV_MAX_N:
+        raise GuardError(
+            "meanvalue.vinogradov.N", f"N={N} exceeds the count guard {VINOGRADOV_MAX_N}"
+        )
+
+
 def vinogradov_count(N: int, s: int) -> CountResult:
     """J_{s,2}(N): the number of ordered 2s-tuples from {1..N} whose two
     halves share linear and quadratic sums. Exact integer; equals the [0,1]^2
@@ -600,10 +609,7 @@ def vinogradov_count(N: int, s: int) -> CountResult:
         raise ValueError("s must be 2 or 3")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > VINOGRADOV_MAX_N:
-        raise GuardError(
-            "meanvalue.vinogradov.N", f"N={N} exceeds the count guard {VINOGRADOV_MAX_N}"
-        )
+    check_vinogradov_n(N)
     total = _square_count(N, s)
     return CountResult(float(total), True, 0.0, METHOD_VINOGRADOV, total)
 

@@ -199,6 +199,20 @@ def test_qmc_sample_count_hits_guard():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, guard", [
+    (["parabola", "--Ns", "4,5,6", "--ensemble", "random_signs", "--samples", "8", "--trials", "1000000000"],
+     "decouple.qmc.samples"),
+    (["bilinear", "--Ns", "8,16,32,128", "--samples", "1048576"], "decouple.bilinear.N"),
+])
+def test_decouple_guards_stop_before_any_row(monkeypatch, args, guard):
+    from zetalab import decouple
+
+    monkeypatch.setattr(decouple, "qmc_mean", lambda *a: pytest.fail("a row was computed"))
+    code, out, err = run_cli(["decouple"] + args)
+    assert code == EXIT_GUARD
+    assert f"guard={guard}" in err and out == ""
+
+
 @pytest.mark.parametrize("samples", ["0", "-5", "7"])
 @pytest.mark.parametrize("mode", ["parabola", "bilinear"])
 def test_qmc_sample_count_below_replicates_is_usage_error(mode, samples):
@@ -244,7 +258,7 @@ def test_meanvalue_timing_column(tmp_path):
 
 
 def test_empty_ns_is_usage_error(tmp_path):
-    # an empty N list is refused like a one-value list, with no data written
+    # an empty N list is refused by the parser, with no data written
     dest = tmp_path / "empty.csv"
     leaves = [["decouple", "parabola"], ["decouple", "bilinear"]]
     leaves += [["meanvalue", mode] for mode in ("count", "kernel", "quadrature", "vinogradov")]
@@ -252,8 +266,40 @@ def test_empty_ns_is_usage_error(tmp_path):
         for ns in ("", ","):
             code, out, err = run_cli(["--out", str(dest)] + leaf + ["--Ns", ns])
             assert code == EXIT_USAGE
-            assert "kind=usage" in err
+            assert "--Ns: expected a comma list of integers" in err
             assert out == "" and not dest.exists()
+
+
+MEANVALUE_LEAVES = [
+    ["meanvalue", "count"],
+    ["meanvalue", "kernel", "--r", "3"],
+    ["meanvalue", "quadrature", "--r", "3", "--samples", "2000", "--seed", "4"],
+    ["meanvalue", "vinogradov", "--s", "2"],
+]
+
+
+@pytest.mark.parametrize("leaf", MEANVALUE_LEAVES, ids=lambda leaf: leaf[1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_meanvalue_n_and_ns_are_one_option(tmp_path, leaf, fmt):
+    # --N and --Ns are two spellings of one list option
+    texts = []
+    for flag in ("--N", "--Ns"):
+        dest = tmp_path / f"{flag.strip('-')}.{fmt}"
+        code, out, _ = run_cli(["--out", str(dest), "--format", fmt] + leaf + [flag, "8,12"])
+        assert code == EXIT_OK
+        texts.append((dest.read_bytes(), out))
+    assert texts[0] == texts[1]
+    data = texts[0][0].decode()
+    rows = json.loads(data)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(data)))
+    assert [int(row["N"]) for row in rows] == [8, 12]
+
+
+@pytest.mark.parametrize("leaf", MEANVALUE_LEAVES, ids=lambda leaf: leaf[1])
+def test_meanvalue_missing_or_bad_n_is_usage_error(leaf):
+    for extra in ([], ["--N", ""], ["--N", "8,x"]):
+        code, out, err = run_cli(leaf + extra)
+        assert code == EXIT_USAGE
+        assert "--N/--Ns" in err and out == ""
 
 
 def test_json_schema(tmp_path):
@@ -336,7 +382,7 @@ def test_decouple_rows_match_the_library(mode):
     assert len(payload["rows"]) == len(report.rows)
     for got, want in zip(payload["rows"], report.rows):
         assert got["N"] == want.N
-        for key in ("lhs", "rhs", "ratio", "stderr"):
+        for key in ("lhs", "rhs", "ratio", "stderr", "samples"):
             assert got[key] == getattr(want, key)
 
 

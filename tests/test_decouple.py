@@ -291,3 +291,71 @@ def test_qmc_probe_memory_per_sample(probe):
         if not tracing:
             tracemalloc.stop()
     assert peak / samples <= 11
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(decouple, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decouple, name, counting)
+    return calls
+
+
+def test_scans_check_the_largest_n_before_the_first_row(monkeypatch):
+    counts = _count_calls(monkeypatch, "vinogradov_count")
+    with pytest.raises(GuardError) as exc:
+        ratio_scan([4, decouple.PARABOLA_MAX_N, decouple.PARABOLA_MAX_N + 1])
+    assert exc.value.guard == "meanvalue.vinogradov.N" and counts == []
+    rows = _count_calls(monkeypatch, "bilinear_d4_ratio")
+    with pytest.raises(GuardError) as exc:
+        bilinear_scan([8, 16, 32, 2 * decouple.BILINEAR_MAX_N], samples=1 << 20)
+    assert exc.value.guard == "decouple.bilinear.N" and rows == []
+    with pytest.raises(GuardError) as exc:  # the direct check stays
+        bilinear_d4_ratio(DecouplingExperiment(4, decouple.BILINEAR_MAX_N + 1, samples=8))
+    assert exc.value.guard == "decouple.bilinear.N"
+
+
+@pytest.mark.parametrize("samples", [8, 1 << 20])
+def test_ratio_scan_trials_share_the_qmc_guard(monkeypatch, samples):
+    # every trial is charged its points, at least one phase block, and all
+    # trials of a row together stay within QMC_MAX_SAMPLES
+    monkeypatch.setattr(decouple, "parabola_l6_lhs", lambda coeffs, samples, seed: (1.0, 0.0))
+    calls = _count_calls(monkeypatch, "parabola_l6_lhs")
+    edge = decouple.QMC_MAX_SAMPLES // max(samples, decouple.PHASE_BLOCK)
+    with pytest.raises(GuardError) as exc:
+        ratio_scan([4, 5, 6], "random_signs", trials=edge + 1, samples=samples)
+    assert exc.value.guard == "decouple.qmc.samples" and calls == []
+    rep = ratio_scan([4, 5, 6], "random_signs", trials=edge, samples=samples)
+    assert len(calls) == 3 * edge and all(row.samples == samples for row in rep.rows)
+    with pytest.raises(GuardError):
+        ratio_scan([4, 5, 6], "random_phase", trials=10**9, samples=samples)
+    assert len(calls) == 3 * edge
+
+
+@pytest.mark.parametrize("samples", [16, 20, 23, 2049])
+@pytest.mark.parametrize("probe, trials", [("parabola", 1), ("parabola", 2), ("bilinear", 1)])
+def test_ratio_rows_record_the_points_used(monkeypatch, probe, trials, samples):
+    # the points of a row are those of the Halton blocks its qmc_mean calls drew
+    blocks = []
+
+    def recording(dim, n):
+        blocks.append(n)
+        return halton(dim, n)
+
+    monkeypatch.setattr(decouple, "halton", recording)
+    if probe == "parabola":
+        rep = ratio_scan([4, 5, 6], "random_signs", trials=trials, samples=samples, seed=3)
+    else:
+        rep = bilinear_scan([8, 12], samples=samples, seed=3)
+    assert len(blocks) == trials * len(rep.rows)
+    for i, row in enumerate(rep.rows):
+        assert {REPLICATES * n for n in blocks[i * trials:(i + 1) * trials]} == {row.samples}
+    assert rep.rows[0].samples == REPLICATES * (samples // REPLICATES)
+
+
+def test_exact_rows_record_no_samples():
+    assert all(row.samples is None for row in ratio_scan([4, 5, 6]).rows)
