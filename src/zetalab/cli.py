@@ -8,13 +8,16 @@ grouped counts reduces exactly (an integer, or group sums that meet in one
 exactly rounded sum). Run metadata, including wall time, goes to stderr
 only, so it never perturbs the data files. The `seconds` column of the
 meanvalue leaves is populated only under their --timing flag for the same
-reason. The decouple leaves write each row's `RatioRow.samples`, and the
-seed only beside it, so the exact rows leave both empty. Every list of N
-is one option parsed by `_n_list`, spelled `--N` or `--Ns` on the meanvalue
-leaves. Stdout holds one CSV or JSON document: without --out, a leaf's
-prose lines go to stderr; with --out, they go to stdout. A --config file
-holds `key=value` lines for the keys in CONFIG_KEYS; any other key, or a
-line without `=`, is a usage error.
+reason. The CLI re-derives nothing the libraries decided: the meanvalue
+leaves write the N, r, delta, Delta and windows each `CountResult` records,
+the decouple leaves each row's `RatioRow.samples` (and the seed only beside
+it, so the exact rows leave both empty), and `zeta value` and `zeta scan`
+build their rows with `zeta.growth_row`. Every list of N is one option
+parsed by `_n_list`, spelled `--N` or `--Ns` on the meanvalue leaves.
+Stdout holds one CSV or JSON document: without --out, a leaf's prose lines
+go to stderr; with --out, they go to stdout. A --config file holds
+`key=value` lines for the keys in CONFIG_KEYS; any other key, or a line
+without `=`, is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 guard violation (the guard name is
 printed), 4 I/O failure.
@@ -118,6 +121,7 @@ print("wrote", {data!r} + ".png")
 
 
 def emit(report: Report, args) -> None:
+    report.meta = {"command": f"{args.command} {args.mode}", **report.meta}
     write = _write_csv if args.format == "csv" else _write_json
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -130,8 +134,7 @@ def emit(report: Report, args) -> None:
         xcol, ycol = report.meta.get("plot_axes", (report.columns[0], report.columns[-1]))
         with open(args.plot_script, "w", newline="") as fh:
             fh.write(_PLOT_TEMPLATE.format(data=args.out, cols=",".join(report.columns), xcol=xcol, ycol=ycol))
-    meta = dict(report.meta)
-    meta.update(seed=args.seed, version=__version__)
+    meta = {**report.meta, "seed": args.seed, "version": __version__}
     for key in sorted(meta):
         print(f"# {key}={meta[key]}", file=sys.stderr)
 
@@ -182,7 +185,6 @@ def _cmd_pairs_word(args) -> Report:
     report = Report(
         columns=("word", "k", "l", "theta", "monotone"),
         rows=[(word, str(p.k), str(p.l), str(theta), p.monotone)],
-        meta={"command": "pairs word"},
     )
     report.text = [
         f"word={word} seed=({seed.k},{seed.l})",
@@ -203,7 +205,7 @@ def _cmd_pairs_search(args) -> Report:
     report = Report(
         columns=("word", "k", "l", "objective", "value"),
         rows=[(p.word, str(p.k), str(p.l), args.objective, str(result.value))],
-        meta={"command": "pairs search", "max_len": args.max_len},
+        meta={"max_len": args.max_len},
     )
     report.text = [f"best word={p.word or '(empty)'} k={p.k} l={p.l} {args.objective}={result.value}"]
     return report
@@ -213,7 +215,7 @@ def _cmd_planner_envelope(args) -> Report:
     return Report(
         columns=ENVELOPE_COLUMNS,
         rows=planner.envelope_grid(args.denominator_bound),
-        meta={"command": "planner envelope", "denominator_bound": args.denominator_bound},
+        meta={"denominator_bound": args.denominator_bound},
     )
 
 
@@ -223,11 +225,7 @@ def _cmd_planner_coverage(args) -> Report:
     report = Report(
         columns=("piece", "alpha", "alpha_float"),
         rows=[(tag, str(a), repr(float(a))) for tag, a in crossovers],
-        meta={
-            "command": "planner coverage",
-            "points_checked": rep.points_checked,
-            "plot_axes": ("alpha", "alpha_float"),
-        },
+        meta={"points_checked": rep.points_checked, "plot_axes": ("alpha", "alpha_float")},
     )
     report.text = [f"crossover {tag}: alpha = {a}" for tag, a in crossovers]
     report.text.append(f"checked {rep.points_checked} rationals up to denominator {args.denominator_bound}")
@@ -252,7 +250,7 @@ def _cmd_planner_plan(args) -> Report:
                 ";".join(plan.reasons),
             )
         ],
-        meta={"command": "planner plan", "T": args.T, "M": args.M, "c": args.c},
+        meta={"T": args.T, "M": args.M, "c": args.c},
     )
     report.text = [
         f"alpha={plan.alpha} ({float(plan.alpha):.6f}) regime={plan.regime}",
@@ -266,27 +264,19 @@ def _cmd_meanvalue(args) -> Report:
     rows = []
     for N in args.Ns:
         started = time.perf_counter()
-        delta = Delta = window3 = window4 = ""
         if args.mode == "count":
             res = meanvalue.count_windowed(N, args.window3, args.window4)
-            r, window3, window4 = 6, args.window3 or float(N) ** -0.5, args.window4 or float(N) ** -0.5
         elif args.mode == "vinogradov":
             res = meanvalue.vinogradov_count(N, args.s)
-            r = args.s
         else:
             spec = meanvalue.MeanValueSpec(N, args.r, args.delta, args.Delta)
             if args.mode == "kernel":
                 res = meanvalue.moment_kernel_sum(spec)
             else:
                 res = meanvalue.moment_monte_carlo(spec, args.samples, args.seed)
-            r, delta, Delta = args.r, spec.delta, spec.Delta
-        seconds = time.perf_counter() - started if args.timing else ""
-        rows.append((res.method, N, r, delta, Delta, window3, window4, res.value, res.stderr, seconds))
-    return Report(
-        columns=MEANVALUE_COLUMNS,
-        rows=rows,
-        meta={"command": f"meanvalue {args.mode}", "plot_axes": ("N", "value")},
-    )
+        seconds = time.perf_counter() - started if args.timing else None
+        rows.append((*(getattr(res, c) for c in MEANVALUE_COLUMNS[:-1]), seconds))
+    return Report(columns=MEANVALUE_COLUMNS, rows=rows, meta={"plot_axes": ("N", "value")})
 
 
 def _cmd_decouple(args) -> Report:
@@ -296,7 +286,7 @@ def _cmd_decouple(args) -> Report:
         d, rep = 4, decouple.bilinear_scan(args.Ns, args.samples, args.seed, args.ensemble)
     rows = [(d, r.N, args.ensemble, r.lhs, r.rhs, r.ratio, r.stderr, r.samples,
              None if r.samples is None else args.seed) for r in rep.rows]
-    meta = {"command": f"decouple {args.mode}", "slope": rep.slope, "slope_stderr": rep.slope_stderr}
+    meta = {"slope": rep.slope, "slope_stderr": rep.slope_stderr}
     if args.mode == "bilinear":
         meta["status"] = "exploratory"
     meta["plot_axes"] = ("N", "ratio")
@@ -308,11 +298,7 @@ def _cmd_zeta_scan(args) -> Report:
     return Report(
         columns=ZETA_COLUMNS,
         rows=list(scan.rows),
-        meta={
-            "command": "zeta scan",
-            "running_max": scan.running_max,
-            "plot_axes": ("t", "ratio_13_84"),
-        },
+        meta={"running_max": scan.running_max, "plot_axes": ("t", "ratio_13_84")},
     )
 
 
@@ -322,8 +308,7 @@ def _cmd_zeta_value(args) -> Report:
     zeta.oracle_terms(args.t, args.terms)
     bound = zeta.afe_upper_bound(args.t, args.slack)
     em = zeta.zeta_em_oracle(args.t, args.terms)
-    rows = [(args.t, abs(em.value), abs(em.value) / args.t ** zeta.CRITICAL_GROWTH_EXPONENT, em.err)]
-    report = Report(columns=ZETA_COLUMNS, rows=rows, meta={"command": "zeta value"})
+    report = Report(columns=ZETA_COLUMNS, rows=[zeta.growth_row(args.t, em)])
     report.text = [
         f"zeta(1/2+{args.t}i) = {em.value} (abs_err {em.err:.3g})",
         f"afe bound 2|S|+{args.slack} = {bound:.6f} (slack: unquantified constant)",
@@ -336,7 +321,7 @@ def _cmd_zeta_afe(args) -> Report:
     report = Report(
         columns=("t", "afe_bound", "oracle_floor"),
         rows=rows,
-        meta={"command": "zeta afe", "violations": len(violations), "plot_axes": ("t", "afe_bound")},
+        meta={"violations": len(violations), "plot_axes": ("t", "afe_bound")},
     )
     report.text = [f"violations={len(violations)} (slack C={args.slack})"]
     return report
@@ -348,7 +333,6 @@ def _cmd_expsum_quadruple(args) -> Report:
     return Report(
         columns=("kind", "N", "x1", "x2", "x3", "x4", "re", "im", "abs", "err"),
         rows=[("quadruple", args.N, *x, res.re, res.im, abs(res), res.err)],
-        meta={"command": "expsum quadruple"},
     )
 
 
@@ -358,7 +342,7 @@ def _cmd_expsum_dyadic(args) -> Report:
     return Report(
         columns=("kind", "T_cycles", "M", "re", "im", "abs", "err"),
         rows=[(args.kind, T, args.M, res.re, res.im, abs(res), res.err)],
-        meta={"command": "expsum dyadic", "convention": "radians" if args.radians else "cycles"},
+        meta={"convention": "radians" if args.radians else "cycles"},
     )
 
 

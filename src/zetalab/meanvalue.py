@@ -116,13 +116,20 @@ class MeanValueSpec:
 @dataclass(frozen=True)
 class CountResult:
     """A count or integral estimate: exact results carry stderr 0 and, when
-    integer-valued, the exact integer."""
+    integer-valued, the exact integer. N, r, delta, Delta, window3 and window4
+    are the values the route ran with, None where it has no such parameter."""
 
     value: float
     exact: bool
     stderr: float
     method: str
+    N: int
+    r: int
     integer_value: int | None = None
+    delta: float | None = None
+    Delta: float | None = None
+    window3: float | None = None
+    window4: float | None = None
 
     def __post_init__(self):
         if self.value < 0:
@@ -388,7 +395,7 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
         total = _square_count(N, 6)
     else:
         total = sum(_map_shards(N, 6, lambda lo, hi: _window_pair_count(*_swept_band(N, 6, lo, hi), w3, w4)))
-    return CountResult(float(total), True, 0.0, METHOD_WINDOWED, total)
+    return CountResult(float(total), True, 0.0, METHOD_WINDOWED, N, 6, total, window3=w3, window4=w4)
 
 
 def _sweep_order(key: np.ndarray, d3: np.ndarray):
@@ -514,7 +521,7 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
         return _kernel_group_sums(*_swept_band(spec.N, r, lo, hi), scale3, scale4)
 
     value = math.fsum(np.concatenate(_map_shards(spec.N, r, band)).tolist())
-    return CountResult(value, True, 0.0, METHOD_KERNEL, None)
+    return CountResult(value, True, 0.0, METHOD_KERNEL, spec.N, r, delta=spec.delta, Delta=spec.Delta)
 
 
 def _kernel_group_sums(end, w, d3, d4, scale3, scale4) -> np.ndarray:
@@ -588,7 +595,8 @@ def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> Coun
         chunk_sq.append(float(np.dot(vals, vals)))
     mean = math.fsum(chunk_sums) / samples
     var = max(math.fsum(chunk_sq) - samples * mean * mean, 0.0) / (samples - 1)
-    return CountResult(mean, False, math.sqrt(var / samples), METHOD_QUADRATURE, None)
+    return CountResult(mean, False, math.sqrt(var / samples), METHOD_QUADRATURE, spec.N, spec.r,
+                       delta=spec.delta, Delta=spec.Delta)
 
 
 def check_vinogradov_n(N: int) -> None:
@@ -611,7 +619,7 @@ def vinogradov_count(N: int, s: int) -> CountResult:
         raise ValueError("N must be >= 1")
     check_vinogradov_n(N)
     total = _square_count(N, s)
-    return CountResult(float(total), True, 0.0, METHOD_VINOGRADOV, total)
+    return CountResult(float(total), True, 0.0, METHOD_VINOGRADOV, N, s, total)
 
 
 def fit_growth_exponent(points) -> tuple[float, float]:

@@ -383,6 +383,8 @@ def make_plan(scenario: Scenario, t_threshold: float = 1.0e6) -> Plan:
     `t_threshold` stands in for the unquantified "T sufficiently large"
     requirement of the block machinery and is configuration, not a claim.
     """
+    if not math.isfinite(t_threshold):
+        raise ValueError(f"t_threshold must be finite, got {t_threshold}")
     a = scenario.alpha_fraction()
     p, witness = envelope(a)
 

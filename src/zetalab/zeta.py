@@ -155,7 +155,9 @@ def afe_main_sum(t: float) -> ComplexValue:
 
 
 def afe_upper_bound(t: float, slack: float = DEFAULT_SLACK) -> float:
-    """2|S(t)| + slack."""
+    """2|S(t)| + slack, for a finite slack: a NaN would pass every check."""
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack}")
     return 2.0 * abs(afe_main_sum(t)) + slack
 
 
@@ -210,6 +212,11 @@ def zero_bracket(lo: float, hi: float) -> bool:
     return z_function(lo) * z_function(hi) < 0
 
 
+def growth_row(t: float, em: ComplexValue) -> tuple:
+    """The row (t, |zeta|, |zeta|/t^{13/84}, abs_err) of em = zeta(1/2 + i t)."""
+    return (t, abs(em), abs(em) / t**CRITICAL_GROWTH_EXPONENT, em.err)
+
+
 @dataclass(frozen=True)
 class GrowthScan:
     """Rows (t, |zeta|, |zeta|/t^{13/84}, abs_err) on a jittered log grid."""
@@ -229,6 +236,8 @@ def growth_scan(t_min: float, t_max: float, points: int, seed: int = 0) -> Growt
     The grid is log-spaced with seeded jitter inside each cell (hence still
     strictly increasing, and bit-reproducible for a fixed seed).
     """
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ValueError(f"t_min and t_max must be finite, got [{t_min}, {t_max}]")
     if not (SCAN_MIN_T <= t_min < t_max <= SCAN_MAX_T):
         raise GuardError(
             "zeta.scan.range",
@@ -240,8 +249,5 @@ def growth_scan(t_min: float, t_max: float, points: int, seed: int = 0) -> Growt
     rng = np.random.default_rng(seed)
     edges = np.linspace(math.log(t_min), math.log(t_max), points + 1)
     ts = np.exp(edges[:-1] + rng.random(points) * np.diff(edges))
-    rows = []
-    for t in ts.tolist():
-        em = zeta_em_oracle(t)
-        rows.append((t, abs(em), abs(em) / t**CRITICAL_GROWTH_EXPONENT, em.err))
+    rows = [growth_row(t, zeta_em_oracle(t)) for t in ts.tolist()]
     return GrowthScan(tuple(rows), max(row[2] for row in rows))

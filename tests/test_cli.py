@@ -1,8 +1,10 @@
 """CLI dispatch, exit codes, deterministic emission, config handling."""
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,12 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from zetalab import cli, zeta
+from zetalab import cli, meanvalue, zeta
 from zetalab.cli import (
     EXIT_GUARD,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    MEANVALUE_COLUMNS,
     SCHEMA_VERSION,
     Report,
     _global_flags,
@@ -292,6 +295,103 @@ def test_meanvalue_n_and_ns_are_one_option(tmp_path, leaf, fmt):
     data = texts[0][0].decode()
     rows = json.loads(data)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(data)))
     assert [int(row["N"]) for row in rows] == [8, 12]
+
+
+# Each leaf with default, explicit and infinite parameters, and the route
+# call that gives the same results in the library.
+RECORDED_CASES = {
+    "count-default": (["meanvalue", "count"], lambda N: meanvalue.count_windowed(N)),
+    "count-explicit": (["meanvalue", "count", "--window3", "0.3", "--window4", "0.7"],
+                       lambda N: meanvalue.count_windowed(N, 0.3, 0.7)),
+    "count-inf": (["meanvalue", "count", "--window3", "inf", "--window4", "inf"],
+                  lambda N: meanvalue.count_windowed(N, math.inf, math.inf)),
+    "count-one-inf": (["meanvalue", "count", "--window4", "inf"],
+                      lambda N: meanvalue.count_windowed(N, None, math.inf)),
+    "kernel-default": (["meanvalue", "kernel", "--r", "3"],
+                       lambda N: meanvalue.moment_kernel_sum(meanvalue.MeanValueSpec(N, 3))),
+    "kernel-explicit": (["meanvalue", "kernel", "--r", "3", "--delta", "0.25", "--Delta", "0.5"],
+                        lambda N: meanvalue.moment_kernel_sum(meanvalue.MeanValueSpec(N, 3, 0.25, 0.5))),
+    "quadrature": (["meanvalue", "quadrature", "--r", "3", "--samples", "2000", "--seed", "4"],
+                   lambda N: meanvalue.moment_monte_carlo(meanvalue.MeanValueSpec(N, 3), 2000, 4)),
+    "vinogradov": (["meanvalue", "vinogradov", "--s", "2"], lambda N: meanvalue.vinogradov_count(N, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_CASES))
+def test_meanvalue_rows_are_the_recorded_parameters(tmp_path, case):
+    # every cell but seconds is the field of the CountResult the route returned
+    leaf, route = RECORDED_CASES[case]
+    want = [route(N) for N in (5, 6)]
+    columns = MEANVALUE_COLUMNS[:-1]
+    dest = tmp_path / "mv.csv"
+    assert run_cli(["--out", str(dest)] + leaf + ["--N", "5,6"])[0] == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(dest.read_text())))
+    assert [[row[c] for c in columns] for row in rows] == [[cli._fmt(getattr(res, c)) for c in columns]
+                                                           for res in want]
+    code, out, _ = run_cli(["--format", "json"] + leaf + ["--N", "5,6"])
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [[row[c] for c in columns] for row in rows] == [[getattr(res, c) for c in columns] for res in want]
+    assert all(row["seconds"] is None for row in rows)
+
+
+def test_meanvalue_count_writes_the_windows_the_route_used(tmp_path, monkeypatch):
+    # the windows come from the result, not from a default the CLI keeps
+    count = meanvalue.count_windowed
+    monkeypatch.setattr(meanvalue, "count_windowed",
+                        lambda N, w3, w4: dataclasses.replace(count(N, w3, w4), window3=0.25, window4=0.25))
+    dest = tmp_path / "mv.csv"
+    assert run_cli(["--out", str(dest), "meanvalue", "count", "--N", "5,6"])[0] == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(dest.read_text())))
+    assert [(row["window3"], row["window4"]) for row in rows] == [("0.25", "0.25")] * 2
+
+
+LEAF_COMMANDS = (
+    ["pairs", "word", "--word", "AB"],
+    ["pairs", "search", "--max-len", "2"],
+    ["planner", "envelope", "--denominator-bound", "5"],
+    ["planner", "coverage", "--denominator-bound", "20"],
+    ["planner", "plan", "--T", "1e6", "--M", "1000"],
+    ["meanvalue", "count", "--N", "3"],
+    ["meanvalue", "kernel", "--N", "3", "--r", "1"],
+    ["meanvalue", "quadrature", "--N", "3", "--r", "1", "--samples", "1000"],
+    ["meanvalue", "vinogradov", "--N", "3"],
+    ["decouple", "parabola", "--Ns", "4,5,6", "--ensemble", "ones"],
+    ["decouple", "bilinear", "--Ns", "8,12", "--samples", "256"],
+    ["zeta", "scan", "--t-min", "10", "--t-max", "100", "--points", "3"],
+    ["zeta", "value", "--t", "100"],
+    ["zeta", "afe", "--t-min", "10", "--t-max", "100", "--points", "3"],
+    ["expsum", "quadruple", "--N", "8", "--x", "0.1,0.2,0.3,0.4"],
+    ["expsum", "dyadic", "--T", "10", "--M", "8"],
+)
+
+
+@pytest.mark.parametrize("leaf", LEAF_COMMANDS, ids=lambda leaf: " ".join(leaf[:2]))
+def test_meta_starts_with_the_leaf_command(leaf):
+    # the command meta key comes from the parsed leaf, ahead of the leaf's own keys
+    code, out, err = run_cli(["--format", "json"] + leaf)
+    assert code == EXIT_OK
+    meta = json.loads(out)["meta"]
+    assert list(meta)[0] == "command"
+    assert meta["command"] == " ".join(leaf[:2])
+    assert f"# command={meta['command']}\n" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["zeta", "afe", "--t-min", "10", "--t-max", "100", "--points", "3", "--slack", "nan"],
+    ["zeta", "afe", "--t-min", "10", "--t-max", "100", "--points", "3", "--slack", "inf"],
+    ["zeta", "value", "--t", "100", "--slack", "nan"],
+    ["planner", "plan", "--T", "10", "--M", "5", "--t-threshold", "nan"],
+    ["planner", "plan", "--T", "10", "--M", "5", "--t-threshold", "inf"],
+    ["zeta", "scan", "--t-min", "nan", "--t-max", "100", "--points", "3"],
+    ["zeta", "scan", "--t-min", "10", "--t-max", "inf", "--points", "3"],
+], ids=["afe-nan", "afe-inf", "value-nan", "plan-nan", "plan-inf", "scan-nan", "scan-inf"])
+def test_non_finite_slack_threshold_and_range_are_usage_errors(tmp_path, args):
+    dest = tmp_path / "out.csv"
+    code, out, err = run_cli(["--out", str(dest)] + args)
+    assert code == EXIT_USAGE
+    assert "kind=usage" in err and "must be finite" in err
+    assert out == "" and not dest.exists()
 
 
 @pytest.mark.parametrize("leaf", MEANVALUE_LEAVES, ids=lambda leaf: leaf[1])

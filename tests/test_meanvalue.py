@@ -1038,8 +1038,23 @@ def test_fit_validation():
         fit_growth_exponent([(2, -4.0), (3, 9.0), (4, 16.0)])
 
 
+def test_count_results_record_their_parameters():
+    # each route records the N, r, delta, Delta and windows it ran with
+    fields = ("N", "r", "delta", "Delta", "window3", "window4")
+    cases = [
+        (meanvalue.count_windowed(6), (6, 6, None, None, 6.0**-0.5, 6.0**-0.5)),
+        (meanvalue.count_windowed(6, 0.3, math.inf), (6, 6, None, None, 0.3, math.inf)),
+        (meanvalue.vinogradov_count(8, 3), (8, 3, None, None, None, None)),
+        (meanvalue.moment_kernel_sum(MeanValueSpec(5, 3)), (5, 3, 5.0**-2, 0.2, None, None)),
+        (meanvalue.moment_kernel_sum(MeanValueSpec(5, 1, 0.5, 0.25)), (5, 1, 0.5, 0.25, None, None)),
+        (meanvalue.moment_monte_carlo(MeanValueSpec(4, 2), 1000, 1), (4, 2, 4.0**-2, 0.25, None, None)),
+    ]
+    for res, want in cases:
+        assert tuple(getattr(res, f) for f in fields) == want
+
+
 def test_count_result_validation():
     with pytest.raises(ValueError):
-        CountResult(-1.0, True, 0.0, "windowed")
+        CountResult(-1.0, True, 0.0, "windowed", 8, 6)
     with pytest.raises(ValueError):
-        CountResult(1.0, True, 0.5, "windowed")
+        CountResult(1.0, True, 0.5, "windowed", 8, 6)

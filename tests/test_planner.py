@@ -290,6 +290,14 @@ def test_make_plan_t_threshold():
     assert any("threshold" in r for r in plan.reasons)
 
 
+def test_make_plan_refuses_a_non_finite_threshold():
+    # a NaN threshold would never flag T as below it, in any regime
+    for scenario in (Scenario(T=10, M=5), Scenario(T=1.0e6, M=126)):
+        for threshold in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_threshold must be finite"):
+                make_plan(scenario, t_threshold=threshold)
+
+
 def test_make_plan_reasons_keep_their_text_and_order():
     plan = make_plan(Scenario(T=20, M=4))
     assert plan.regime == planner.REGIME_MAIN

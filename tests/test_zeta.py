@@ -129,6 +129,29 @@ def test_afe_consistency_scan_refuses_an_empty_range():
         assert not isinstance(exc.value, GuardError)
 
 
+def test_non_finite_slack_is_refused():
+    # a NaN or infinite slack would make every bound pass the one-sided check
+    for slack in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="slack must be finite"):
+            afe_upper_bound(100.0, slack)
+        with pytest.raises(ValueError, match="slack must be finite"):
+            afe_consistency_scan(10.0, 100.0, 3, slack)
+
+
+def test_growth_scan_non_finite_range_is_a_value_error():
+    for t_min, t_max in ((math.nan, 100.0), (10.0, math.nan), (10.0, math.inf), (-math.inf, 100.0)):
+        with pytest.raises(ValueError, match="must be finite") as exc:
+            growth_scan(t_min, t_max, 3)
+        assert not isinstance(exc.value, GuardError)
+
+
+def test_growth_rows_have_one_builder():
+    scan = growth_scan(10.0, 200.0, 5, seed=2)
+    assert scan.rows == tuple(zeta.growth_row(row[0], zeta_em_oracle(row[0])) for row in scan.rows)
+    em = zeta_em_oracle(100.0)
+    assert zeta.growth_row(100.0, em) == (100.0, abs(em.value), abs(em.value) / 100.0 ** (13 / 84), em.err)
+
+
 def test_scan_terms_guard():
     # each point is charged its oracle terms at t_max plus SCAN_POINT_TERMS
     per_point = zeta.default_oracle_terms(1.0e6) + zeta.SCAN_POINT_TERMS
