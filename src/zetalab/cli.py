@@ -82,7 +82,8 @@ def _write_json(report: Report, fh) -> None:
     payload {schema, meta, columns, rows} one row at a time: the head with
     indent=1 once, then each row as a dict of its cells, encoded by the
     compact (C) encoder with the separators that indent=1 puts between
-    scalar cells. An empty cell ("" or None) is written as null."""
+    scalar cells. None is written as null and every other cell as itself,
+    so the empty word stays "", as in the CSV."""
     payload = {"schema": SCHEMA_VERSION, "meta": report.meta, "columns": list(report.columns), "rows": []}
     head = json.dumps(payload, indent=1, default=str)
     encode = json.JSONEncoder(default=str, separators=(",\n   ", ": ")).encode
@@ -90,7 +91,7 @@ def _write_json(report: Report, fh) -> None:
     fh.write(head[: -len("]\n}")])
     sep = "\n  {\n   "
     for row in report.rows:
-        fh.write(sep + encode({c: None if v == "" else v for c, v in zip(report.columns, row)})[1:-1])
+        fh.write(sep + encode(dict(zip(report.columns, row)))[1:-1])
         sep = "\n  },\n  {\n   "
     fh.write("\n  }\n ]\n}\n" if report.rows else "]\n}\n")
 

@@ -33,7 +33,9 @@ added once. The windowed and kernel routes reduce every band, since the
 reflection does not keep the 3/2- and 1/2-power sums. `_band`
 builds a band entry by entry straight into the group key, the orderings and
 the power sums, with no table of tuples, and gathers the last level's key
-from its parents' keys in one pass. No route walks the groups in Python:
+from its parents' keys in one pass; a band of one s1 value, where every
+prefix left completes exactly once, adds its last entry in place, with no
+repeat and no gather. No route walks the groups in Python:
 they are ordered by a 16-bit radix sort of the key (`_radix_order`), and the
 windowed and kernel routes sort a band once on the key and the 3/2-power sum
 (`_sweep_order`) and sweep the pairs (i, i + k) of all groups at each offset
@@ -57,13 +59,13 @@ from .errors import GuardError
 from .expsum import phase_sums
 
 WINDOWED_MAX_N = 48
-# r = 6 takes 5.0-5.6 s and 56-58 MB peak RSS at N = 32 on a 2-core host; the guard
-# keeps one call within about 15 s, like the windowed guard (4.7-5.5 s and 58-61 MB
-# at N = 48, where single s1 values exceed the share and run one by one on one thread).
+# r = 6 takes 5.0-5.3 s and 53-54 MB peak RSS at N = 32 in five fresh processes on a
+# 2-core host; the guard keeps one call within about 15 s, like the windowed guard
+# (4.6-5.7 s and 51-54 MB at N = 48, where single s1 values exceed the share and run
+# one by one on one thread).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
-# s = 3 took 8.1-10.0 s and 52 MB peak RSS at N = 1024 in seven fresh processes on
-# a 2-core host, within the ~15 s of the other guards; N = 512 took 0.7-1.2 s and
-# 41 MB.
+# s = 3 took 6.0-6.5 s and 44-46 MB peak RSS at N = 1024 in five fresh processes on
+# a 2-core host, within the ~15 s of the other guards.
 VINOGRADOV_MAX_N = 1024
 MIN_SAMPLES = 1000
 # The quadrature takes about 25 ns per sample and term: 10^8 of them took
@@ -80,7 +82,7 @@ METHOD_VINOGRADOV = "vinogradov"
 _SAMPLE_CHUNK = 1 << 15
 # Most multisets in flight across the threads of the grouped counts, each band
 # holding SHARD_ROWS // cores unless one value of s1 alone holds more; the
-# windowed count at N = 48 then peaks at 58-61 MB RSS.
+# windowed count at N = 48 then peaks at 51-54 MB RSS.
 SHARD_ROWS = 1 << 18
 
 
@@ -185,7 +187,11 @@ def _band(N: int, size: int, lo: int, hi: int, powers: bool = True):
     by m) and power sums, each its parent's value, gathered through an intp
     `parent` index, plus the term of v. At the last entry s1 and s2 serve
     only the key, so the parents' keys are formed and gathered once: with
-    span = size N^2 + 1, key = key(parent) + v (span + v)."""
+    span = size N^2 + 1, key = key(parent) + v (span + v). A band of one s1
+    value (lo == hi) of two or more entries adds its last entry in place:
+    the level before keeps only the prefixes that complete in the band, each
+    once, with v = lo - s1, so run, denom, d3 and d4 are updated in place and
+    key = s2 + v^2, with no repeat, cumsum or gather and the same bits."""
     base = np.arange(N + 1, dtype=np.float64)
     pow32, pow12 = base * np.sqrt(base), np.sqrt(base)
     span = size * N * N + 1
@@ -195,7 +201,10 @@ def _band(N: int, size: int, lo: int, hi: int, powers: bool = True):
     run = np.zeros(1, dtype=np.int8)
     denom = np.ones(1, dtype=np.int16)
     d3 = d4 = np.zeros(1) if powers else None
-    for j in range(size):
+    # one s1 value: the last level is the one before, updated in place; a
+    # single entry has no level before it to prune the root
+    in_place = lo == hi and size > 1
+    for j in range(size - in_place):
         rest = size - 1 - j
         vmin = np.maximum(last, lo - s1 - rest * N)
         reps = np.maximum(np.minimum(N, (hi - s1) // (rest + 1)) - vmin + 1, 0)
@@ -228,6 +237,19 @@ def _band(N: int, size: int, lo: int, hi: int, powers: bool = True):
             term = v + span
             term *= v
             key += term
+    if in_place:
+        # v = lo - s1 with last <= v <= N, and key = (s1 - lo) span + s2
+        # + v (span + v) = s2 + v^2
+        v = np.subtract(lo, s1, out=s1)
+        run *= v == last
+        run += 1
+        denom *= run
+        if powers:
+            d3 += pow32[v]
+            d4 += pow12[v]
+        v *= v
+        key = s2
+        key += v
     return key, math.factorial(size) // denom, d3, d4
 
 

@@ -131,6 +131,19 @@ def test_pairs_search_json_bytes_are_pinned(tmp_path):
     )
 
 
+def test_pairs_search_empty_word_is_a_string_in_json(tmp_path):
+    """The empty word is a value: JSON writes it as "", as the CSV writes an
+    empty cell, not as the null of a missing cell."""
+    dest, table = tmp_path / "search.json", tmp_path / "search.csv"
+    args = ["pairs", "search", "--no-axiom", "--max-len", "0"]
+    assert run_cli(["--out", str(dest), "--format", "json"] + args)[0] == EXIT_OK
+    assert run_cli(["--out", str(table)] + args)[0] == EXIT_OK
+    assert json.loads(dest.read_text())["rows"] == [
+        {"word": "", "k": "0", "l": "1", "objective": "zeta_exponent", "value": "1/4"}
+    ]
+    assert next(csv.DictReader(io.StringIO(table.read_text())))["word"] == ""
+
+
 def test_bad_value_is_usage_error():
     code, _, err = run_cli(["pairs", "word", "--word", "AZB"])
     assert code == EXIT_USAGE
@@ -430,8 +443,8 @@ def test_json_schema(tmp_path):
 @pytest.mark.parametrize("repeat", [1, 2, 1024])
 def test_json_rows_stream_as_one_shot_dumps(rows, meta, repeat):
     """The JSON written row by row equals json.dumps of the whole payload,
-    empty cells (None or "") written as null, for the rows repeated
-    `repeat` times."""
+    None written as null and "" as "", for the rows repeated `repeat`
+    times."""
     rows = rows * repeat
     report = Report(("a", "b", "c"), rows, meta)
     fh = io.StringIO()
@@ -440,7 +453,7 @@ def test_json_rows_stream_as_one_shot_dumps(rows, meta, repeat):
         "schema": SCHEMA_VERSION,
         "meta": meta,
         "columns": ["a", "b", "c"],
-        "rows": [{c: None if v is None or v == "" else v for c, v in zip("abc", row)} for row in rows],
+        "rows": [dict(zip("abc", row)) for row in rows],
     }
     assert fh.getvalue() == json.dumps(payload, indent=1, default=str) + "\n"
 

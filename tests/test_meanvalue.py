@@ -483,6 +483,61 @@ def test_sweep_order_of_every_band_equals_two_argsorts():
             assert np.array_equal(end, np.repeat(np.append(starts[1:], key.size), np.diff(starts, append=key.size)))
 
 
+def assert_one_s1_band_is_general(N, size, s1):
+    """_band(N, size, s1, s1), built in place at its last entry, holds bit
+    for bit the rows of s1 in _band(N, size, s1, s1 + 1), which repeats and
+    gathers: their keys are those below span, in the same order."""
+    span = size * N * N + 1
+    for powers in (True, False):
+        got = _band(N, size, s1, s1, powers)
+        both = _band(N, size, s1, s1 + 1, powers)
+        mine = both[0] < span
+        assert got[0].size == (_sum_counts(N, size)[s1] if size <= s1 <= size * N else 0)
+        for g, b in zip(got, both):
+            if b is None:
+                assert g is None
+            else:
+                assert g.dtype == b.dtype and g.tobytes() == b[mine].tobytes()
+
+
+@pytest.mark.parametrize("N,size,s1", [
+    (40, 6, 123), (40, 6, 6), (40, 6, 240), (39, 6, 120),
+    (40, 3, 3), (40, 3, 120), (39, 3, 60),
+    (40, 2, 2), (40, 2, 80), (40, 2, 41),
+    (40, 1, 1), (40, 1, 40), (39, 1, 20), (40, 1, 0), (40, 1, 41),
+])
+def test_one_s1_band_equals_the_general_build(N, size, s1):
+    # s1 = 123 holds the most 6-multisets at N = 40 and is the middle of the
+    # even 6 (N + 1); the size-1 bands at 0 and N + 1 hold no row
+    assert_one_s1_band_is_general(N, size, s1)
+
+
+def test_every_small_one_s1_band_equals_the_general_build():
+    for size in (1, 2, 3, 6):
+        for N in (1, 2, 5, 8):
+            for s1 in range(size * N + 2):
+                assert_one_s1_band_is_general(N, size, s1)
+
+
+def test_one_s1_band_memory_per_row():
+    # the largest one-s1 band at N = 40 (105,690 rows): 59.0 bytes per row
+    # with the last entry added in place, 91.0 when it repeated every
+    # prefix and gathered the parents' keys
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        key = _band(40, 6, 123, 123)[0]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert key.size == 105_690
+    assert peak / key.size <= 60
+
+
 def test_windowed_band_memory_per_multiset(monkeypatch):
     # one core: the largest band alone sets the peak; measured at 47.3 bytes
     # per multiset of that band, in the builder's last level and in the
