@@ -11,9 +11,14 @@ N <= 2**26 (beyond that an extended-precision path would be required, which
 is out of scope). Phases are reduced in place as x - floor(x), the same
 bits as x % 1.0, and every reduced phase goes through `numerics.unit_phase`,
 the one evaluator of e(.), within UNIT_PHASE_K * machine_eps of the exact
-e(theta). Summation is `numerics.neumaier_sum` (`zeta` sums through
-`dirichlet_sum`), run on the real and imaginary parts of the term array
-without copying them. The reported `err` covers both steps:
+e(theta). Summation is compensated (`zeta` sums through `dirichlet_sum`):
+a sum of 2 * SUM_WIDTH terms or more forms its phases and terms in blocks
+of SUM_WIDTH = UNIT_PHASE_BLOCK = 4,096 and feeds the real and imaginary
+views of each block to a `numerics.NeumaierStream`, so no array as long as
+the sum is built and memory stays flat in its length (`dirichlet_sum` keeps
+its weights whole, 8 bytes per term); a shorter sum is one block, summed by
+`numerics.neumaier_sum`. Either way the result is the bits of
+`neumaier_sum` on the whole term array. The reported `err` covers both steps:
 (2 + UNIT_PHASE_K) * machine_eps * sum(|a_n|), the summation contract plus
 the evaluation of each term. It does not cover the float64 rounding of the
 phases before they are reduced: a phase of size P is off by about eps * P
@@ -24,6 +29,7 @@ large N; only `dirichlet_sum` models it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,17 +39,20 @@ import numpy as np
 from .errors import GuardError
 from .numerics import (
     MACHINE_EPS,
+    SUM_WIDTH,
     UNIT_PHASE_K,
+    NeumaierStream,
     frac_in_place,
     frac_poly_phase,
     neumaier_sum,
     unit_phase,
 )
 
+# The quadruple and dyadic sums run in blocks (`_sum_terms`), in under 1 MB
+# beyond the interpreter at any length. At the guards, fresh processes
+# peaked at 31 MB, as `import zetalab.cli` does: `expsum quadruple` at
+# N = 2**26 in 3.7 s, `expsum dyadic` at 2**24 terms in 0.8 s (2-core host).
 MAX_QUADRUPLE_N = 1 << 26
-# About 24 bytes per term: the phase, formed in place from m, and the complex
-# terms from `unit_phase` are alive together; at the guard a fresh process
-# peaked at 414 MB (2-core host).
 DYADIC_MAX_TERMS = 1 << 24
 # Entries (terms x points) in one block of `phase_sums`.
 PHASE_BLOCK = 1 << 15
@@ -70,13 +79,30 @@ class ComplexValue:
         return abs(self.value)
 
 
-def _sum_terms(values: np.ndarray, weight: float, term_err: float = 0.0) -> ComplexValue:
-    """The compensated sum of terms a_n e(theta_n) with sum |a_n| = weight.
-    `err` is (2 + UNIT_PHASE_K) eps * weight, the summation contract of
+def _sum_terms(count: int, block_terms, weight: float, term_err: float = 0.0) -> ComplexValue:
+    """The compensated sum of `count` terms a_n e(theta_n) with
+    sum |a_n| = weight, where block_terms(start, stop) returns the complex
+    terms of the indices start <= i < stop.
+
+    Under 2 * SUM_WIDTH terms one block goes to `neumaier_sum`, whose
+    `math.fsum` path allocates no stream. Longer sums run in blocks of
+    SUM_WIDTH, each fed to two `NeumaierStream`s through its real and
+    imaginary views, so no array as long as the sum is built. Each term
+    depends on its index alone, so both paths give the bits of
+    `neumaier_sum` on the whole term array. `err` is
+    (2 + UNIT_PHASE_K) eps * weight, the summation contract of
     `neumaier_sum` plus the `unit_phase` bound on each term, plus term_err,
     a caller's bound on the other roundings of its terms."""
-    re = neumaier_sum(values.real)
-    im = neumaier_sum(values.imag)
+    if count < 2 * SUM_WIDTH:
+        values = block_terms(0, count)
+        re, im = neumaier_sum(values.real), neumaier_sum(values.imag)
+    else:
+        re_sum, im_sum = NeumaierStream(), NeumaierStream()
+        for start in range(0, count, SUM_WIDTH):
+            values = block_terms(start, min(start + SUM_WIDTH, count))
+            re_sum.add(values.real)
+            im_sum.add(values.imag)
+        re, im = re_sum.total(), im_sum.total()
     return ComplexValue(re, im, (2.0 + UNIT_PHASE_K) * MACHINE_EPS * weight + term_err)
 
 
@@ -148,19 +174,18 @@ def eval_quadruple_sum(N: int, x: Sequence[float]) -> ComplexValue:
     x1, x2, x3, x4 = (float(v) for v in x)
     if not all(math.isfinite(v) for v in (x1, x2, x3, x4)):
         raise ValueError("phase frequencies must be finite")
-    # each array is released once the phase no longer needs it, so the
-    # peak is the polynomial phase, not every array alive at once
-    n = np.arange(1, N + 1, dtype=np.int64)
-    phase = frac_poly_phase(n, x1, x2)
-    nf = n.astype(np.float64)
-    del n
-    sqrt_n = np.sqrt(nf)
     root_n = math.sqrt(N)
-    phase += frac_in_place((x3 * root_n) * (nf * sqrt_n))
-    del nf
-    phase += frac_in_place((x4 * root_n) * sqrt_n)
-    del sqrt_n
-    return _sum_terms(unit_phase(frac_in_place(phase)), float(N))
+
+    def block_terms(start: int, stop: int) -> np.ndarray:
+        n = np.arange(start + 1, stop + 1, dtype=np.int64)
+        phase = frac_poly_phase(n, x1, x2)
+        nf = n.astype(np.float64)
+        sqrt_n = np.sqrt(nf)
+        phase += frac_in_place((x3 * root_n) * (nf * sqrt_n))
+        phase += frac_in_place((x4 * root_n) * sqrt_n)
+        return unit_phase(frac_in_place(phase))
+
+    return _sum_terms(N, block_terms, float(N))
 
 
 def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> ComplexValue:
@@ -178,37 +203,55 @@ def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> Compl
             "expsum.dyadic.terms",
             f"M={M} asks for {M - M // 2} terms, above the guard {DYADIC_MAX_TERMS}",
         )
-    phase = np.arange(M // 2 + 1, M + 1, dtype=np.float64)
-    phase /= M  # m/M, then F(m/M), then T F(m/M) mod 1, all in place
     if kind == "log":
         if exponent is not None:
             raise ValueError("the log phase takes no exponent")
-        np.log(phase, out=phase)
     elif kind == "monomial":
         if exponent is None:
             raise ValueError("monomial phase requires an exponent")
-        phase **= float(Fraction(exponent))
+        power = float(Fraction(exponent))
     else:
         raise ValueError(f"unknown dyadic phase kind {kind!r}")
-    phase *= T
-    return _sum_terms(unit_phase(frac_in_place(phase)), float(M - M // 2))
+    first = M // 2 + 1
+
+    def block_terms(start: int, stop: int) -> np.ndarray:
+        phase = np.arange(first + start, first + stop, dtype=np.float64)
+        phase /= M  # m/M, then F(m/M), then T F(m/M) mod 1, all in place
+        if kind == "log":
+            np.log(phase, out=phase)
+        else:
+            phase **= power
+        phase *= T
+        return unit_phase(frac_in_place(phase))
+
+    return _sum_terms(M - M // 2, block_terms, float(M - M // 2))
 
 
 def dirichlet_sum(s: complex, m: int) -> ComplexValue:
     """Sum_{1<=n<=m} n^{-s} = sum n^{-sigma} e(-(t/2pi) log n), s = sigma + it,
-    for the AFE main sum and the Euler-Maclaurin head of `zeta`. The phase is
-    reduced in place and dropped once `unit_phase` has turned it into terms,
-    before the weights are built: about 24 bytes per term.
+    for the AFE main sum and the Euler-Maclaurin head of `zeta`; m is a
+    nonnegative integer. The weights n^{-sigma} are built whole, 8 bytes per
+    term, because `err` takes their numpy (pairwise) sum; the phases and
+    terms run in blocks through `_sum_terms`.
     `err` = eps * sum(n^{-sigma}) * (4 + UNIT_PHASE_K + 4|t| log(m+1)): the
     summation and e(.) bounds of `_sum_terms`, 2 eps for the weights and
     their product, and a model of the rounding of (t/2pi) log n before its
     reduction.
     """
-    phase = np.log(np.arange(1, m + 1, dtype=np.float64))
-    phase *= -s.imag / (2 * math.pi)
-    values = unit_phase(frac_in_place(phase))
-    del phase
+    if not isinstance(m, numbers.Integral) or m < 0:
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    m = int(m)
     weights = np.arange(1, m + 1, dtype=np.float64)
-    values *= np.power(weights, -s.real, out=weights)
+    np.power(weights, -s.real, out=weights)
     weight = float(weights.sum())
-    return _sum_terms(values, weight, MACHINE_EPS * weight * (2.0 + 4.0 * abs(s.imag) * math.log(m + 1.0)))
+    scale = -s.imag / (2 * math.pi)
+
+    def block_terms(start: int, stop: int) -> np.ndarray:
+        phase = np.arange(start + 1, stop + 1, dtype=np.float64)
+        np.log(phase, out=phase)
+        phase *= scale
+        values = unit_phase(frac_in_place(phase))
+        values *= weights[start:stop]
+        return values
+
+    return _sum_terms(m, block_terms, weight, MACHINE_EPS * weight * (2.0 + 4.0 * abs(s.imag) * math.log(m + 1.0)))

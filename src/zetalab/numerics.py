@@ -1,10 +1,12 @@
 """Shared numerical primitives: compensated summation, exact-enough phase
 reduction, low-discrepancy sampling, and log-log slope fitting.
 
-`neumaier_sum` is the package's one compensated sum of a float64 array: it
-runs error-free TwoSum steps down SUM_WIDTH columns in numpy and hands the
-column sums, their compensations and the tail to `math.fsum`, so no Python
-float list of the terms is ever built. `frac_in_place` reduces a freshly
+`NeumaierStream` is the package's one compensated sum: it takes float64
+values in pieces of any length, runs error-free TwoSum steps down SUM_WIDTH
+columns in numpy and hands the column sums, their compensations and the
+unfinished row to `math.fsum`, so no Python float list of the terms and no
+array of them all is ever built. `neumaier_sum` is that stream fed one
+array, bit for bit. `frac_in_place` reduces a freshly
 computed phase array mod 1 as x - floor(x), which gives the same bits as
 x % 1.0 on every finite float at a fraction of its cost. `unit_phase` is the
 package's one evaluator of e(theta) = exp(2 pi i theta) on reduced phases: a
@@ -83,16 +85,18 @@ _UNIT_PHASE_TABLE = _unit_phase_table()
 
 
 def neumaier_sum(values) -> float:
-    """Compensated sum of a 1-D float64 array, column-wise.
+    """Compensated sum of a 1-D float64 array, column-wise: `NeumaierStream`
+    fed the array once.
 
-    The first rows * SUM_WIDTH values are read as a (rows, SUM_WIDTH) view
+    The first rows * SUM_WIDTH values are read as rows of SUM_WIDTH in place
     (strided views such as `z.real` are not copied). Down each column,
     Neumaier's step s, c <- t, c + err runs, with the error of t = s + x
     taken by the branch-free TwoSum z = t - s, err = (s - (t - z)) + (x - z):
     exact for either order of |s| and |x|, like the branch on |s| >= |x|,
     and cheaper than evaluating both sides of that branch. The result is
     `math.fsum` of the column sums s, the compensations c and the tail.
-    Arrays shorter than 2 * SUM_WIDTH go to `math.fsum` directly.
+    Arrays shorter than 2 * SUM_WIDTH go to `math.fsum` directly, with no
+    stream allocated.
 
     Bound. Let u = MACHINE_EPS / 2, r = rows, S the exact sum and A the sum
     of |values|. Every TwoSum step is error-free, so the values of a column
@@ -112,25 +116,72 @@ def neumaier_sum(values) -> float:
     values the result is correctly rounded.
     """
     v = np.asarray(values, dtype=np.float64)
-    rows = v.size // SUM_WIDTH
-    if rows < 2:
+    if v.size < 2 * SUM_WIDTH:
         return math.fsum(v.tolist())
-    body = v[: rows * SUM_WIDTH].reshape(rows, SUM_WIDTH)
-    s = body[0].copy()
-    c = np.zeros(SUM_WIDTH)
-    t = np.empty(SUM_WIDTH)
-    z = np.empty(SUM_WIDTH)
-    err = np.empty(SUM_WIDTH)
-    for x in body[1:]:
+    stream = NeumaierStream()
+    stream.add(v)
+    return stream.total()
+
+
+class NeumaierStream:
+    """`neumaier_sum` of values that arrive in pieces.
+
+    `add` takes 1-D float64 arrays of any length, strided views such as
+    `z.real` among them, and `total` returns, bit for bit, `neumaier_sum` of
+    their concatenation: the same rows of SUM_WIDTH values, the same TwoSum
+    steps down the columns and the same final `math.fsum`, so the same
+    bound. A row that a piece holds whole is read in place; only the values
+    of an unfinished row are copied, into one row buffer. Memory is six rows
+    of SUM_WIDTH floats, 192 kB, at any length; the work rows are allocated
+    when the second row arrives.
+    """
+
+    def __init__(self) -> None:
+        self._row = np.empty(SUM_WIDTH)  # the unfinished row
+        self._filled = 0
+        self._s = self._c = None  # column sums and compensations
+
+    def add(self, values) -> None:
+        v = np.asarray(values, dtype=np.float64)
+        if self._filled:
+            take = min(SUM_WIDTH - self._filled, v.size)
+            self._row[self._filled : self._filled + take] = v[:take]
+            self._filled += take
+            if self._filled < SUM_WIDTH:
+                return
+            self._fold(self._row)
+            v = v[take:]
+        rows = v.size // SUM_WIDTH
+        for x in v[: rows * SUM_WIDTH].reshape(rows, SUM_WIDTH):
+            self._fold(x)
+        self._filled = v.size - rows * SUM_WIDTH
+        self._row[: self._filled] = v[rows * SUM_WIDTH :]
+
+    def _fold(self, x: np.ndarray) -> None:
+        """Neumaier's step s, c <- t, c + err down every column, for one full
+        row x; the first row only starts s."""
+        if self._s is None:
+            self._s = x.copy()
+            return
+        if self._c is None:
+            self._c = np.zeros(SUM_WIDTH)
+            self._t, self._z, self._err = (np.empty(SUM_WIDTH) for _ in range(3))
+        s, t, z, err = self._s, self._t, self._z, self._err
         np.add(s, x, out=t)
         np.subtract(t, s, out=z)
         np.subtract(t, z, out=err)
         np.subtract(s, err, out=err)
         np.subtract(x, z, out=z)
         err += z
-        c += err
-        s, t = t, s
-    return math.fsum(np.concatenate((s, c, v[rows * SUM_WIDTH :])).tolist())
+        self._c += err
+        self._s, self._t = t, s
+
+    def total(self) -> float:
+        """`math.fsum` of the column sums, their compensations and the
+        unfinished row; the stream may go on taking values."""
+        parts = [part for part in (self._s, self._c) if part is not None]
+        parts.append(self._row[: self._filled])
+        return math.fsum(np.concatenate(parts).tolist())
 
 
 def frac_in_place(x: np.ndarray) -> np.ndarray:

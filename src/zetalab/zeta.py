@@ -27,14 +27,15 @@ CRITICAL_GROWTH_EXPONENT = 13.0 / 84.0
 SCAN_MIN_T = 10.0
 SCAN_MAX_T = 1.0e6
 
-# About 24 bytes per head term (`expsum.dirichlet_sum`): `zeta value` at the
-# guard, t = 33554352, took 1.7 s and 414 MB in a fresh process (2-core host).
+# About 8 bytes per head term, the weights of `expsum.dirichlet_sum`; its
+# phases and terms run in blocks. `zeta value` at the guard, t = 33554352,
+# took 1.1 s and 159 MB in a fresh process (2-core host).
 ORACLE_MAX_TERMS = 1 << 24
-# A scan point costs its oracle terms, about 34 ns each at t = 1e6, plus
+# A scan point costs its oracle terms, about 37 ns each at t = 1e6, plus
 # about 50 us of Python at any t, the time of SCAN_POINT_TERMS terms: 100
-# points on [9e5, 1e6] took 1.65 s and 50 MB, and 100000 points on [10, 11]
-# 5.3 s and 60 MB (`zeta scan`, fresh processes, 2-core host). The guard
-# keeps a scan within about 10 s, at any t.
+# points on [9e5, 1e6] took 2.1-3.0 s and 41 MB, and 100000 points on
+# [10, 11] 6.1-6.3 s and 78 MB (`zeta scan`, fresh processes, 2-core host).
+# The guard keeps a scan within about 10 s, at any t.
 SCAN_POINT_TERMS = 1500
 SCAN_MAX_TERMS = 1 << 28
 

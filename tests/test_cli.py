@@ -9,7 +9,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -701,20 +700,10 @@ def test_zeta_value_below_two_pi_is_usage_error(monkeypatch, t):
     ["zeta", "value", "--t", "1e15"],
     ["zeta", "afe", "--t-min", "3e7", "--t-max", "4e7", "--points", "3"],
 ], ids=["value", "afe"])
-def test_zeta_oracle_guard_before_any_sum(args):
+def test_zeta_oracle_guard_before_any_sum(traced_peak, args):
     # the guard is checked before the AFE sum of 1.3e7 terms (value) or the
     # first oracle call of 1.5e7 terms (afe) allocates anything
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        code, out, err = run_cli(args)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    (code, out, err), peak = traced_peak(run_cli, args)
     assert code == EXIT_GUARD
     assert out == ""
     assert "guard=zeta.oracle.terms" in err
@@ -773,6 +762,37 @@ def test_expsum_dyadic_radians_convention(tmp_path):
     va = a.read_text().splitlines()[1].split(",")
     vb = b.read_text().splitlines()[1].split(",")
     assert abs(float(va[3]) - float(vb[3])) < 1e-9  # same re up to conversion rounding
+
+
+TRACED_JOBS = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracing
+from zetalab import cli
+recorder = tracing.Recorder()
+tracing.install(recorder)
+codes = [cli.main(["expsum", "quadruple", "--N", "64", "--x", "0.1,0.2,0.3,0.4"]), cli.main(["zeta", "value", "--t", "100"])]
+spans = sorted({span[0] for span in recorder.spans})
+print(json.dumps({"codes": codes, "spans": spans, "layers": tracing.layer_metrics(recorder)}))
+"""
+
+
+def test_benchmark_tracing_wraps_the_cli():
+    # the benchmark's --trace 1 patches functions by module attribute, among
+    # them expsum.neumaier_sum and expsum.frac_poly_phase; a name it cannot
+    # find fails every traced round
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_JOBS, str(root / "src"), str(root / "perfbench")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [EXIT_OK, EXIT_OK]
+    assert {"cli.main", "expsum.eval_quadruple_sum", "numerics.frac_poly_phase", "numerics.neumaier_sum",
+            "zeta.afe_main_sum", "zeta.zeta_em_oracle"} <= set(report["spans"])
+    assert report["layers"]["numerics.neumaier_sum.values"] > 0
 
 
 def test_console_entry_point_subprocess():

@@ -2,7 +2,6 @@
 randomized estimates, and the bilinear scan contracts."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,21 +274,11 @@ def test_qmc_mean_slices_cover_the_block_once(points):
     lambda samples: parabola_l6_lhs(np.ones(16, dtype=complex), samples=samples, seed=0),
     lambda samples: bilinear_d4_ratio(DecouplingExperiment(4, 32, "quadruple", samples=samples, seed=0)),
 ], ids=["parabola", "bilinear"])
-def test_qmc_probe_memory_per_sample(probe):
+def test_qmc_probe_memory_per_sample(traced_peak, probe):
     # no table of the whole block: measured at 5.8 (parabola, N=16) and 7.8
     # (bilinear, N=32) bytes per sample, mostly `halton` building the block
     samples = 1 << 20
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        probe(samples)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, peak = traced_peak(probe, samples)
     assert peak / samples <= 11
 
 

@@ -4,7 +4,6 @@ and stability invariants."""
 import cmath
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from zetalab.expsum import (
     MAX_QUADRUPLE_N,
     PHASE_BLOCK,
     ComplexValue,
-    _sum_terms,
     dirichlet_sum,
     eval_dyadic_sum,
     eval_quadruple_sum,
@@ -24,12 +22,26 @@ from zetalab.expsum import (
 )
 from zetalab.numerics import (
     MACHINE_EPS,
+    SUM_WIDTH,
     UNIT_PHASE_K,
     frac_in_place,
     frac_mul_int,
     frac_poly_phase,
+    neumaier_sum,
     unit_phase,
 )
+
+# Lengths around the block and row edges of the streamed sums
+W = SUM_WIDTH
+BLOCK_EDGE_LENGTHS = (W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1, 3 * W + 1)
+
+
+def whole_array_sum(values, weight, term_err=0.0):
+    """ComplexValue of a whole term array summed at once by `neumaier_sum`,
+    with the evaluators' `err`: the reference for their blocked sums."""
+    err = (2.0 + UNIT_PHASE_K) * MACHINE_EPS * weight + term_err
+    return ComplexValue(neumaier_sum(values.real), neumaier_sum(values.imag), err)
+
 
 # 50-digit term-by-term oracle values (mpmath), frozen; the live oracle below
 # regenerates them when mpmath is available.
@@ -183,7 +195,7 @@ def eval_curve_sum(coeffs, curve_samples, x) -> ComplexValue:
     if a.shape != (phi.shape[0],):
         raise ValueError("coefficients and curve samples must have the same length")
     phase = (phi @ np.asarray(x, dtype=np.float64)) % 1.0
-    return _sum_terms(a * np.exp((2j * math.pi) * phase), float(np.abs(a).sum()))
+    return whole_array_sum(a * np.exp((2j * math.pi) * phase), float(np.abs(a).sum()))
 
 
 def test_curve_sum_unit_vector():
@@ -341,14 +353,14 @@ def remainder_quadruple(N, x):
     root_n = math.sqrt(N)
     phase = remainder_frac_poly_phase(n, x1, x2)
     phase = (phase + ((x3 * root_n) * (nf * sqrt_n)) % 1.0 + ((x4 * root_n) * sqrt_n) % 1.0) % 1.0
-    return _sum_terms(unit_phase(phase), float(N))
+    return whole_array_sum(unit_phase(phase), float(N))
 
 
 def remainder_dyadic(T, M, exponent):
     # eval_dyadic_sum with its phase reduced by % 1.0
     m = np.arange(M // 2 + 1, M + 1, dtype=np.float64)
     f = np.log(m / M) if exponent is None else (m / M) ** exponent
-    return _sum_terms(unit_phase((T * f) % 1.0), float(m.size))
+    return whole_array_sum(unit_phase((T * f) % 1.0), float(m.size))
 
 
 def test_phase_reduction_matches_remainder_bit_for_bit():
@@ -380,11 +392,13 @@ def test_phase_reduction_matches_remainder_bit_for_bit():
     for x1, x2 in xs:
         assert frac_poly_phase(n, x1, x2).tobytes() == remainder_frac_poly_phase(n, x1, x2).tobytes()
     points = [(-0.3, -0.7, -1e-3, -2.5), (1.5, -2.25, 3e-4, 0.1), tuple(rng.standard_normal(4) * 10.0)]
-    for N in (1, 999, 5000):
+    for N in (1, 999, 5000, *BLOCK_EDGE_LENGTHS):
         for x in points:
             assert eval_quadruple_sum(N, x) == remainder_quadruple(N, x)
+    # M - M // 2 terms: the block edges, then the same counts from odd M
+    dyadic_Ms = (2, 301, 20000, *(2 * n for n in BLOCK_EDGE_LENGTHS), *(2 * n - 1 for n in BLOCK_EDGE_LENGTHS))
     for T in (-1234.5678, 0.25, 8765.4321):
-        for M in (2, 301, 20000):
+        for M in dyadic_Ms:
             assert eval_dyadic_sum(T, M) == remainder_dyadic(T, M, None)
             assert eval_dyadic_sum(T, M, "monomial", "3/2") == remainder_dyadic(T, M, 1.5)
 
@@ -403,7 +417,18 @@ def hp_dirichlet_partials(sigma, t, checkpoints):
     return out
 
 
-DIRICHLET_LENGTHS = (1, 2, 100, 2 * 4096 - 1, 1 << 14)
+DIRICHLET_LENGTHS = (1, 2, 100, *BLOCK_EDGE_LENGTHS, 1 << 14)
+
+
+def whole_array_dirichlet(s, m):
+    # dirichlet_sum with its phases, terms and weights built whole
+    phase = np.log(np.arange(1, m + 1, dtype=np.float64))
+    phase *= -s.imag / (2 * math.pi)
+    values = unit_phase(phase % 1.0)
+    weights = np.arange(1, m + 1, dtype=np.float64) ** -s.real
+    values *= weights
+    weight = float(weights.sum())
+    return whole_array_sum(values, weight, MACHINE_EPS * weight * (2.0 + 4.0 * abs(s.imag) * math.log(m + 1.0)))
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
@@ -420,24 +445,40 @@ def test_dirichlet_sum_against_high_precision(sigma, t):
         assert got.err == pytest.approx(want_err, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("s", [complex(0.5, 0.0), complex(0.5, -1.0e5), complex(0.75, 12345.678), complex(2.0, 50.0)])
+def test_dirichlet_sum_matches_whole_array_bit_for_bit(s):
+    for m in (0, *DIRICHLET_LENGTHS, 5 * W + 7):
+        assert dirichlet_sum(s, m) == whole_array_dirichlet(s, m)
+
+
 def test_dirichlet_sum_empty_and_trivial():
     assert dirichlet_sum(complex(0.5, 3.0), 0) == ComplexValue(0.0, 0.0, 0.0)
     assert dirichlet_sum(complex(0.5, 3.0), 1).value == 1.0
+    assert dirichlet_sum(complex(0.5, 3.0), np.int64(1)).value == 1.0
 
 
-def test_dirichlet_sum_memory_per_term():
-    # the phase is dropped before the weights are built: 24 bytes per term;
-    # weights, phase and complex terms alive together would be 32
+@pytest.mark.parametrize("m", [-1, -5, 2.0, 2.5, "3", None])
+def test_dirichlet_sum_refuses_a_bad_length(m):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        dirichlet_sum(complex(0.5, 3.0), m)
+
+
+def test_dirichlet_sum_memory_per_term(traced_peak):
+    # the weights are built whole for their pairwise sum, the phases and
+    # terms in blocks: 8.75 bytes per term measured, 24.5 when the whole
+    # complex term array was alive beside them
     terms = 1 << 20
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        dirichlet_sum(complex(0.5, 2.0 * terms), terms)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak / terms <= 24.5
+    _, peak = traced_peak(dirichlet_sum, complex(0.5, 2.0 * terms), terms)
+    assert peak / terms <= 9.0
+
+
+@pytest.mark.parametrize("terms", [1 << 16, 1 << 20])
+def test_long_sums_run_in_flat_memory(traced_peak, terms):
+    # phases and terms in blocks of SUM_WIDTH into one stream per part:
+    # 0.86 MB (quadruple) and 0.79 MB (dyadic) measured at every length;
+    # the whole arrays took 48 and 24 bytes per term, 50 and 25 MB at 2**20
+    _, peak = traced_peak(eval_quadruple_sum, terms, (0.1, -0.2, 0.3, 0.4))
+    assert peak <= 1 << 20
+    for args in [(), ("monomial", "3/2")]:
+        _, peak = traced_peak(eval_dyadic_sum, 1234.5, 2 * terms, *args)
+        assert peak <= 1 << 20

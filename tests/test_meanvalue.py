@@ -8,7 +8,6 @@ import signal
 import sys
 import threading
 import time
-import tracemalloc
 import weakref
 from array import array
 from collections import Counter, defaultdict
@@ -519,26 +518,17 @@ def test_every_small_one_s1_band_equals_the_general_build():
                 assert_one_s1_band_is_general(N, size, s1)
 
 
-def test_one_s1_band_memory_per_row():
+def test_one_s1_band_memory_per_row(traced_peak):
     # the largest one-s1 band at N = 40 (105,690 rows): 59.0 bytes per row
     # with the last entry added in place, 91.0 when it repeated every
     # prefix and gathered the parents' keys
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        key = _band(40, 6, 123, 123)[0]
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    band, peak = traced_peak(_band, 40, 6, 123, 123)
+    key = band[0]
     assert key.size == 105_690
     assert peak / key.size <= 60
 
 
-def test_windowed_band_memory_per_multiset(monkeypatch):
+def test_windowed_band_memory_per_multiset(monkeypatch, traced_peak):
     # one core: the largest band alone sets the peak; measured at 47.3 bytes
     # per multiset of that band, in the builder's last level and in the
     # pair sweep alike (55.0 before the last-level key and the in-place
@@ -546,17 +536,8 @@ def test_windowed_band_memory_per_multiset(monkeypatch):
     monkeypatch.setattr(meanvalue, "_cores", lambda: 1)
     largest = max(int(_sum_counts(24, 6)[lo:hi + 1].sum())
                   for lo, hi in _bands(_sum_counts(24, 6), meanvalue.SHARD_ROWS))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        assert count_windowed(24).integer_value == 488281573404
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    result, peak = traced_peak(count_windowed, 24)
+    assert result.integer_value == 488281573404
     assert peak / largest <= 48
 
 

@@ -3,7 +3,6 @@ bound, and its agreement with math.fsum; the e(.) kernel against mpmath;
 the Halton block."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +14,7 @@ from zetalab.numerics import (
     SUM_WIDTH,
     UNIT_PHASE_BLOCK,
     UNIT_PHASE_K,
+    NeumaierStream,
     halton,
     neumaier_sum,
     unit_phase,
@@ -94,16 +94,84 @@ def test_strided_views_match_contiguous_copies(size):
         assert np.float64(neumaier_sum(part)).tobytes() == np.float64(neumaier_sum(part.copy())).tobytes()
 
 
-def test_strided_view_is_not_copied():
+def test_strided_view_is_not_copied(traced_peak):
     z = np.exp(2j * np.pi * np.random.default_rng(3).random(1 << 20))
-    tracemalloc.start()
-    try:
-        neumaier_sum(z.real)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(neumaier_sum, z.real)
     # a copy of the real parts alone would be 8 MB
     assert peak < (1 << 21)
+
+
+def whole_array_neumaier(v):
+    """The column-wise compensated sum on a whole array at once: rows of W
+    down the columns, then math.fsum of s, c and the tail."""
+    rows = v.size // W
+    if rows < 2:
+        return math.fsum(v.tolist())
+    body = v[: rows * W].reshape(rows, W)
+    s, c = body[0].copy(), np.zeros(W)
+    for x in body[1:]:
+        t = s + x
+        z = t - s
+        c += (s - (t - z)) + (x - z)
+        s = t
+    return math.fsum(np.concatenate((s, c, v[rows * W :])).tolist())
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def streamed(pieces):
+    stream = NeumaierStream()
+    for piece in pieces:
+        stream.add(piece)
+    return stream.total()
+
+
+def random_split(rng, v):
+    # cuts at random points, with runs of short pieces and pieces longer than W
+    cuts = np.sort(rng.integers(0, v.size + 1, rng.integers(0, 12)))
+    return np.split(v, cuts)
+
+
+STREAM_LENGTHS = (0, 1, W - 1, W, W + 1, 2 * W - 1, 2 * W, 3 * W + 5)
+
+
+@pytest.mark.parametrize("size", STREAM_LENGTHS)
+def test_stream_matches_neumaier_sum_bit_for_bit(size):
+    rng = np.random.default_rng(size + 1)
+    v = ill_conditioned(rng, size)
+    want = bits(neumaier_sum(v))
+    assert want == bits(whole_array_neumaier(v))
+    assert bits(streamed([v])) == want
+    assert bits(streamed(np.split(v, range(1, size)))) == want  # one value at a time
+    assert bits(streamed(np.split(v, range(W - 1, size, W)))) == want  # rows across pieces
+    for _ in range(20):
+        assert bits(streamed(random_split(rng, v))) == want
+
+
+@pytest.mark.parametrize("size", STREAM_LENGTHS)
+def test_stream_reads_strided_views(size):
+    rng = np.random.default_rng(size + 2)
+    z = rng.standard_normal(size) * 1e3 + 1j * ill_conditioned(rng, size)
+    for part in (z.real, z.imag):
+        want = bits(whole_array_neumaier(part.copy()))
+        assert bits(streamed([part])) == want
+        for _ in range(10):
+            assert bits(streamed(random_split(rng, part))) == want
+
+
+def test_stream_totals_along_the_way_and_signed_zeros():
+    rng = np.random.default_rng(9)
+    v = ill_conditioned(rng, 3 * W + 5)
+    stream, seen = NeumaierStream(), 0
+    for piece in random_split(rng, v):
+        stream.add(piece)
+        seen += piece.size
+        assert bits(stream.total()) == bits(neumaier_sum(v[:seen]))
+    for size in STREAM_LENGTHS:
+        zeros = np.full(size, -0.0)
+        assert bits(streamed(random_split(rng, zeros))) == bits(whole_array_neumaier(zeros))
 
 
 def test_unit_phases_match_fsum():
@@ -201,19 +269,8 @@ def test_halton_dimension_is_validated(dim):
 
 
 @pytest.mark.parametrize("dim, ratio", [(2, 2.6), (4, 1.8)])
-def test_halton_peak_over_block(dim, ratio):
+def test_halton_peak_over_block(traced_peak, dim, ratio):
     # one (count, dim) block plus three count-length work arrays: 2.53 and
     # 1.77 times the block; stacking finished columns took 3.5 and 2.25
-    count = 1 << 17
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        block = halton(dim, count)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    block, peak = traced_peak(halton, dim, 1 << 17)
     assert peak <= ratio * block.nbytes
