@@ -29,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -148,13 +149,14 @@ def _parse_floats(text: str, n: int) -> list[float]:
 
 
 def _n_list(text: str) -> list[int]:
-    """The N of --N/--Ns, such as 8,12; a list without a value is refused."""
+    """The N of --N/--Ns, such as 8,12; a list without a value, or with a
+    value below 1, is refused."""
     try:
         ns = [int(v) for v in text.split(",") if v != ""]
     except ValueError:
         ns = []
-    if not ns:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers such as 8,12, got {text!r}")
+    if not ns or min(ns) < 1:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers >= 1 such as 8,12, got {text!r}")
     return ns
 
 
@@ -262,21 +264,26 @@ def _cmd_planner_plan(args) -> Report:
 
 
 def _cmd_meanvalue(args) -> Report:
-    rows = []
-    for N in args.Ns:
-        started = time.perf_counter()
-        if args.mode == "count":
-            res = meanvalue.count_windowed(N, args.window3, args.window4)
-        elif args.mode == "vinogradov":
-            res = meanvalue.vinogradov_count(N, args.s)
+    """One row per N, in the order given. Every `MeanValueSpec` is built
+    first and the largest N runs first, so a usage error or a guard on any
+    N stops the leaf before its first count; each route is deterministic
+    per N, so the order changes no row."""
+    if args.mode == "count":
+        items, route = args.Ns, lambda N: meanvalue.count_windowed(N, args.window3, args.window4)
+    elif args.mode == "vinogradov":
+        items, route = args.Ns, lambda N: meanvalue.vinogradov_count(N, args.s)
+    else:
+        items = [meanvalue.MeanValueSpec(N, args.r, args.delta, args.Delta) for N in args.Ns]
+        if args.mode == "kernel":
+            route = meanvalue.moment_kernel_sum
         else:
-            spec = meanvalue.MeanValueSpec(N, args.r, args.delta, args.Delta)
-            if args.mode == "kernel":
-                res = meanvalue.moment_kernel_sum(spec)
-            else:
-                res = meanvalue.moment_monte_carlo(spec, args.samples, args.seed)
+            route = lambda spec: meanvalue.moment_monte_carlo(spec, args.samples, args.seed)
+    rows = [None] * len(items)
+    for i in sorted(range(len(items)), key=lambda i: -args.Ns[i]):
+        started = time.perf_counter()
+        res = route(items[i])
         seconds = time.perf_counter() - started if args.timing else None
-        rows.append((*(getattr(res, c) for c in MEANVALUE_COLUMNS[:-1]), seconds))
+        rows[i] = (*(getattr(res, c) for c in MEANVALUE_COLUMNS[:-1]), seconds)
     return Report(columns=MEANVALUE_COLUMNS, rows=rows, meta={"plot_axes": ("N", "value")})
 
 
@@ -512,6 +519,8 @@ def _resolve_defaults(args) -> None:
         args.plot_script = None
     if args.plot_script and (not args.out or args.format != "csv"):
         raise ValueError("--plot-script requires --out and CSV output (the script reads the data file)")
+    if args.plot_script and os.path.realpath(args.plot_script) == os.path.realpath(args.out):
+        raise ValueError(f"--plot-script and --out name the same file {args.out!r}")
 
 
 def main(argv=None) -> int:

@@ -103,17 +103,12 @@ class DecouplingExperiment:
         return np.exp((2j * np.pi) * rng.random(self.N))
 
 
-def _guard(name: str, value: int, limit: int, what: str) -> None:
-    if value > limit:
-        raise GuardError(name, f"{what} exceeds the guard {limit}")
-
-
 def qmc_points(samples: int) -> int:
     """The points `qmc_mean` evaluates for `samples`: whole blocks of
     REPLICATES, at least one point per replicate, at most QMC_MAX_SAMPLES."""
     if samples < REPLICATES:
         raise ValueError(f"samples must be >= {REPLICATES} (one point per replicate), got {samples}")
-    _guard("decouple.qmc.samples", samples, QMC_MAX_SAMPLES, f"samples={samples}")
+    GuardError.check("decouple.qmc.samples", samples, QMC_MAX_SAMPLES, f"samples={samples}")
     return REPLICATES * (samples // REPLICATES)
 
 
@@ -215,7 +210,7 @@ def bilinear_d4_ratio(exp: DecouplingExperiment) -> RatioRow:
     """
     if exp.d != 4:
         raise ValueError("the bilinear probe requires d=4")
-    _guard("decouple.bilinear.N", exp.N, BILINEAR_MAX_N, f"N={exp.N}")
+    GuardError.check("decouple.bilinear.N", exp.N, BILINEAR_MAX_N, f"N={exp.N}")
     a = exp.coefficients()
     (a1, b1), (a2, b2) = exp.intervals
     N = exp.N
@@ -267,14 +262,14 @@ def ratio_scan(
             raise ValueError(f"the exact ones ensemble takes one trial, got {trials}")
         check_vinogradov_n(ns[-1])
     else:
-        _guard("decouple.parabola.N", ns[-1], PARABOLA_MAX_N, f"N={ns[-1]}")
+        GuardError.check("decouple.parabola.N", ns[-1], PARABOLA_MAX_N, f"N={ns[-1]}")
         # A row's trials share the QMC guard, each charged at least one phase block
         # (a draw costs about 0.2 ms however few its points). At the edge N = 4, 5, 6
         # took 0.5 s and 37 MB for 512 trials of 8 samples, N = 14, 15, 16 6.0 s and
         # 42 MB for 16 trials of 2^20 (fresh processes, 2-core host).
         points = qmc_points(samples)
         charged = max(points, PHASE_BLOCK)
-        _guard("decouple.qmc.samples", trials * charged, QMC_MAX_SAMPLES, f"{trials} trials x {charged} points")
+        GuardError.check("decouple.qmc.samples", trials * charged, QMC_MAX_SAMPLES, f"{trials} trials x {charged} points")
     rows = []
     for N in ns:
         # every ensemble is unit-modulus: rhs = sqrt(N) for all draws
@@ -312,7 +307,7 @@ def bilinear_scan(
     here or in the accompanying documents.
     """
     ns = _distinct_ns(Ns, 2)
-    _guard("decouple.bilinear.N", ns[-1], BILINEAR_MAX_N, f"N={ns[-1]}")
+    GuardError.check("decouple.bilinear.N", ns[-1], BILINEAR_MAX_N, f"N={ns[-1]}")
     rows = tuple(
         bilinear_d4_ratio(DecouplingExperiment(4, N, "quadruple", ensemble, samples, seed)) for N in ns
     )

@@ -166,11 +166,7 @@ def eval_quadruple_sum(N: int, x: Sequence[float]) -> ComplexValue:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > MAX_QUADRUPLE_N:
-        raise GuardError(
-            "expsum.quadruple.N",
-            f"N={N} exceeds the double-precision guard {MAX_QUADRUPLE_N}",
-        )
+    GuardError.check("expsum.quadruple.N", N, MAX_QUADRUPLE_N, f"N={N}")
     x1, x2, x3, x4 = (float(v) for v in x)
     if not all(math.isfinite(v) for v in (x1, x2, x3, x4)):
         raise ValueError("phase frequencies must be finite")
@@ -198,11 +194,7 @@ def eval_dyadic_sum(T: float, M: int, kind: str = "log", exponent=None) -> Compl
         raise ValueError("T must be finite")
     if M < 2:
         raise ValueError("M must be >= 2")
-    if M - M // 2 > DYADIC_MAX_TERMS:
-        raise GuardError(
-            "expsum.dyadic.terms",
-            f"M={M} asks for {M - M // 2} terms, above the guard {DYADIC_MAX_TERMS}",
-        )
+    GuardError.check("expsum.dyadic.terms", M - M // 2, DYADIC_MAX_TERMS, f"{M - M // 2} terms at M={M}")
     if kind == "log":
         if exponent is not None:
             raise ValueError("the log phase takes no exponent")

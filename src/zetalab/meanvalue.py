@@ -404,10 +404,7 @@ def count_windowed(N: int, window3: float | None = None, window4: float | None =
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > WINDOWED_MAX_N:
-        raise GuardError(
-            "meanvalue.windowed.N", f"N={N} exceeds the windowed-count guard {WINDOWED_MAX_N}"
-        )
+    GuardError.check("meanvalue.windowed.N", N, WINDOWED_MAX_N, f"N={N}")
     w3 = float(N) ** -0.5 if window3 is None else float(window3)
     w4 = float(N) ** -0.5 if window4 is None else float(window4)
     if not (w3 > 0 and w4 > 0):
@@ -531,11 +528,7 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
     r = spec.r
     if r not in KERNEL_MAX_N:
         raise ValueError(f"kernel route supports r in {sorted(KERNEL_MAX_N)}, got r={r}")
-    if spec.N > KERNEL_MAX_N[r]:
-        raise GuardError(
-            "meanvalue.kernel.N",
-            f"N={spec.N} exceeds the kernel-sum guard {KERNEL_MAX_N[r]} for r={r}",
-        )
+    GuardError.check("meanvalue.kernel.N", spec.N, KERNEL_MAX_N[r], f"N={spec.N} at r={r}")
     scale3 = 1.0 / (spec.delta * spec.N**1.5)
     scale4 = 1.0 / (spec.Delta * spec.N**0.5)
 
@@ -593,11 +586,8 @@ def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> Coun
     single stream."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}")
-    if samples * spec.N > QUADRATURE_MAX_TERMS:
-        raise GuardError(
-            "meanvalue.quadrature.terms",
-            f"{samples} samples of N={spec.N} terms exceed the quadrature guard {QUADRATURE_MAX_TERMS}",
-        )
+    GuardError.check("meanvalue.quadrature.terms", samples * spec.N, QUADRATURE_MAX_TERMS,
+                     f"{samples} samples x N={spec.N} terms")
     rng = np.random.default_rng(seed)
     n = np.arange(1, spec.N + 1, dtype=np.float64)
     phi = np.column_stack(
@@ -624,10 +614,7 @@ def moment_monte_carlo(spec: MeanValueSpec, samples: int, seed: int = 0) -> Coun
 def check_vinogradov_n(N: int) -> None:
     """The size guard of `vinogradov_count`, for callers that check a whole
     list of N before the first count."""
-    if N > VINOGRADOV_MAX_N:
-        raise GuardError(
-            "meanvalue.vinogradov.N", f"N={N} exceeds the count guard {VINOGRADOV_MAX_N}"
-        )
+    GuardError.check("meanvalue.vinogradov.N", N, VINOGRADOV_MAX_N, f"N={N}")
 
 
 def vinogradov_count(N: int, s: int) -> CountResult:

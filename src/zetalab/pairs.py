@@ -229,11 +229,7 @@ def search_words(
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    if max_len > MAX_WORD_SEARCH_LEN:
-        raise GuardError(
-            "pairs.search_words.max_len",
-            f"max_len={max_len} exceeds the word-search guard {MAX_WORD_SEARCH_LEN}",
-        )
+    GuardError.check("pairs.search_words.max_len", max_len, MAX_WORD_SEARCH_LEN, f"max_len={max_len}")
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r} (expected one of {OBJECTIVES})")
     score = _OBJECTIVES[objective]

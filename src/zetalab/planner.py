@@ -191,12 +191,8 @@ def rationals(max_denominator: int, upto=1) -> tuple[np.ndarray, np.ndarray]:
     # sum over q of (upto * q + 1), an upper bound on the candidates p/q,
     # taken before anything is allocated
     candidates = upto * max_denominator * (max_denominator + 1) / 2 + max_denominator
-    if candidates > GRID_MAX_POINTS:
-        raise GuardError(
-            "planner.grid.points",
-            f"the grid up to denominator {max_denominator} holds up to {math.floor(candidates)} points, "
-            f"above the guard {GRID_MAX_POINTS}",
-        )
+    GuardError.check("planner.grid.points", candidates, GRID_MAX_POINTS,
+                     f"{math.floor(candidates)} grid points up to denominator {max_denominator}")
     q = np.arange(1, max_denominator + 1, dtype=np.int64)
     count = upto.numerator * q // upto.denominator + 1
     starts = np.cumsum(count) - count

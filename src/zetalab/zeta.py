@@ -112,11 +112,7 @@ def oracle_terms(t: float, terms: int | None = None) -> int:
         raise ValueError(f"t must be finite, got {t}")
     if terms is None:
         terms = default_oracle_terms(t)
-    if terms > ORACLE_MAX_TERMS:
-        raise GuardError(
-            "zeta.oracle.terms",
-            f"t={t:g} needs {terms} Euler-Maclaurin terms, above the guard {ORACLE_MAX_TERMS}",
-        )
+    GuardError.check("zeta.oracle.terms", terms, ORACLE_MAX_TERMS, f"{terms} Euler-Maclaurin terms at t={t:g}")
     return terms
 
 
@@ -125,11 +121,7 @@ def scan_terms(t_max: float, points: int) -> int:
     at its oracle terms at t_max plus SCAN_POINT_TERMS; refused above
     SCAN_MAX_TERMS."""
     terms = points * (oracle_terms(t_max) + SCAN_POINT_TERMS)
-    if terms > SCAN_MAX_TERMS:
-        raise GuardError(
-            "zeta.scan.terms",
-            f"{points} points up to t={t_max:g} ask for {terms} terms, above the guard {SCAN_MAX_TERMS}",
-        )
+    GuardError.check("zeta.scan.terms", terms, SCAN_MAX_TERMS, f"{terms} terms for {points} points up to t={t_max:g}")
     return terms
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from zetalab import cli, meanvalue, zeta
+from zetalab import cli, decouple, expsum, meanvalue, pairs, planner, zeta
 from zetalab.cli import (
     EXIT_GUARD,
     EXIT_IO,
@@ -156,23 +156,44 @@ def test_guard_violation_exit_code():
     assert "meanvalue.windowed.N" in err
 
 
+# Every guard the package names, with a CLI command that hits it and the
+# limit its message ends in (None for the range check `zeta.scan.range`).
+GUARD_CASES = (
+    (["expsum", "quadruple", "--N", "100000000", "--x", "0,0,0,0"], "expsum.quadruple.N", expsum.MAX_QUADRUPLE_N),
+    (["expsum", "dyadic", "--T", "5", "--M", "20000000000000"], "expsum.dyadic.terms", expsum.DYADIC_MAX_TERMS),
+    (["meanvalue", "count", "--N", "49"], "meanvalue.windowed.N", meanvalue.WINDOWED_MAX_N),
+    (["meanvalue", "kernel", "--N", "33", "--r", "6"], "meanvalue.kernel.N", meanvalue.KERNEL_MAX_N[6]),
+    (["meanvalue", "quadrature", "--N", "1000000000000", "--r", "3", "--samples", "1000"],
+     "meanvalue.quadrature.terms", meanvalue.QUADRATURE_MAX_TERMS),
+    (["meanvalue", "vinogradov", "--N", "1025"], "meanvalue.vinogradov.N", meanvalue.VINOGRADOV_MAX_N),
+    (["decouple", "parabola", "--ensemble", "random_signs", "--Ns", "4,5,1000000000000", "--samples", "8"],
+     "decouple.parabola.N", decouple.PARABOLA_MAX_N),
+    (["decouple", "bilinear", "--Ns", "8,65"], "decouple.bilinear.N", decouple.BILINEAR_MAX_N),
+    (["decouple", "parabola", "--ensemble", "random_signs", "--samples", str(1 << 31)],
+     "decouple.qmc.samples", decouple.QMC_MAX_SAMPLES),
+    (["pairs", "search", "--max-len", "25"], "pairs.search_words.max_len", pairs.MAX_WORD_SEARCH_LEN),
+    (["planner", "envelope", "--denominator-bound", "100000"], "planner.grid.points", planner.GRID_MAX_POINTS),
+    (["planner", "coverage", "--denominator-bound", "100000"], "planner.grid.points", planner.GRID_MAX_POINTS),
+    (["zeta", "value", "--t", "1e12"], "zeta.oracle.terms", zeta.ORACLE_MAX_TERMS),
+    (["zeta", "afe", "--t-min", "10", "--t-max", "100", "--points", "1000000000000"], "zeta.scan.terms",
+     zeta.SCAN_MAX_TERMS),
+    (["zeta", "scan", "--t-min", "10", "--t-max", "100", "--points", "1000000000000"], "zeta.scan.terms",
+     zeta.SCAN_MAX_TERMS),
+    (["zeta", "scan", "--t-min", "1", "--t-max", "100"], "zeta.scan.range", None),
+)
+
+
 def test_unbounded_inputs_hit_size_guards():
-    for args, guard in (
-        (["expsum", "dyadic", "--T", "5", "--M", "20000000000000"], "expsum.dyadic.terms"),
-        (["zeta", "value", "--t", "1e12"], "zeta.oracle.terms"),
-        (["planner", "envelope", "--denominator-bound", "100000"], "planner.grid.points"),
-        (["planner", "coverage", "--denominator-bound", "100000"], "planner.grid.points"),
-        (["zeta", "afe", "--t-min", "10", "--t-max", "100", "--points", "1000000000000"], "zeta.scan.terms"),
-        (["zeta", "scan", "--t-min", "10", "--t-max", "100", "--points", "1000000000000"], "zeta.scan.terms"),
-        (["decouple", "parabola", "--ensemble", "random_signs", "--Ns", "4,5,1000000000000", "--samples", "8"],
-         "decouple.parabola.N"),
-        (["meanvalue", "quadrature", "--N", "1000000000000", "--r", "3", "--samples", "1000"],
-         "meanvalue.quadrature.terms"),
-    ):
-        code, _, err = run_cli(args)
-        assert code == EXIT_GUARD
-        assert f"guard={guard}" in err
+    source = "".join(path.read_text() for path in Path(zeta.__file__).parent.glob("*.py"))
+    named = set(re.findall(r'GuardError(?:\.check)?\(\s*"([a-z_.0-9A-Z]+)"', source))
+    assert {guard for _, guard, _ in GUARD_CASES} == named and len(named) == 14
+    for args, guard, limit in GUARD_CASES:
+        code, out, err = run_cli(args)
+        assert code == EXIT_GUARD, args
+        assert f"kind=guard guard={guard} message=" in err and out == ""
         assert "Traceback" not in err
+        if limit is not None:
+            assert err.endswith(f" exceeds the guard {limit}\n"), err
 
 
 @pytest.mark.parametrize("bound", ["0", "-5"])
@@ -356,6 +377,43 @@ def test_meanvalue_count_writes_the_windows_the_route_used(tmp_path, monkeypatch
     assert run_cli(["--out", str(dest), "meanvalue", "count", "--N", "5,6"])[0] == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(dest.read_text())))
     assert [(row["window3"], row["window4"]) for row in rows] == [("0.25", "0.25")] * 2
+
+
+# Each meanvalue leaf, the route it calls with its recorded argument, and a
+# list of N whose last N hits the guard or whose first N is a usage error.
+ROUTE_CASES = {
+    "count": ("count_windowed", lambda N, *rest: N, ["meanvalue", "count"], "8,49", "0,8"),
+    "kernel": ("moment_kernel_sum", lambda spec: spec.N, ["meanvalue", "kernel", "--r", "6"], "8,33", "1,32"),
+    "kernel-delta": ("moment_kernel_sum", lambda spec: spec.N,
+                     ["meanvalue", "kernel", "--r", "3", "--delta", "0.03"], "8,129", "4,8"),
+    "quadrature": ("moment_monte_carlo", lambda spec, *rest: spec.N,
+                   ["meanvalue", "quadrature", "--r", "3", "--samples", "1000"], "8,1000000000", "1,8"),
+    "vinogradov": ("vinogradov_count", lambda N, *rest: N, ["meanvalue", "vinogradov"], "8,1025", "0,8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_meanvalue_leaves_refuse_before_the_first_count(tmp_path, monkeypatch, case):
+    # every spec is built and the largest N runs first: a guard on the last
+    # N (exit 3) or a usage error on the first (exit 2) stops the leaf before
+    # any count returns, and no data file is written; rows keep the given order
+    name, key, leaf, guarded, unusable = ROUTE_CASES[case]
+    route, returned = getattr(meanvalue, name), []
+
+    def recorded(*args):
+        res = route(*args)
+        returned.append(key(*args))
+        return res
+
+    monkeypatch.setattr(meanvalue, name, recorded)
+    dest = tmp_path / "mv.csv"
+    for ns, want in ((guarded, EXIT_GUARD), (unusable, EXIT_USAGE)):
+        code, out, err = run_cli(["--out", str(dest)] + leaf + ["--Ns", ns])
+        assert code == want, err
+        assert returned == [] and out == "" and not dest.exists()
+    assert run_cli(["--out", str(dest)] + leaf + ["--Ns", "8,12,10"])[0] == EXIT_OK
+    assert returned == [12, 10, 8]
+    assert [int(row["N"]) for row in csv.DictReader(io.StringIO(dest.read_text()))] == [8, 12, 10]
 
 
 LEAF_COMMANDS = (
@@ -681,6 +739,19 @@ def test_plot_script_refuses_json(tmp_path):
         assert out == ""
         assert "requires --out and CSV output" in err
         assert not dest.exists() and not script.exists()
+
+
+def test_plot_script_refuses_the_data_file(tmp_path):
+    # the script would overwrite the data it reads: refused before the leaf
+    # runs, also when the two paths differ only in spelling
+    (tmp_path / "sub").mkdir()
+    dest = tmp_path / "d.csv"
+    for script in (dest, tmp_path / "sub" / ".." / "d.csv"):
+        code, out, err = run_cli(["--out", str(dest), "--plot-script", str(script),
+                                  "pairs", "word", "--word", "AB"])
+        assert code == EXIT_USAGE
+        assert out == "" and "name the same file" in err
+        assert not dest.exists()
 
 
 @pytest.mark.parametrize("t", ["0", "3", "inf", "nan"])
