@@ -24,13 +24,15 @@ from .pairs import PAIR_13_84, ExponentPair, apply_word
 HALF = Fraction(1, 2)
 CRITICAL_EXPONENT = Fraction(13, 84)
 
-# Largest grid of candidate points p/q (reduced or not) that `rationals`
-# builds. At the edge (2-core host, fresh processes), `planner envelope` at
-# Q = 1446 took 2.6 s and 212 MB with CSV output and 4.3 s and 212 MB with
-# JSON, and `planner coverage` at Q = 2045 took 0.6 s and 73 MB.
+# Largest grid of candidate points p/q (reduced or not) that
+# `_rational_blocks` enumerates. At the edge (2-core host, fresh processes),
+# `planner envelope` at Q = 1446 took 1.5 s and 210 MB with CSV output and
+# 2.8-3.2 s and 209 MB with JSON, and `planner coverage` at Q = 2045 took
+# 0.24-0.33 s and 37 MB.
 GRID_MAX_POINTS = 1 << 20
-# Grid points evaluated against the piece table at once: the (pieces x
-# points) int64 temporaries then hold 3.5 MB each at any grid size.
+# Candidate points of one block of `_rational_blocks`, and grid points
+# evaluated against one piece at once: each int64 temporary of a block or of
+# the table holds at most 512 KB, so coverage needs about 5 MB at any bound.
 _TABLE_SLICE = 1 << 16
 
 # Regimes for make_plan. The first three choose a block length N (and carry
@@ -181,10 +183,13 @@ class CoverageReport:
     coverage: bool
 
 
-def rationals(max_denominator: int, upto=1) -> tuple[np.ndarray, np.ndarray]:
+def _rational_blocks(max_denominator: int, upto=1):
     """The reduced fractions p/q in [0, upto] with q <= max_denominator, as
-    int64 arrays (p, q) by increasing q and then p. Refuses a bound below 1,
-    and a grid of more than GRID_MAX_POINTS candidate points."""
+    int64 arrays (p, q) by increasing q and then p, in blocks of consecutive
+    denominators that span at most _TABLE_SLICE candidate points each (or
+    one denominator). Refuses a bound below 1, and a grid of more than
+    GRID_MAX_POINTS candidate points, when called; each block is built when
+    it is reached."""
     if max_denominator < 1:
         raise ValueError(f"the denominator bound must be >= 1, got {max_denominator}")
     upto = Fraction(upto)
@@ -193,13 +198,31 @@ def rationals(max_denominator: int, upto=1) -> tuple[np.ndarray, np.ndarray]:
     candidates = upto * max_denominator * (max_denominator + 1) / 2 + max_denominator
     GuardError.check("planner.grid.points", candidates, GRID_MAX_POINTS,
                      f"{math.floor(candidates)} grid points up to denominator {max_denominator}")
-    q = np.arange(1, max_denominator + 1, dtype=np.int64)
-    count = upto.numerator * q // upto.denominator + 1
-    starts = np.cumsum(count) - count
-    q = np.repeat(q, count)
-    p = np.arange(q.size, dtype=np.int64) - np.repeat(starts, count)
-    keep = np.gcd(p, q) == 1
-    return p[keep], q[keep]
+    denominators = np.arange(1, max_denominator + 1, dtype=np.int64)
+    counts = upto.numerator * denominators // upto.denominator + 1
+    ends = np.cumsum(counts)
+
+    def blocks():
+        first = 0
+        while first < max_denominator:
+            start = ends[first] - counts[first]
+            stop = max(int(np.searchsorted(ends, start + _TABLE_SLICE, side="right")), first + 1)
+            count = counts[first:stop]
+            q = np.repeat(denominators[first:stop], count)
+            p = np.arange(q.size, dtype=np.int64) - np.repeat(ends[first:stop] - count - start, count)
+            keep = np.gcd(p, q) == 1
+            yield p[keep], q[keep]
+            first = stop
+
+    return blocks()
+
+
+def rationals(max_denominator: int, upto=1) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced fractions p/q in [0, upto] with q <= max_denominator, as
+    int64 arrays (p, q) by increasing q and then p: the blocks of
+    `_rational_blocks` joined, under its checks."""
+    p, q = zip(*_rational_blocks(max_denominator, upto))
+    return np.concatenate(p), np.concatenate(q)
 
 
 def _envelope_table(p: np.ndarray, q: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -217,26 +240,27 @@ def _envelope_table(p: np.ndarray, q: np.ndarray) -> tuple[int, np.ndarray, np.n
         CRITICAL_EXPONENT.denominator,
         *(x.denominator for piece in _PIECES for x in (piece.lo, piece.hi, piece.u, piece.v)),
     )
-    scaled = [[int(L * getattr(piece, f)) for piece in _PIECES] for f in ("lo", "hi", "u", "v")]
+    scaled = [[int(L * getattr(piece, f)) for f in ("lo", "hi", "u", "v")] for piece in _PIECES]
     # Every number formed below, the target's too, is a sum of at most two
     # products c * p or c * q with |c| <= max(L, the scaled bounds) and p <= q.
-    q_max = int(q.max())
+    q_max = int(q.max(initial=0))
     if 2 * max(L, *(abs(c) for row in scaled for c in row)) * q_max >= 1 << 63:
         raise OverflowError(f"the piece table scaled by L={L} leaves int64 at denominator {q_max}")
-    lo, hi, u, v = (np.array(row, dtype=np.int64)[:, None] for row in scaled)
-    lo_closed = np.array([[piece.lo_closed] for piece in _PIECES])
-    hi_closed = np.array([[piece.hi_closed] for piece in _PIECES])
-    num = np.empty(p.size, dtype=np.int64)
-    witness = np.empty(p.size, dtype=np.intp)
-    # one slice of _TABLE_SLICE points at a time bounds the (pieces x points)
-    # temporaries whatever the grid size
+    num = np.full(p.size, np.iinfo(np.int64).max, dtype=np.int64)
+    witness = np.zeros(p.size, dtype=np.intp)
+    # one piece at a time over one slice of _TABLE_SLICE points; a strict <
+    # keeps the earlier piece on a tie, the first minimum
     for s in range(0, p.size, _TABLE_SLICE):
         ps, qs = p[s : s + _TABLE_SLICE], q[s : s + _TABLE_SLICE]
-        a, low, high = L * ps, lo * qs, hi * qs
-        applies = np.where(lo_closed, a >= low, a > low) & np.where(hi_closed, a <= high, a < high)
-        values = np.where(applies, u * qs + v * ps, np.iinfo(np.int64).max)
-        witness[s : s + _TABLE_SLICE] = values.argmin(axis=0)  # the first minimum
-        num[s : s + _TABLE_SLICE] = values.min(axis=0)
+        best, winner = num[s : s + _TABLE_SLICE], witness[s : s + _TABLE_SLICE]
+        a = L * ps
+        for k, (piece, (lo, hi, u, v)) in enumerate(zip(_PIECES, scaled)):
+            low, high = lo * qs, hi * qs
+            applies = (a >= low if piece.lo_closed else a > low) & (a <= high if piece.hi_closed else a < high)
+            value = u * qs + v * ps
+            better = applies & (value < best)
+            np.copyto(best, value, where=better)
+            np.copyto(winner, k, where=better)
     return L, num, witness
 
 
@@ -267,7 +291,8 @@ def verify_critical_line_coverage(max_denominator: int = 1000) -> CoverageReport
     Crossovers: the resonance bound meets the target at 332/819, the
     exponent-pair bound at 11/28, the trivial bound at 13/42; the main bound
     starts at 17/42. Since 17/42 < 332/819, the pieces jointly cover [0, 1/2].
-    The grid is decided in exact integers (`_envelope_table`); failures come
+    The grid is decided in exact integers (`_envelope_table`), one block of
+    `_rational_blocks` at a time, so it is never held whole; failures come
     back as Fractions, grid points by q and then p, then the crossovers.
     """
     crossovers = {
@@ -282,14 +307,18 @@ def verify_critical_line_coverage(max_denominator: int = 1000) -> CoverageReport
         if _PIECES.by_tag(tag).value(a) != critical_line_target(a):
             raise ArithmeticError(f"crossover {tag}: alpha = {a} does not meet the target")
 
-    p, q = rationals(max_denominator, HALF)
+    grid = _rational_blocks(max_denominator, HALF)
     extra = [c for c in crossovers.values() if c <= HALF]
-    p = np.append(p, [c.numerator for c in extra])
-    q = np.append(q, [c.denominator for c in extra])
-    L, num, _ = _envelope_table(p, q)
-    target = int(L * CRITICAL_EXPONENT) * q + int(L * HALF) * p
-    failures = tuple(Fraction(int(p[i]), int(q[i])) for i in np.flatnonzero(num > target))
-    return CoverageReport(crossovers, p.size, failures, coverage=not failures)
+    tail = (np.array([c.numerator for c in extra], dtype=np.int64),
+            np.array([c.denominator for c in extra], dtype=np.int64))
+    points, failures = 0, []
+    for blocks in (grid, [tail]):
+        for p, q in blocks:
+            L, num, _ = _envelope_table(p, q)
+            target = int(L * CRITICAL_EXPONENT) * q + int(L * HALF) * p
+            failures += (Fraction(int(p[i]), int(q[i])) for i in np.flatnonzero(num > target))
+            points += p.size
+    return CoverageReport(crossovers, points, tuple(failures), coverage=not failures)
 
 
 @dataclass(frozen=True)

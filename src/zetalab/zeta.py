@@ -231,6 +231,8 @@ def growth_scan(t_min: float, t_max: float, points: int, seed: int = 0) -> Growt
     """
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise ValueError(f"t_min and t_max must be finite, got [{t_min}, {t_max}]")
+    if not t_min < t_max:
+        raise ValueError(f"need t_min < t_max, got [{t_min}, {t_max}]")
     if not (SCAN_MIN_T <= t_min < t_max <= SCAN_MAX_T):
         raise GuardError(
             "zeta.scan.range",

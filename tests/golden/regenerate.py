@@ -1,6 +1,7 @@
 """The golden corpus of the `zetalab` CLI: one small job per leaf (all 16),
-a few of them also with `--format json`, and two jobs that exit at a guard
-and at a usage error. `JOBS` is the one job list: this script writes the
+a few of them also with `--format json`, `planner coverage` also at a bound
+whose grid spans two blocks, and two jobs that exit at a guard and at a
+usage error. `JOBS` is the one job list: this script writes the
 corpus from it, and `tests/test_golden.py` reruns it and compares.
 
 Run from the root of a checkout to rewrite the corpus:
@@ -40,6 +41,7 @@ JOBS = (
     ("pairs-search-empty", ["pairs", "search", "--no-axiom", "--max-len", "0", "--format", "json"]),
     ("planner-envelope", ["planner", "envelope", "--denominator-bound", "12"]),
     ("planner-coverage", ["planner", "coverage", "--denominator-bound", "30"]),
+    ("planner-coverage-blocks", ["planner", "coverage", "--denominator-bound", "600", "--format", "json"]),
     ("planner-plan", ["planner", "plan", "--T", "1e6", "--M", "1000"]),
     ("meanvalue-count", ["meanvalue", "count", "--Ns", "4,6,5"]),
     ("meanvalue-count-inf", ["meanvalue", "count", "--N", "6", "--window3", "inf", "--window4", "inf"]),

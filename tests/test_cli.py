@@ -783,11 +783,13 @@ def test_zeta_oracle_guard_before_any_sum(traced_peak, args):
 
 @pytest.mark.parametrize("t_min, t_max", [("1000", "100"), ("100", "100")])
 def test_zeta_afe_empty_range_is_usage_error(t_min, t_max):
-    # `zeta scan` refuses these too; a reversed range gave a decreasing grid
-    code, out, err = run_cli(["zeta", "afe", "--t-min", t_min, "--t-max", t_max, "--points", "3"])
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "t_min < t_max" in err and "Traceback" not in err
+    # a reversed range gave a decreasing grid; both leaves refuse it as a
+    # usage error, not as the range guard of the scan
+    for mode in ("afe", "scan"):
+        code, out, err = run_cli(["zeta", mode, "--t-min", t_min, "--t-max", t_max, "--points", "3"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "t_min < t_max" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("t_max", ["inf", "nan"])

@@ -146,6 +146,44 @@ def test_coverage_table_reports_the_fraction_scan_failures(monkeypatch):
     assert (rep.points_checked, rep.failures, rep.coverage) == (points, failures, False)
 
 
+@pytest.mark.parametrize("pieces", [PIECES, _WithoutMain(PIECES.pieces)], ids=["all", "without-main"])
+def test_coverage_over_many_blocks_is_the_fraction_scan(monkeypatch, pieces):
+    # 64 candidates a block: denominators up to 60 span about 15 blocks, so
+    # the counts and the order of the failures cross block boundaries
+    monkeypatch.setattr(planner, "_PIECES", pieces)
+    monkeypatch.setattr(planner, "_TABLE_SLICE", 64)
+    rep = verify_critical_line_coverage(max_denominator=60)
+    points, failures = fraction_scan(60)
+    assert (rep.points_checked, rep.failures, rep.coverage) == (points, failures, not failures)
+
+
+@pytest.mark.parametrize("upto", [1, F(1, 2)])
+def test_blocks_join_to_the_grid(monkeypatch, upto):
+    grid = rationals(60, upto)
+    monkeypatch.setattr(planner, "_TABLE_SLICE", 64)
+    blocks = list(planner._rational_blocks(60, upto))
+    assert len(blocks) > 10
+    ranges = [(int(q[0]), int(q[-1])) for _, q in blocks]
+    # consecutive denominator ranges, each of at most 64 candidates p/q
+    assert ranges[0][0] == 1 and ranges[-1][1] == 60
+    assert all(b[0] == a[1] + 1 for a, b in zip(ranges, ranges[1:]))
+    assert all(sum(int(upto * q) + 1 for q in range(lo, hi + 1)) <= 64 for lo, hi in ranges)
+    for joined, whole in zip((np.concatenate(column) for column in zip(*blocks)), grid):
+        assert joined.dtype == np.int64
+        assert np.array_equal(joined, whole)
+    assert all(np.array_equal(a, b) for a, b in zip(rationals(60, upto), grid))
+
+
+# the same bound at both ends: the grid is never whole, and the table holds
+# one slice of one piece at a time (the whole grid with the (pieces x points)
+# table took 15 MB at 600 and 38 MB at 2045)
+@pytest.mark.parametrize("bound", [600, 2045])
+def test_coverage_memory_is_flat_in_the_bound(traced_peak, bound):
+    rep, peak = traced_peak(verify_critical_line_coverage, bound)
+    assert rep.coverage
+    assert peak < 8 << 20
+
+
 # 120 reaches the open ends 12/31 and 49/114 as well as 5/12
 @pytest.mark.parametrize("bound", [24, 120])
 def test_envelope_leaf_rows_are_the_fraction_envelope(tmp_path, bound):
