@@ -314,11 +314,15 @@ def _cmd_zeta_value(args) -> Report:
     # t below 2 pi exits 2, then a t past the guard 3, before either sum runs
     zeta.afe_cutoff(args.t)
     zeta.oracle_terms(args.t, args.terms)
-    bound = zeta.afe_upper_bound(args.t, args.slack)
-    em = zeta.zeta_em_oracle(args.t, args.terms)
-    report = Report(columns=ZETA_COLUMNS, rows=[zeta.growth_row(args.t, em)])
+    main = zeta.afe_main_sum(args.t)
+    bound = zeta.afe_upper_bound(args.t, args.slack, main)
+    if args.terms is None:
+        value = zeta.zeta_oracle(args.t, main)
+    else:
+        value = zeta.zeta_em_oracle(args.t, args.terms)
+    report = Report(columns=ZETA_COLUMNS, rows=[zeta.growth_row(args.t, value)])
     report.text = [
-        f"zeta(1/2+{args.t}i) = {em.value} (abs_err {em.err:.3g})",
+        f"zeta(1/2+{args.t}i) = {value.value} (abs_err {value.err:.3g})",
         f"afe bound 2|S|+{args.slack} = {bound:.6f} (slack: unquantified constant)",
     ]
     return report
@@ -475,7 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=_cmd_zeta_scan)
     v = ps.add_parser("value", **leaf, help="single-point oracle value + AFE bound")
     v.add_argument("--t", type=float, required=True)
-    v.add_argument("--terms", type=int, default=None)
+    v.add_argument("--terms", type=int, default=None,
+                   help="Euler-Maclaurin head terms (default: Riemann-Siegel from t = 1000, else t/2 + 40)")
     v.add_argument("--slack", type=float, default=zeta.DEFAULT_SLACK)
     v.set_defaults(func=_cmd_zeta_value)
     af = ps.add_parser("afe", **leaf, help="one-sided AFE consistency scan")

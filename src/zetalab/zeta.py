@@ -3,9 +3,21 @@
 The approximate-functional-equation main sum S(t) = sum_{n <= sqrt(t/2pi)}
 n^{-1/2+it} witnesses the one-sided bound |zeta(1/2+it)| <= 2|S(t)| + O(1);
 the O(1) is unquantified, so every check here is one-sided consistency with
-a configurable slack, never equality. The independent oracle is
-Euler-Maclaurin with BERNOULLI_TERMS corrections and an explicit truncation
-bound; growth scans tabulate |zeta(1/2+it)| / t^{13/84} as a consistency
+a configurable slack, never equality.
+
+The oracle, `zeta_oracle`, has two routes. Below RS_MIN_T it is
+Euler-Maclaurin (`zeta_em_oracle`) with BERNOULLI_TERMS corrections, an
+explicit truncation bound and about t/2 head terms. From RS_MIN_T up it is
+Riemann-Siegel (`zeta_rs_oracle`): the same main sum S(t), rotated by
+`siegel_theta`, plus Gabcke's corrections C_0..C_4 and his bound on the
+remainder after them (Gabcke 1979), so about sqrt(t/2pi) terms; at
+RS_MIN_T its error bound is already six times below Euler-Maclaurin's.
+`zeta value --terms` always takes Euler-Maclaurin. The guards stay those
+of Euler-Maclaurin: `zeta.oracle.terms` and `zeta.scan.terms` charge its
+terms on either route, and SCAN_MAX_T holds, because the float64 phases
+t log n of the main sum lose their accuracy past t = 1e6.
+
+Growth scans tabulate |zeta(1/2+it)| / t^{13/84} as a consistency
 artifact (the asymptotic bound itself is not falsifiable at finite t).
 The main sum and the Euler-Maclaurin head are both `expsum.dirichlet_sum`.
 """
@@ -13,8 +25,10 @@ The main sum and the Euler-Maclaurin head are both `expsum.dirichlet_sum`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -28,19 +42,49 @@ SCAN_MIN_T = 10.0
 SCAN_MAX_T = 1.0e6
 
 # About 8 bytes per head term, the weights of `expsum.dirichlet_sum`; its
-# phases and terms run in blocks. `zeta value` at the guard, t = 33554352,
-# took 1.1 s and 159 MB in a fresh process (2-core host).
+# phases and terms run in blocks. Euler-Maclaurin at the guard, `zeta value
+# --t 1e6 --terms 16777216`, took 0.6-1.1 s and 159 MB in a fresh process
+# (2-core host); `zeta value --t 33554352`, on Riemann-Siegel, 0.01 s.
 ORACLE_MAX_TERMS = 1 << 24
-# A scan point costs its oracle terms, about 37 ns each at t = 1e6, plus
-# about 50 us of Python at any t, the time of SCAN_POINT_TERMS terms: 100
-# points on [9e5, 1e6] took 2.1-3.0 s and 41 MB, and 100000 points on
-# [10, 11] 6.1-6.3 s and 78 MB (`zeta scan`, fresh processes, 2-core host).
+# A scan point is charged its Euler-Maclaurin terms, about 37 ns each at
+# t = 1e6, plus about 50 us of Python at any t, the time of
+# SCAN_POINT_TERMS terms: 100 points on [9e5, 1e6] took 2.1-3.0 s and
+# 41 MB, and 100000 points on [10, 11] 6.1-6.3 s and 78 MB (`zeta scan`,
+# fresh processes, 2-core host, before Riemann-Siegel took the points from
+# RS_MIN_T up; the 100 points on [9e5, 1e6] now take 0.04 s and 36 MB).
 # The guard keeps a scan within about 10 s, at any t.
 SCAN_POINT_TERMS = 1500
 SCAN_MAX_TERMS = 1 << 28
 
 BERNOULLI_TERMS = 8
 DEFAULT_SLACK = 2.0
+
+# Riemann-Siegel from here up, Euler-Maclaurin below: the error bounds
+# cross in between t = 500 (EM err 2.3e-10, Gabcke's remainder bound alone
+# 6.4e-10) and t = 1000 (EM err 1.0e-9, RS err 1.7e-10).
+RS_MIN_T = 1000.0
+# Gabcke (1979): after C_0..C_4 the remainder of Z(t) is at most
+# RS_REMAINDER * t^(-11/4) for t >= 200 (cited; against mpmath it is
+# nearly attained, so it is used as stated).
+RS_REMAINDER = 0.017
+# Psi's Taylor coefficients in x = p - 1/2 are built in `decimal` at
+# _PSI_DIGITS digits up to degree _PSI_DEGREE: in float64 the series
+# division loses them all (its degree-30 coefficient came out 2e5 times
+# too large). The terms of degree 73 to 100 add less than 1e-27 to any C_k
+# on |x| <= 1/2.
+_PSI_DIGITS = 110
+_PSI_DEGREE = 72
+# C_k = sum of coefficient * Psi^(d) / pi^(2j), as (d, numerator,
+# denominator, j) for k = 0..4.
+_RS_CORRECTIONS = (
+    ((0, 1, 1, 0),),
+    ((3, -1, 96, 1),),
+    ((2, 1, 64, 1), (6, 1, 18432, 2)),
+    ((1, -1, 64, 1), (5, -1, 3840, 2), (9, -1, 5308416, 3)),
+    ((0, 1, 128, 1), (4, 19, 24576, 2), (8, 11, 5898240, 3), (12, 1, 2038431744, 4)),
+)
+# Twice the first omitted term of `siegel_theta`, 127 / (430080 t^7).
+_THETA_TRUNCATION = 2.0 * 127.0 / 430080.0
 
 # B_{2k} for k = 1..BERNOULLI_TERMS + 1 (the last bounds the truncation)
 _BERNOULLI = (
@@ -107,7 +151,8 @@ def default_oracle_terms(t: float) -> int:
 
 
 def oracle_terms(t: float, terms: int | None = None) -> int:
-    """`terms`, by default ~ t/2 + 40, refused above ORACLE_MAX_TERMS."""
+    """`terms`, by default Euler-Maclaurin's ~ t/2 + 40, refused above
+    ORACLE_MAX_TERMS; `zeta value` checks it on either route."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if terms is None:
@@ -118,8 +163,8 @@ def oracle_terms(t: float, terms: int | None = None) -> int:
 
 def scan_terms(t_max: float, points: int) -> int:
     """The terms a scan of `points` points up to t_max is charged, each point
-    at its oracle terms at t_max plus SCAN_POINT_TERMS; refused above
-    SCAN_MAX_TERMS."""
+    at its Euler-Maclaurin terms at t_max plus SCAN_POINT_TERMS, on either
+    route; refused above SCAN_MAX_TERMS."""
     terms = points * (oracle_terms(t_max) + SCAN_POINT_TERMS)
     GuardError.check("zeta.scan.terms", terms, SCAN_MAX_TERMS, f"{terms} terms for {points} points up to t={t_max:g}")
     return terms
@@ -147,11 +192,14 @@ def afe_main_sum(t: float) -> ComplexValue:
     return dirichlet_sum(complex(0.5, -t), afe_cutoff(t))
 
 
-def afe_upper_bound(t: float, slack: float = DEFAULT_SLACK) -> float:
-    """2|S(t)| + slack, for a finite slack: a NaN would pass every check."""
+def afe_upper_bound(t: float, slack: float = DEFAULT_SLACK, main: ComplexValue | None = None) -> float:
+    """2|S(t)| + slack, for a finite slack: a NaN would pass every check.
+    `main` is `afe_main_sum(t)` where the caller has it already."""
     if not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack}")
-    return 2.0 * abs(afe_main_sum(t)) + slack
+    if main is None:
+        main = afe_main_sum(t)
+    return 2.0 * abs(main) + slack
 
 
 def afe_consistency_scan(
@@ -163,7 +211,8 @@ def afe_consistency_scan(
     """Check 2|S(t)| + slack >= |zeta(t)| - err on a log-spaced grid.
 
     Returns (rows, violations); rows are (t, bound, oracle_floor). Violations
-    are reported, never silently swallowed.
+    are reported, never silently swallowed. Each point sums S(t) once, for
+    the bound and, from RS_MIN_T up, for the oracle.
     """
     if points < 2:
         raise ValueError("points must be >= 2")
@@ -173,15 +222,17 @@ def afe_consistency_scan(
     ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), points))
     rows = []
     for t in ts.tolist():
-        bound = afe_upper_bound(t, slack)
-        em = zeta_em_oracle(t)
-        rows.append((t, bound, abs(em) - em.err))
+        main = afe_main_sum(t)
+        bound = afe_upper_bound(t, slack, main)
+        oracle = zeta_oracle(t, main)
+        rows.append((t, bound, abs(oracle) - oracle.err))
     return rows, [row for row in rows if row[1] < row[2]]
 
 
 def siegel_theta(t: float) -> float:
     """The rotation angle theta(t) making e^{i theta} zeta(1/2+it) real,
-    by the standard asymptotic series (ample accuracy for t >= 10)."""
+    by the standard asymptotic series (ample accuracy for t >= 10; its
+    error is bounded by `_theta_err`)."""
     if t <= 0:
         raise ValueError("siegel_theta requires t > 0")
     return (
@@ -194,8 +245,146 @@ def siegel_theta(t: float) -> float:
     )
 
 
+def _theta_err(t: float) -> float:
+    """A bound on the error of `siegel_theta(t)`, t >= 10: the float64
+    rounding of its leading terms, and twice its first omitted term."""
+    return 2.0 * MACHINE_EPS * t * (abs(math.log(t / (2.0 * math.pi))) + 2.0) + _THETA_TRUNCATION * t**-7
+
+
+def _decimal_pi() -> Decimal:
+    """pi at the current `decimal` precision, by the series of the `decimal`
+    documentation."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        last, term, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while total != last:
+            last = total
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            term = term * n / d
+            total += term
+    return +total
+
+
+@functools.cache
+def _psi_taylor() -> tuple[Decimal, ...]:
+    """The Taylor coefficients a_0.._PSI_DEGREE, in x = p - 1/2, of
+    Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p) = -cos(2pi x^2 - 5pi/8) /
+    cos(2pi x), by series division at _PSI_DIGITS digits. Psi is even and
+    entire in x, so every odd a_n is 0. Built on the first call."""
+    with localcontext() as ctx:
+        ctx.prec = _PSI_DIGITS
+        two = Decimal(2)
+        cos_5pi_8 = -(two - two.sqrt()).sqrt() / 2
+        sin_5pi_8 = (two + two.sqrt()).sqrt() / 2
+        omega = 2 * _decimal_pi()
+        scaled = [Decimal(1)]  # omega^j / j!
+        for j in range(1, _PSI_DEGREE + 1):
+            scaled.append(scaled[-1] * omega / j)
+        # cos(omega x) and -cos(omega y - 5pi/8) at y = x^2, by powers of x
+        den = [Decimal(0)] * (_PSI_DEGREE + 1)
+        num = [Decimal(0)] * (_PSI_DEGREE + 1)
+        for j in range(0, _PSI_DEGREE + 1, 2):
+            den[j] = (-1) ** (j // 2) * scaled[j]
+        for j in range(_PSI_DEGREE // 2 + 1):
+            num[2 * j] = -((-1) ** (j // 2)) * scaled[j] * (sin_5pi_8 if j % 2 else cos_5pi_8)
+        psi = []
+        for n in range(_PSI_DEGREE + 1):  # den[0] = 1
+            psi.append(num[n] - sum(den[k] * psi[n - k] for k in range(2, n + 1, 2)))
+    return tuple(psi)
+
+
+@functools.cache
+def _rs_polynomials() -> tuple:
+    """For k = 0..4, (poly, slope): C_k(p) as a polynomial in y = x^2,
+    x = p - 1/2, its float coefficients from the highest degree down (for odd
+    k, C_k = x * poly(y)), and a bound on |C_k'| over |x| <= 1/2."""
+    psi = _psi_taylor()
+    with localcontext() as ctx:
+        ctx.prec = _PSI_DIGITS
+        pi_squared = _decimal_pi() ** 2
+        half = Decimal(1) / 2
+        polys = []
+        for k, parts in enumerate(_RS_CORRECTIONS):
+            coeffs = [Decimal(0)] * (_PSI_DEGREE + 1)  # of x^i
+            for d, numerator, denominator, j in parts:
+                scale = Decimal(numerator) / (denominator * pi_squared**j)
+                for i in range(_PSI_DEGREE + 1 - d):
+                    coeffs[i] += scale * psi[i + d] * math.perm(i + d, d)
+            slope = sum(abs(c) * i * half ** (i - 1) for i, c in enumerate(coeffs) if i)
+            polys.append((tuple(float(c) for c in coeffs[k % 2::2][::-1]), float(slope)))
+    return tuple(polys)
+
+
+def riemann_siegel_z(t: float, main: ComplexValue | None = None) -> tuple[float, float]:
+    """(Z(t), err) by the Riemann-Siegel formula, for t >= RS_MIN_T.
+
+    With tau = t/2pi, m = afe_cutoff(t) and p = sqrt(tau) - m,
+    Z = 2 Re(e^{-i theta} S) + (-1)^(m-1) tau^(-1/4) sum_{k<=4} C_k(p) tau^(-k/2),
+    S = `afe_main_sum(t)`, or `main` where the caller has it. err adds
+    Gabcke's bound RS_REMAINDER * t^(-11/4) on the remainder, twice the err
+    of S, the error of theta times 2 sum n^(-1/2), the rounding of the C_k
+    (Horner, and the rounding of p, which `afe_cutoff` also lets reach
+    -1e-12) and of the sum of the parts.
+    """
+    if not t >= RS_MIN_T:
+        raise ValueError(f"the Riemann-Siegel route needs t >= {RS_MIN_T:g}, got {t}")
+    if main is None:
+        main = afe_main_sum(t)
+    m = afe_cutoff(t)
+    root = math.sqrt(t / (2.0 * math.pi))
+    x = root - m - 0.5
+    y = x * x
+    inv_root = 1.0 / root
+    power, corr, corr_abs, slope = 1.0, 0.0, 0.0, 0.0
+    for k, (poly, poly_slope) in enumerate(_rs_polynomials()):
+        value = bound = 0.0
+        for c in poly:
+            value = value * y + c
+            bound = bound * y + abs(c)
+        if k % 2:
+            value *= x
+            bound *= abs(x)
+        corr += power * value
+        corr_abs += power * bound * (len(poly) + 2)
+        slope += power * poly_slope
+        power *= inv_root
+    quarter = math.sqrt(inv_root)
+    sign = 1.0 if m % 2 else -1.0
+    z = 2.0 * (cmath.exp(-1j * siegel_theta(t)) * main.value).real + sign * quarter * corr
+    weight = 2.0 * math.sqrt(m)  # at least sum_{n <= m} n^(-1/2)
+    dp = 4.0 * MACHINE_EPS * root + max(0.0, -(x + 0.5))
+    err = (
+        RS_REMAINDER * t**-2.75
+        + 2.0 * main.err
+        + 2.0 * weight * _theta_err(t)
+        + quarter * (4.0 * MACHINE_EPS * corr_abs + slope * dp)
+        + 8.0 * MACHINE_EPS * weight
+    )
+    return z, err
+
+
+def zeta_rs_oracle(t: float, main: ComplexValue | None = None) -> ComplexValue:
+    """zeta(1/2 + i t) = e^{-i theta(t)} Z(t) by `riemann_siegel_z`, t >= RS_MIN_T;
+    err adds |Z| times the errors of theta and of the rotation."""
+    z, err = riemann_siegel_z(t, main)
+    value = cmath.exp(-1j * siegel_theta(t)) * z
+    return ComplexValue(value.real, value.imag, err + abs(z) * (_theta_err(t) + 2.0 * MACHINE_EPS))
+
+
+def zeta_oracle(t: float, main: ComplexValue | None = None) -> ComplexValue:
+    """zeta(1/2 + i t): `zeta_rs_oracle` from RS_MIN_T up, sharing `main` =
+    `afe_main_sum(t)` where the caller has it, and `zeta_em_oracle` below."""
+    if t >= RS_MIN_T:
+        return zeta_rs_oracle(t, main)
+    return zeta_em_oracle(t)
+
+
 def z_function(t: float) -> float:
-    """Z(t) = Re(e^{i theta(t)} zeta(1/2 + i t)), real up to evaluation error."""
+    """Z(t), real: `riemann_siegel_z` from RS_MIN_T up, and below it
+    Re(e^{i theta(t)} zeta(1/2 + i t)) of Euler-Maclaurin."""
+    if t >= RS_MIN_T:
+        return riemann_siegel_z(t)[0]
     zv = zeta_em_oracle(t)
     return (cmath.exp(1j * siegel_theta(t)) * zv.value).real
 
@@ -244,5 +433,5 @@ def growth_scan(t_min: float, t_max: float, points: int, seed: int = 0) -> Growt
     rng = np.random.default_rng(seed)
     edges = np.linspace(math.log(t_min), math.log(t_max), points + 1)
     ts = np.exp(edges[:-1] + rng.random(points) * np.diff(edges))
-    rows = [growth_row(t, zeta_em_oracle(t)) for t in ts.tolist()]
+    rows = [growth_row(t, zeta_oracle(t)) for t in ts.tolist()]
     return GrowthScan(tuple(rows), max(row[2] for row in rows))

@@ -1,7 +1,11 @@
-"""Zeta oracle calibration, AFE consistency, zero bracketing, growth scans."""
+"""Zeta oracle calibration, AFE consistency, zero bracketing, growth scans,
+and the Riemann-Siegel route against mpmath and Euler-Maclaurin."""
 
 import cmath
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +14,21 @@ from zetalab import zeta
 from zetalab.errors import GuardError
 from zetalab.expsum import ComplexValue
 from zetalab.zeta import (
+    RS_MIN_T,
     GrowthScan,
     afe_consistency_scan,
     afe_main_sum,
     afe_upper_bound,
     default_oracle_terms,
     growth_scan,
+    riemann_siegel_z,
     siegel_theta,
     z_function,
     zero_bracket,
     zeta_em_oracle,
     zeta_euler_maclaurin,
+    zeta_oracle,
+    zeta_rs_oracle,
 )
 
 ZETA_HALF = -1.4603545088  # classical value of zeta(1/2), 10 digits
@@ -230,3 +238,190 @@ def test_growth_scan_guards():
 def test_growth_scan_row_monotonicity_enforced():
     with pytest.raises(ValueError):
         GrowthScan(((15.0, 1.0, 1.0, 0.0), (12.0, 1.0, 1.0, 0.0)), 1.0)
+
+
+# ------------------------------------------------------------ Riemann-Siegel
+
+
+def _psi(mp, p):
+    return mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
+
+
+def _t_at(m, p):
+    """The t where sqrt(t / 2 pi) = m + p."""
+    return 2.0 * math.pi * (m + p) ** 2
+
+
+# p = sqrt(t / 2 pi) - m at its ends and quarters; p = 0 is rounded to just
+# below or above an integer
+EDGE_PS = (0.0, 1e-9, 0.25, 0.75, 1.0 - 1e-9)
+
+
+def _rs_grid(t_max, points, ms):
+    inner = np.exp(np.linspace(math.log(RS_MIN_T), math.log(t_max), points)).tolist()[1:-1]
+    edges = [_t_at(m, p) for m in ms for p in EDGE_PS]
+    assert all(RS_MIN_T <= t <= t_max for t in edges)
+    return sorted([RS_MIN_T, *inner, *edges, t_max])
+
+
+def test_psi_taylor_coefficients_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        ref = mp.taylor(lambda x: _psi(mp, x + mp.mpf(1) / 2), 0, zeta._PSI_DEGREE)
+    psi = zeta._psi_taylor()
+    assert len(psi) == len(ref) == 73
+    for n, (own, want) in enumerate(zip(psi, ref)):
+        if n % 2:
+            assert own == 0 and abs(want) < 1e-50
+        else:
+            assert float(own) == float(want), n
+
+
+def test_rs_corrections_against_psi_derivatives():
+    # C_0..C_4 as Gabcke's combinations of the derivatives of Psi, by
+    # mpmath's Taylor expansion at p, against the folded float polynomials
+    mp = pytest.importorskip("mpmath")
+    polys = zeta._rs_polynomials()
+    for p in (0.0, 0.1, 0.37, 0.5, 0.93, 1.0):
+        with mp.workdps(40):
+            d = [c * mp.factorial(k) for k, c in enumerate(mp.taylor(lambda q: _psi(mp, q), p, 12))]
+            pi = mp.pi
+            want = (
+                d[0],
+                -d[3] / (96 * pi**2),
+                d[2] / (64 * pi**2) + d[6] / (18432 * pi**4),
+                -d[1] / (64 * pi**2) - d[5] / (3840 * pi**4) - d[9] / (5308416 * pi**6),
+                d[0] / (128 * pi**2) + 19 * d[4] / (24576 * pi**4) + 11 * d[8] / (5898240 * pi**6)
+                + d[12] / (2038431744 * pi**8),
+            )
+        x = p - 0.5
+        for k, ((poly, slope), c) in enumerate(zip(polys, want)):
+            value = 0.0
+            for coeff in poly:
+                value = value * x * x + coeff
+            value *= x if k % 2 else 1.0
+            assert abs(value - float(c)) <= 1e-14, (p, k)
+            assert slope > 0
+
+
+def test_rs_against_mpmath():
+    # at least 200 values of t on [RS_MIN_T, 1e6]: Z against mpmath's Z from
+    # its zeta and theta at every point and against mpmath.siegelz at every
+    # fourth point and every edge of p; zeta as a complex value and in modulus
+    mp = pytest.importorskip("mpmath")
+    ts = _rs_grid(1.0e6, 182, (13, 40, 126, 397))
+    assert len(ts) >= 200
+    edges = {_t_at(m, p) for m in (13, 40, 126, 397) for p in EDGE_PS} | {RS_MIN_T, 1.0e6}
+    with mp.workdps(15):
+        for i, t in enumerate(ts):
+            z, err = riemann_siegel_z(t)
+            value = zeta_rs_oracle(t)
+            assert value.err >= err
+            true = mp.zeta(mp.mpc(0.5, t))
+            true_z = mp.re(mp.expj(mp.siegeltheta(t)) * true)
+            assert abs(z - true_z) <= err, t
+            if i % 4 == 0 or t in edges:
+                assert abs(z - mp.siegelz(t)) <= err, t
+            assert abs(value.value - complex(true)) <= value.err, t
+            assert abs(abs(value) - float(abs(true))) <= value.err, t
+
+
+def test_rs_remainder_bound_is_nearly_attained():
+    # where Gabcke's remainder dominates err (m = 13..15, t in [1062, 1608]),
+    # the error of Z stays within it, up to 1e-11 of float rounding, and
+    # reaches more than 60% of it: a tighter constant would not hold
+    mp = pytest.importorskip("mpmath")
+    ratios = []
+    with mp.workdps(15):
+        for m in (13, 14, 15):
+            for p in [i / 20 for i in range(20)] + [1.0 - 1e-9]:
+                t = _t_at(m, p)
+                z, err = riemann_siegel_z(t)
+                remainder = zeta.RS_REMAINDER * t**-2.75
+                diff = abs(z - mp.siegelz(t))
+                assert diff <= remainder + 1e-11 and remainder <= err, t
+                ratios.append(diff / remainder)
+    assert max(ratios) > 0.6
+
+
+def test_rs_against_euler_maclaurin():
+    ts = _rs_grid(1.0e5, 40, (13, 40, 125))
+    for t in ts:
+        rs, em = zeta_rs_oracle(t), zeta_em_oracle(t)
+        assert abs(rs.value - em.value) <= rs.err + em.err, t
+        # the crossover: from RS_MIN_T up the Riemann-Siegel bound is the tighter
+        assert rs.err < em.err
+
+
+def test_rs_refuses_below_its_range():
+    for t in (RS_MIN_T - 1e-9, 100.0, math.nan):
+        with pytest.raises(ValueError, match="Riemann-Siegel"):
+            riemann_siegel_z(t)
+
+
+def test_oracle_dispatch_calls_the_em_global(monkeypatch):
+    # below RS_MIN_T the oracle is `zeta.zeta_em_oracle`, looked up at each
+    # call, so patching the module attribute (as the benchmark's tracer
+    # does) reaches it; from RS_MIN_T up it is never called
+    calls = []
+
+    def em(t):
+        calls.append(t)
+        return ComplexValue(1.0, 0.0, 0.0)
+
+    monkeypatch.setattr(zeta, "zeta_em_oracle", em)
+    assert zeta_oracle(999.0) == ComplexValue(1.0, 0.0, 0.0)
+    assert zeta_oracle(RS_MIN_T) == zeta_rs_oracle(RS_MIN_T)
+    assert zeta_oracle(5.0e5, afe_main_sum(5.0e5)) == zeta_rs_oracle(5.0e5)
+    assert calls == [999.0]
+
+
+def test_growth_scan_rows_are_the_oracle_rows():
+    scan = growth_scan(300.0, 3.0e4, 8, seed=4)
+    ts = [row[0] for row in scan.rows]
+    assert min(ts) < RS_MIN_T < max(ts)
+    assert scan.rows == tuple(zeta.growth_row(t, zeta_oracle(t)) for t in ts)
+
+
+def test_afe_scan_sums_each_main_sum_once(monkeypatch):
+    calls = []
+    main_sum = zeta.afe_main_sum
+
+    def counted(t):
+        calls.append(t)
+        return main_sum(t)
+
+    monkeypatch.setattr(zeta, "afe_main_sum", counted)
+    rows, violations = afe_consistency_scan(100.0, 1.0e5, 12, slack=2.0)
+    assert violations == []
+    assert calls == [row[0] for row in rows]
+    monkeypatch.setattr(zeta, "afe_main_sum", main_sum)
+    for t, bound, floor in rows:
+        oracle = zeta_oracle(t)
+        assert bound == afe_upper_bound(t, 2.0)
+        assert floor == abs(oracle) - oracle.err
+
+
+def test_z_function_takes_riemann_siegel_from_its_threshold():
+    mp = pytest.importorskip("mpmath")
+    for t in (RS_MIN_T, 2000.0, 5.0e4):
+        z, err = riemann_siegel_z(t)
+        assert z_function(t) == z
+        em = zeta_em_oracle(t)
+        assert abs(z - (cmath.exp(1j * siegel_theta(t)) * em.value).real) <= err + 2 * em.err
+    # the first zero above RS_MIN_T is the 650th, as N(1000) = 649
+    with mp.workdps(20):
+        gamma = float(mp.im(mp.zetazero(650)))
+    assert RS_MIN_T < gamma < RS_MIN_T + 2
+    assert zero_bracket(gamma - 0.01, gamma + 0.01)
+    assert not zero_bracket(gamma + 0.01, gamma + 0.05)
+
+
+def test_rs_tables_are_built_on_first_use():
+    src = Path(zeta.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from zetalab import cli, zeta; "
+            "print(zeta._psi_taylor.cache_info().currsize, zeta._rs_polynomials.cache_info().currsize); "
+            "zeta.zeta_oracle(2000.0); print(zeta._rs_polynomials.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "1"]
