@@ -313,13 +313,10 @@ def _cmd_zeta_scan(args) -> Report:
 def _cmd_zeta_value(args) -> Report:
     # t below 2 pi exits 2, then a t past the guard 3, before either sum runs
     zeta.afe_cutoff(args.t)
-    zeta.oracle_terms(args.t, args.terms)
+    zeta.oracle_terms(args.t)
     main = zeta.afe_main_sum(args.t)
     bound = zeta.afe_upper_bound(args.t, args.slack, main)
-    if args.terms is None:
-        value = zeta.zeta_oracle(args.t, main)
-    else:
-        value = zeta.zeta_em_oracle(args.t, args.terms)
+    value = zeta.zeta_oracle(args.t, main)
     report = Report(columns=ZETA_COLUMNS, rows=[zeta.growth_row(args.t, value)])
     report.text = [
         f"zeta(1/2+{args.t}i) = {value.value} (abs_err {value.err:.3g})",
@@ -479,8 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=_cmd_zeta_scan)
     v = ps.add_parser("value", **leaf, help="single-point oracle value + AFE bound")
     v.add_argument("--t", type=float, required=True)
-    v.add_argument("--terms", type=int, default=None,
-                   help="Euler-Maclaurin head terms (default: Riemann-Siegel from t = 1000, else t/2 + 40)")
     v.add_argument("--slack", type=float, default=zeta.DEFAULT_SLACK)
     v.set_defaults(func=_cmd_zeta_value)
     af = ps.add_parser("afe", **leaf, help="one-sided AFE consistency scan")

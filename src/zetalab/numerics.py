@@ -41,8 +41,13 @@ _STEP = 2.0 * math.pi / _TABLE_SIZE
 # Taylor coefficients of cos and sin at x = r * _STEP, in powers of r
 _COS2, _COS4 = -(_STEP**2) / 2.0, _STEP**4 / 24.0
 _SIN1, _SIN3, _SIN5 = _STEP, -(_STEP**3) / 6.0, _STEP**5 / 120.0
-# pi to 50 digits
-_PI_DIGITS = 314159265358979323846264338327950288419716939937510
+# pi to 118 decimals, correctly rounded: the package's one source of pi
+# beyond float64, for the `unit_phase` table and the `decimal` work of `zeta`
+PI_DECIMAL = (
+    "3.14159265358979323846264338327950288419716939937510"
+    "58209749445923078164062862089986280348253421170679"
+    "821480865132823066"
+)
 
 
 def _unit_phase_table() -> np.ndarray:
@@ -56,7 +61,8 @@ def _unit_phase_table() -> np.ndarray:
     carry no documented error bound; on the rounded angles j * (2 pi / M)
     they gave an octant off by up to 0.57 eps.)"""
     one = 1 << 160
-    step = _PI_DIGITS * one // (10**50 * (_TABLE_SIZE // 2))
+    digits = PI_DECIMAL.replace(".", "")
+    step = int(digits) * one // (10 ** (len(digits) - 1) * (_TABLE_SIZE // 2))
     cos_step, sin_step, term, power = one, 0, one, 1
     while term:
         term = (term * step >> 160) // power

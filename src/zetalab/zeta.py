@@ -11,11 +11,12 @@ explicit truncation bound and about t/2 head terms. From RS_MIN_T up it is
 Riemann-Siegel (`zeta_rs_oracle`): the same main sum S(t), rotated by
 `siegel_theta`, plus Gabcke's corrections C_0..C_4 and his bound on the
 remainder after them (Gabcke 1979), so about sqrt(t/2pi) terms; at
-RS_MIN_T its error bound is already six times below Euler-Maclaurin's.
-`zeta value --terms` always takes Euler-Maclaurin. The guards stay those
+RS_MIN_T its error bound is already eight times below Euler-Maclaurin's.
+`zeta_oracle` alone picks the route, for every leaf. The guards stay those
 of Euler-Maclaurin: `zeta.oracle.terms` and `zeta.scan.terms` charge its
-terms on either route, and SCAN_MAX_T holds, because the float64 phases
-t log n of the main sum lose their accuracy past t = 1e6.
+terms on either route, so from RS_MIN_T up they act as bounds on t, and
+SCAN_MAX_T holds, because the float64 phases t log n of the main sum lose
+their accuracy past t = 1e6.
 
 Growth scans tabulate |zeta(1/2+it)| / t^{13/84} as a consistency
 artifact (the asymptotic bound itself is not falsifiable at finite t).
@@ -34,17 +35,21 @@ import numpy as np
 
 from .errors import GuardError
 from .expsum import ComplexValue, dirichlet_sum
-from .numerics import MACHINE_EPS
+from .numerics import MACHINE_EPS, PI_DECIMAL
 
 CRITICAL_GROWTH_EXPONENT = 13.0 / 84.0
 
 SCAN_MIN_T = 10.0
 SCAN_MAX_T = 1.0e6
 
-# About 8 bytes per head term, the weights of `expsum.dirichlet_sum`; its
-# phases and terms run in blocks. Euler-Maclaurin at the guard, `zeta value
-# --t 1e6 --terms 16777216`, took 0.6-1.1 s and 159 MB in a fresh process
-# (2-core host); `zeta value --t 33554352`, on Riemann-Siegel, 0.01 s.
+# Euler-Maclaurin's t/2 + 40 terms are charged on either route, and no leaf
+# runs Euler-Maclaurin from RS_MIN_T up, so this is a bound on t at about
+# 33,554,352 for `zeta value` and `zeta afe`. There Riemann-Siegel sums 2,310
+# terms: `zeta value --t 33554352` took 3 ms and `zeta afe --t-min 3e7
+# --t-max 33554352 --points 15` 7-11 ms in the leaf, each process 31 MB
+# (fresh processes, 2-core host). `zeta_em_oracle(33554352)` sums 2^24
+# terms of about 8 bytes each, the weights of `expsum.dirichlet_sum`: 0.5 s
+# and 157 MB.
 ORACLE_MAX_TERMS = 1 << 24
 # A scan point is charged its Euler-Maclaurin terms, about 37 ns each at
 # t = 1e6, plus about 50 us of Python at any t, the time of
@@ -61,17 +66,17 @@ DEFAULT_SLACK = 2.0
 
 # Riemann-Siegel from here up, Euler-Maclaurin below: the error bounds
 # cross in between t = 500 (EM err 2.3e-10, Gabcke's remainder bound alone
-# 6.4e-10) and t = 1000 (EM err 1.0e-9, RS err 1.7e-10).
+# 6.4e-10) and t = 1000 (EM err 1.0e-9, RS err 1.3e-10).
 RS_MIN_T = 1000.0
 # Gabcke (1979): after C_0..C_4 the remainder of Z(t) is at most
 # RS_REMAINDER * t^(-11/4) for t >= 200 (cited; against mpmath it is
 # nearly attained, so it is used as stated).
 RS_REMAINDER = 0.017
 # Psi's Taylor coefficients in x = p - 1/2 are built in `decimal` at
-# _PSI_DIGITS digits up to degree _PSI_DEGREE: in float64 the series
-# division loses them all (its degree-30 coefficient came out 2e5 times
-# too large). The terms of degree 73 to 100 add less than 1e-27 to any C_k
-# on |x| <= 1/2.
+# _PSI_DIGITS digits, from `numerics.PI_DECIMAL` rounded to them, up to
+# degree _PSI_DEGREE: in float64 the series division loses them all (its
+# degree-30 coefficient came out 2e5 times too large). The terms of
+# degree 73 to 100 add less than 1e-27 to any C_k on |x| <= 1/2.
 _PSI_DIGITS = 110
 _PSI_DEGREE = 72
 # C_k = sum of coefficient * Psi^(d) / pi^(2j), as (d, numerator,
@@ -150,29 +155,30 @@ def default_oracle_terms(t: float) -> int:
     return int(abs(t) / 2) + 40
 
 
-def oracle_terms(t: float, terms: int | None = None) -> int:
-    """`terms`, by default Euler-Maclaurin's ~ t/2 + 40, refused above
-    ORACLE_MAX_TERMS; `zeta value` checks it on either route."""
+def oracle_terms(t: float) -> int:
+    """Euler-Maclaurin's terms at t, about t/2 + 40, refused above
+    ORACLE_MAX_TERMS; `zeta value` and `zeta afe` check it on either route,
+    so from RS_MIN_T up it bounds t."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if terms is None:
-        terms = default_oracle_terms(t)
+    terms = default_oracle_terms(t)
     GuardError.check("zeta.oracle.terms", terms, ORACLE_MAX_TERMS, f"{terms} Euler-Maclaurin terms at t={t:g}")
     return terms
 
 
 def scan_terms(t_max: float, points: int) -> int:
     """The terms a scan of `points` points up to t_max is charged, each point
-    at its Euler-Maclaurin terms at t_max plus SCAN_POINT_TERMS, on either
-    route; refused above SCAN_MAX_TERMS."""
+    at its Euler-Maclaurin terms at t_max (`oracle_terms`, so this checks
+    that guard first) plus SCAN_POINT_TERMS, on either route; refused above
+    SCAN_MAX_TERMS."""
     terms = points * (oracle_terms(t_max) + SCAN_POINT_TERMS)
     GuardError.check("zeta.scan.terms", terms, SCAN_MAX_TERMS, f"{terms} terms for {points} points up to t={t_max:g}")
     return terms
 
 
-def zeta_em_oracle(t: float, terms: int | None = None) -> ComplexValue:
-    """zeta(1/2 + i t) via Euler-Maclaurin with `oracle_terms(t, terms)` terms."""
-    return zeta_euler_maclaurin(complex(0.5, t), oracle_terms(t, terms))
+def zeta_em_oracle(t: float) -> ComplexValue:
+    """zeta(1/2 + i t) via Euler-Maclaurin with `oracle_terms(t)` terms."""
+    return zeta_euler_maclaurin(complex(0.5, t), oracle_terms(t))
 
 
 def afe_cutoff(t: float) -> int:
@@ -251,21 +257,6 @@ def _theta_err(t: float) -> float:
     return 2.0 * MACHINE_EPS * t * (abs(math.log(t / (2.0 * math.pi))) + 2.0) + _THETA_TRUNCATION * t**-7
 
 
-def _decimal_pi() -> Decimal:
-    """pi at the current `decimal` precision, by the series of the `decimal`
-    documentation."""
-    with localcontext() as ctx:
-        ctx.prec += 2
-        last, term, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
-        while total != last:
-            last = total
-            n, na = n + na, na + 8
-            d, da = d + da, da + 32
-            term = term * n / d
-            total += term
-    return +total
-
-
 @functools.cache
 def _psi_taylor() -> tuple[Decimal, ...]:
     """The Taylor coefficients a_0.._PSI_DEGREE, in x = p - 1/2, of
@@ -277,7 +268,7 @@ def _psi_taylor() -> tuple[Decimal, ...]:
         two = Decimal(2)
         cos_5pi_8 = -(two - two.sqrt()).sqrt() / 2
         sin_5pi_8 = (two + two.sqrt()).sqrt() / 2
-        omega = 2 * _decimal_pi()
+        omega = 2 * +Decimal(PI_DECIMAL)
         scaled = [Decimal(1)]  # omega^j / j!
         for j in range(1, _PSI_DEGREE + 1):
             scaled.append(scaled[-1] * omega / j)
@@ -302,7 +293,7 @@ def _rs_polynomials() -> tuple:
     psi = _psi_taylor()
     with localcontext() as ctx:
         ctx.prec = _PSI_DIGITS
-        pi_squared = _decimal_pi() ** 2
+        pi_squared = (+Decimal(PI_DECIMAL)) ** 2
         half = Decimal(1) / 2
         polys = []
         for k, parts in enumerate(_RS_CORRECTIONS):
@@ -323,7 +314,8 @@ def riemann_siegel_z(t: float, main: ComplexValue | None = None) -> tuple[float,
     Z = 2 Re(e^{-i theta} S) + (-1)^(m-1) tau^(-1/4) sum_{k<=4} C_k(p) tau^(-k/2),
     S = `afe_main_sum(t)`, or `main` where the caller has it. err adds
     Gabcke's bound RS_REMAINDER * t^(-11/4) on the remainder, twice the err
-    of S, the error of theta times 2 sum n^(-1/2), the rounding of the C_k
+    of S, the error delta of theta times 2(|S| + err of S), since
+    |e^(-i delta) - 1| <= |delta|, the rounding of the C_k
     (Horner, and the rounding of p, which `afe_cutoff` also lets reach
     -1e-12) and of the sum of the parts.
     """
@@ -357,7 +349,7 @@ def riemann_siegel_z(t: float, main: ComplexValue | None = None) -> tuple[float,
     err = (
         RS_REMAINDER * t**-2.75
         + 2.0 * main.err
-        + 2.0 * weight * _theta_err(t)
+        + 2.0 * (abs(main) + main.err) * _theta_err(t)
         + quarter * (4.0 * MACHINE_EPS * corr_abs + slope * dp)
         + 8.0 * MACHINE_EPS * weight
     )

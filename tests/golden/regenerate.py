@@ -1,8 +1,9 @@
 """The golden corpus of the `zetalab` CLI: one small job per leaf (all 16),
 a few of them also with `--format json`, `planner coverage` also at a bound
 whose grid spans two blocks, `zeta value` and `zeta scan` also above
-`zeta.RS_MIN_T` (the Riemann-Siegel route), and two jobs that exit at a
-guard and at a usage error. `JOBS` is the one job list: this script writes the
+`zeta.RS_MIN_T` (the Riemann-Siegel route), `zeta value` also at
+t = RS_MIN_T, its first point, and two jobs that exit at a guard and at a
+usage error. `JOBS` is the one job list: this script writes the
 corpus from it, and `tests/test_golden.py` reruns it and compares.
 
 Run from the root of a checkout to rewrite the corpus:
@@ -61,6 +62,7 @@ JOBS = (
                    "--format", "json"]),
     ("zeta-value", ["zeta", "value", "--t", "100"]),
     ("zeta-value-rs", ["zeta", "value", "--t", "5000"]),
+    ("zeta-value-rs-edge", ["zeta", "value", "--t", "1000"]),
     ("zeta-scan-rs", ["zeta", "scan", "--t-min", "2000", "--t-max", "1e5", "--points", "4", "--seed", "7",
                       "--format", "json"]),
     ("zeta-afe", ["zeta", "afe", "--t-min", "10", "--t-max", "100", "--points", "4"]),

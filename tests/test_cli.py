@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -699,6 +700,21 @@ def test_readme_lists_the_global_flags():
     assert listed == defined
 
 
+def test_readme_guard_table_matches_the_code():
+    # one row per guard the package raises, each constant an attribute of it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| guard | constant |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([a-z_.0-9A-Z]+)` \| ([^|]+) \|", table, re.MULTILINE)
+    source = "".join(path.read_text() for path in Path(zeta.__file__).parent.glob("*.py"))
+    named = set(re.findall(r'GuardError(?:\.check)?\(\s*"([a-z_.0-9A-Z]+)"', source))
+    assert sorted(guard for guard, _ in rows) == sorted(named) and len(named) == 14
+    for _, constants in rows:
+        names = re.findall(r"`([a-z]+)\.([A-Z_0-9]+)`", constants)
+        assert names, constants
+        for module, attr in names:
+            assert hasattr(importlib.import_module(f"zetalab.{module}"), attr), f"{module}.{attr}"
+
+
 def test_pairs_search_offers_only_working_objectives():
     assert run_cli(["pairs", "search", "--max-len", "2", "--objective", "affine"])[0] == EXIT_USAGE
     for objective in ("zeta_exponent", "k_plus_l"):
@@ -765,6 +781,14 @@ def test_zeta_value_below_two_pi_is_usage_error(monkeypatch, t):
     assert code == EXIT_USAGE
     assert out == ""
     assert "2*pi" in err
+
+
+def test_zeta_value_refuses_terms():
+    # `zeta.zeta_oracle` alone picks the route: no option forces Euler-Maclaurin
+    code, out, err = run_cli(["zeta", "value", "--t", "5000", "--terms", "100"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage:" in err and "--terms" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [

@@ -65,7 +65,7 @@ def test_conjugate_symmetry():
 def test_doubling_terms_within_reported_error():
     for t in (20.0, 300.0):
         base = zeta_em_oracle(t)
-        fine = zeta_em_oracle(t, terms=2 * default_oracle_terms(t))
+        fine = zeta_euler_maclaurin(complex(0.5, t), 2 * default_oracle_terms(t))
         assert abs(base.value - fine.value) <= base.err
 
 
@@ -324,6 +324,12 @@ def test_rs_against_mpmath():
                 assert abs(z - mp.siegelz(t)) <= err, t
             assert abs(value.value - complex(true)) <= value.err, t
             assert abs(abs(value) - float(abs(true))) <= value.err, t
+
+
+def test_rs_theta_error_is_charged_against_the_main_sum():
+    # the error of theta moves 2 Re(e^{-i theta} S) by at most twice |S| + err
+    # of S times it, not twice 2 sqrt(m) times it (9.0e-7 for Z at 1e6)
+    assert riemann_siegel_z(1.0e6)[1] <= 5.0e-7 and zeta_rs_oracle(1.0e6).err <= 5.0e-7
 
 
 def test_rs_remainder_bound_is_nearly_attained():
