@@ -20,8 +20,15 @@ A scan checks its guards, for its largest N, before its first row.
 The parabola probe rotates coefficients instead of shifting points: its
 frequencies (n, n^2) are integers and its domain [0,1)^2 is a period, so
 the sum at (base + shift) mod 1 equals the sum at base with a_n replaced by
-a_n e(Phi_n . shift), and one table e(Phi_n . base) per slice serves all
-REPLICATES shifts. The bilinear probe shifts its points, (base + shift) mod
+a_n e(Phi_n . shift), and one table e(Phi_n . base) per block of points
+serves all REPLICATES shifts. The table holds no coefficient, and its rows
+n <= N serve every N: a scan hands all its draws (every N and trial) to
+`parabola_l6_draws`, whose groups of DRAW_GROUP draws each walk the Halton
+block once, reducing one table per block, for the group's largest N,
+against every draw's rotated rows. Each draw keeps its own sums over the
+same slices, and `phase_sums` gives a point the same bits whatever the
+block split, so every row equals the one from a `parabola_l6_lhs` call per
+draw bit for bit. The bilinear probe shifts its points, (base + shift) mod
 1, for every replicate: its frequencies are not integers and its N-cube is
 not a period, so the identity does not hold there.
 """
@@ -36,28 +43,39 @@ import numpy as np
 from .errors import GuardError
 from .expsum import PHASE_BLOCK, phase_sums, phase_terms
 from .meanvalue import check_vinogradov_n, vinogradov_count
-from .numerics import fit_loglog, halton
+from .numerics import fit_loglog, frac_in_place, halton
 
 # At the edge, N = 64, the bilinear probe took 0.02-0.04 s and 37.5 MB at
 # the default 2^14 samples and 0.08-0.12 s and 38.9 MB at 2^16 (`decouple
 # bilinear --Ns 32,64`: 0.16 s, 39.0 MB and 0.22 s, 40.3 MB), in fresh
 # processes on a 2-core host.
 BILINEAR_MAX_N = 64
-# The sampled parabola probe holds about 290 bytes per term (325 MB at
-# N = 10^6) and takes about 4.4 ns per sample and term: at N = 1024 it took
-# 0.43 s for 65536 samples and 4.6 s for 2^20 (fresh processes, 2-core
-# host), about 75 s at the QMC guard. The exact ones rows stop at the same N
-# (`meanvalue.VINOGRADOV_MAX_N`).
+# The sampled parabola scan holds about 700 bytes per term of its largest N,
+# mostly the rotated rows of a group of draws (tracemalloc: 4.4 MB at N = 16,
+# 5.1 MB at N = 1024), and takes about 3.5 ns per sample and term of each
+# draw: `decouple parabola --Ns 1022,1023,1024` took 0.8-1.0 s and 39 MB at
+# 65536 samples and 11.2 s and 42 MB at 2^20 (fresh processes, 2-core host).
+# One draw at N = 1024 and the QMC guard would take about 60 s. The exact
+# ones rows stop at the same N (`meanvalue.VINOGRADOV_MAX_N`).
 PARABOLA_MAX_N = 1024
 # One Halton block of samples // REPLICATES points is held at once, beside
-# the values of one slice. At 2^24 samples the parabola probe (N=16) took
-# 3.4 s and 115 MB, the bilinear probe 17.1 s and 147 MB at N=32, in fresh
-# processes on a 2-core host; the block grows linearly beyond.
+# the values of one slice. At 2^24 samples a parabola scan of N = 14, 15, 16
+# (one trial, one walk of the block) took 3.5 s and 116 MB, the bilinear
+# probe 17.1 s and 147 MB at N=32, in fresh processes on a 2-core host; the
+# block grows linearly beyond.
 QMC_MAX_SAMPLES = 1 << 24
 REPLICATES = 8
 # Points of the block per call of a probe in `qmc_mean`: the (REPLICATES,
 # QMC_SLICE) values of a slice match one block of `phase_sums` terms in size.
 QMC_SLICE = PHASE_BLOCK // REPLICATES
+# Draws that share one walk of the Halton block in `parabola_l6_draws`: the
+# values of one slice across a group, DRAW_GROUP * REPLICATES * QMC_SLICE,
+# are 2^17 floats (1 MB), beside their complex sums (2 MB), whatever the
+# number of trials. With groups of eight, a fifth fewer table entries, the
+# process of `decouple parabola --Ns 16,32,64,128 --trials 2 --samples 65536`
+# peaked at 42.4 MB against 39.5-39.9 MB (one draw per walk: 38.3 MB), in
+# fresh processes on a 2-core host.
+DRAW_GROUP = 4
 
 ENSEMBLE_ONES = "ones"
 ENSEMBLE_SIGNS = "random_signs"
@@ -116,28 +134,68 @@ def qmc_points(samples: int) -> int:
     return REPLICATES * (samples // REPLICATES)
 
 
-def qmc_mean(f, dim: int, samples: int, seed: int):
-    """Unbiased randomized-QMC mean of a function over [0,1)^dim.
+def qmc_mean(f, dim: int, samples: int, seed):
+    """Unbiased randomized-QMC mean of a function over [0,1)^dim, for one
+    seed or for each of a sequence of seeds.
 
     One Halton block `base` of qmc_points(samples) / REPLICATES points serves
-    REPLICATES independent uniform shifts, drawn as one (REPLICATES, dim)
-    array `shifts`. For each slice `points` of QMC_SLICE points, row r of
+    REPLICATES independent uniform shifts per seed, drawn as one
+    (REPLICATES, dim) array per seed and stacked, seed by seed, into
+    `shifts`. For each slice `points` of QMC_SLICE points, row r of
     f(points, shifts) holds the function at (points + shifts[r]) mod 1, and
-    its sum joins a running sum per replicate: numpy's pairwise sum of the
-    whole row bit for bit when the block is one slice or two full ones, off
-    in the last bits otherwise. The estimate is the replicate average and
-    the stderr the replicate spread over sqrt(REPLICATES).
+    its sum joins a running sum per row: numpy's pairwise sum of the whole
+    row bit for bit when the block is one slice or two full ones, off in the
+    last bits otherwise. A seed's estimate is the average of its REPLICATES
+    rows and its stderr their spread over sqrt(REPLICATES), whatever the
+    other seeds. Returns (estimate, stderr) for an int seed, a list of them
+    for a sequence.
     """
+    seeds = list(seed) if np.ndim(seed) else [seed]
     block = qmc_points(samples) // REPLICATES
-    shifts = np.random.default_rng(seed).random((REPLICATES, dim))
+    shifts = np.concatenate([np.random.default_rng(s).random((REPLICATES, dim)) for s in seeds])
     base = halton(dim, block)
-    sums = np.zeros(REPLICATES)
+    sums = np.zeros(len(shifts))
     for start in range(0, len(base), QMC_SLICE):
         sums += f(base[start:start + QMC_SLICE], shifts).sum(axis=1)
-    means = (sums / len(base)).tolist()
-    est = math.fsum(means) / REPLICATES
-    var = math.fsum((m - est) ** 2 for m in means) / (REPLICATES - 1)
-    return est, math.sqrt(var / REPLICATES)
+    results = []
+    for means in (sums / len(base)).reshape(len(seeds), REPLICATES).tolist():
+        est = math.fsum(means) / REPLICATES
+        var = math.fsum((m - est) ** 2 for m in means) / (REPLICATES - 1)
+        results.append((est, math.sqrt(var / REPLICATES)))
+    return results if np.ndim(seed) else results[0]
+
+
+def _parabola_integrand(coeffs):
+    """The integrand of `qmc_mean` for the sampled parabola probe of one
+    draw per seed, draw g holding coefficients coeffs[g]: rows
+    g * REPLICATES + r hold |sum_n a_gn e(n u + n^2 v)|^6 at the points
+    under shift r of seed g. Each draw's shifts rotate its coefficients,
+    rot[n] = a_n e(Phi_n . shift), and one `phase_sums` call reduces one
+    table per block of points, for the largest N, against every row."""
+    N = max(a.size for a in coeffs)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    phi = np.column_stack([n, n * n])
+    terms = [a.size for a in coeffs for _ in range(REPLICATES)]
+
+    def f(points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        rot = np.zeros((len(shifts), N), dtype=np.complex128)
+        for g, a in enumerate(coeffs):
+            rows = slice(g * REPLICATES, (g + 1) * REPLICATES)
+            rot[rows, :a.size] = (phase_terms(phi[:a.size], shifts[rows]) * a[:, None]).T
+        s = phase_sums(phi, rot, points, terms)
+        values = np.square(s.real)
+        values += np.square(s.imag, out=s.imag)
+        values **= 3
+        return values
+
+    return f
+
+
+def _sixth_root(mean: float, stderr: float) -> tuple[float, float]:
+    """mean^(1/6) and its stderr by the delta method; (0, 0) for mean <= 0."""
+    if mean <= 0.0:
+        return 0.0, 0.0
+    return mean ** (1.0 / 6.0), stderr / (6.0 * mean ** (5.0 / 6.0))
 
 
 def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: int = 0):
@@ -147,7 +205,8 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
     [0,N] x [0,N^2] of the parabola extension |sum a_n e(x.(n/N, n^2/N^2))|.
     With unit coefficients and exact=True the sixth power is the exact
     Vinogradov-type count J_{3,2}(N). Returns (value, stderr). The sampled
-    route rotates the coefficients, rot[r, n] = a_n e(Phi_n . shift_r).
+    route rotates the coefficients, rot[r, n] = a_n e(Phi_n . shift_r);
+    `parabola_l6_draws` gives the same bits for many draws at once.
     """
     a = np.asarray(coeffs, dtype=np.complex128)
     N = a.size
@@ -158,19 +217,28 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
             raise ValueError("exact mode requires unit coefficients")
         j = vinogradov_count(N, 3)
         return float(j.value) ** (1.0 / 6.0), 0.0
-    n = np.arange(1, N + 1, dtype=np.float64)
-    phi = np.column_stack([n, n * n])
+    return _sixth_root(*qmc_mean(_parabola_integrand([a]), 2, samples, seed))
 
-    def f(points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        rot = np.ascontiguousarray((phase_terms(phi, shifts) * a[:, None]).T)
-        s = phase_sums(phi, rot, points)
-        return (s.real**2 + s.imag**2) ** 3
 
-    mean, stderr = qmc_mean(f, 2, samples, seed)
-    if mean <= 0.0:
-        return 0.0, 0.0
-    value = mean ** (1.0 / 6.0)
-    return value, stderr / (6.0 * mean ** (5.0 / 6.0))
+def parabola_l6_draws(draws, samples: int) -> list[tuple[float, float]]:
+    """parabola_l6_lhs(coeffs, samples=samples, seed=seed) for each pair
+    (coeffs, seed) of the iterable `draws`, in order, bit for bit.
+
+    The draws are read DRAW_GROUP at a time, and each group is one
+    `qmc_mean` call over its seeds: one Halton block, and per block of
+    points one table e(n u + n^2 v) for the group's largest N, which every
+    draw's rows reduce over their first N terms. Each draw keeps its own
+    REPLICATES sums over the same slices, so nothing depends on the group.
+    """
+    from itertools import islice
+
+    draws = iter(draws)
+    out = []
+    while group := list(islice(draws, DRAW_GROUP)):
+        coeffs = [np.asarray(a, dtype=np.complex128) for a, _ in group]
+        results = qmc_mean(_parabola_integrand(coeffs), 2, samples, [seed for _, seed in group])
+        out.extend(_sixth_root(*r) for r in results)
+    return out
 
 
 @dataclass(frozen=True)
@@ -222,7 +290,7 @@ def bilinear_d4_ratio(exp: DecouplingExperiment) -> RatioRow:
     phi = np.stack([t, t**2, t**1.5, np.sqrt(t)], axis=1)
 
     def f(points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        x = (((points + shifts[:, None]) % 1.0 - 0.5) * N).reshape(-1, 4)
+        x = ((frac_in_place(points + shifts[:, None]) - 0.5) * N).reshape(-1, 4)
         s1 = phase_sums(phi[a1 - 1:b1], a[a1 - 1:b1], x)
         s2 = phase_sums(phi[a2 - 1:b2], a[a2 - 1:b2], x)
         values = (s1.real**2 + s1.imag**2) ** 3 * (s2.real**2 + s2.imag**2) ** 3
@@ -254,7 +322,8 @@ def ratio_scan(
 
     With the unit ensemble both sides are exact (the lhs via the count
     identity), so it takes one trial; random ensembles average `trials`
-    deterministic draws of the randomized-QMC estimate.
+    deterministic draws of the randomized-QMC estimate, all of the scan's
+    draws evaluated by one `parabola_l6_draws` call.
     """
     ns = _distinct_ns(Ns, 3)
     if ensemble not in ENSEMBLES:
@@ -268,22 +337,23 @@ def ratio_scan(
     else:
         GuardError.check("decouple.parabola.N", ns[-1], PARABOLA_MAX_N, f"N={ns[-1]}")
         # A row's trials share the QMC guard, each charged at least one phase block
-        # (a draw costs about 0.2 ms however few its points). At the edge N = 4, 5, 6
-        # took 0.5 s and 37 MB for 512 trials of 8 samples, N = 14, 15, 16 6.0 s and
-        # 42 MB for 16 trials of 2^20 (fresh processes, 2-core host).
+        # (a draw costs about 0.15-0.2 ms however few its points). At the edge N = 4,
+        # 5, 6 took 0.4 s and 37 MB for 512 trials of 8 samples, N = 14, 15, 16
+        # 3.1-3.6 s and 42 MB for 16 trials of 2^20 (fresh processes, 2-core host).
         points = qmc_points(samples)
         charged = max(points, PHASE_BLOCK)
         GuardError.check("decouple.qmc.samples", trials * charged, QMC_MAX_SAMPLES, f"{trials} trials x {charged} points")
+        exps = (DecouplingExperiment(2, N, "parabola", ensemble, samples, seed + t) for N in ns for t in range(trials))
+        lhs_draws = parabola_l6_draws(((e.coefficients(), e.seed) for e in exps), samples)
     rows = []
-    for N in ns:
+    for i, N in enumerate(ns):
         # every ensemble is unit-modulus: rhs = sqrt(N) for all draws
         rhs = math.sqrt(N)
         if ensemble == ENSEMBLE_ONES:
             lhs, err = parabola_l6_lhs(np.ones(N, dtype=np.complex128), exact=True)
             rows.append(RatioRow(N, lhs, rhs, lhs / rhs, err, None))
             continue
-        exps = (DecouplingExperiment(2, N, "parabola", ensemble, samples, seed + t) for t in range(trials))
-        draws = [parabola_l6_lhs(e.coefficients(), samples=samples, seed=e.seed) for e in exps]
+        draws = lhs_draws[i * trials:(i + 1) * trials]
         ratios = [lhs / rhs for lhs, _ in draws]
         mean_ratio = math.fsum(ratios) / trials
         spread = math.fsum((x - mean_ratio) ** 2 for x in ratios) / max(trials - 1, 1) / trials

@@ -2,7 +2,8 @@
 package: quadruple-phase sums with unit coefficients, dyadic-block sums with
 log or monomial phase, the Dirichlet polynomial sum_{n<=m} n^{-s} of `zeta`,
 and `phase_sums`, the batched kernel that evaluates one sum, with or without
-coefficients, or one sum per row of a coefficient matrix, at many points.
+coefficients, or one sum per row of a coefficient matrix (rows may sum
+fewer leading terms), at many points.
 
 Conventions. e(z) = exp(2*pi*i*z). Phase arguments are reduced mod 1 before
 evaluating e(.); for the polynomial part n*x1 + n^2*x2 the reduction is done
@@ -118,18 +119,42 @@ def phase_terms(phi, X) -> np.ndarray:
     return unit_phase(frac_in_place(phase))
 
 
-def phase_sums(phi, coeffs, X) -> np.ndarray:
+def _column_sums(block, points: int, start: int) -> np.ndarray:
+    """block.sum(axis=0) for the columns start.. of a `phase_sums` call over
+    `points` points, with the bits of a call whose blocks hold
+    PHASE_BLOCK // len(block) points. numpy sums a block of two or more
+    points down n in order, whatever its width, but a block of one point
+    pairwise, so a point that such a call leaves alone is summed alone."""
+    sums = block.sum(axis=0)
+    own = max(PHASE_BLOCK // max(len(block), 1), 1)
+    width = block.shape[1]
+    if own == 1:
+        alone = range(width)
+    elif points % own == 1 and start + width == points:
+        alone = (width - 1,)
+    else:
+        return sums
+    for j in alone:
+        sums[j] = block[:, j:j + 1].sum(axis=0)[0]
+    return sums
+
+
+def phase_sums(phi, coeffs, X, terms=None) -> np.ndarray:
     """Sum_n a_n e((x . Phi_n) mod 1) for each row x of X.
 
     phi is an (N, d) array of phase vectors with d <= 4, X a (P, d) array of
     frequency points, and coeffs None (a_n = 1), a length-N vector or an
-    (R, N) matrix of coefficient rows. Terms run down and points across
-    blocks of at most PHASE_BLOCK entries (one point per block once N
-    exceeds it). Each block evaluates `phase_terms` once and reduces it
-    against every coefficient row by an elementwise product and a sum over
-    n of fixed shape, so row r of a matrix call equals the call with that
-    row alone bit for bit, and the result does not depend on threading.
-    Returns a length-P complex array, or (R, P) for a matrix.
+    (R, N) matrix of coefficient rows. With a matrix, `terms` may give each
+    row's count m_r <= N of leading terms: row r then sums n < m_r only, and
+    its entries beyond m_r are never read. Terms run down and points across
+    blocks of PHASE_BLOCK // N points, at least two, a last point joining
+    the block before it. Each block evaluates `phase_terms` once and reduces
+    its first m rows against every coefficient row by an elementwise
+    product and a sum over n (`_column_sums`). So row r of a matrix call
+    equals, bit for bit, the call with phi[:m_r] and that row alone, each
+    value is the same whatever the block split, and the result does not
+    depend on threading. Returns a length-P complex array, or (R, P) for a
+    matrix.
     """
     phi = np.asarray(phi, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -142,16 +167,22 @@ def phase_sums(phi, coeffs, X) -> np.ndarray:
     a = None if coeffs is None else np.asarray(coeffs, dtype=np.complex128)
     if a is not None and (a.ndim not in (1, 2) or a.shape[-1] != N):
         raise ValueError(f"coeffs must have length {N} or shape (R, {N}), got shape {a.shape}")
-    per = max(PHASE_BLOCK // max(N, 1), 1)
+    if terms is None:
+        terms = [N] * (1 if a is None or a.ndim == 1 else len(a))
+    elif a is None or a.ndim != 2 or len(terms) != len(a) or not all(1 <= m <= N for m in terms):
+        raise ValueError(f"terms must give each of the coefficient rows a count in [1, {N}]")
+    per = max(PHASE_BLOCK // max(N, 1), 2)
     out = np.empty((P,) if a is None else a.shape[:-1] + (P,), dtype=np.complex128)
-    for start in range(0, P, per):
-        stop = start + per
-        terms = phase_terms(phi, X[start:stop])
+    start = 0
+    while start < P:
+        stop = P if P - start <= per + 1 else start + per
+        table = phase_terms(phi, X[start:stop])
         if a is None:
-            out[start:stop] = terms.sum(axis=0)
-            continue
-        for row, dest in zip(np.atleast_2d(a), np.atleast_2d(out)):
-            dest[start:stop] = (terms * row[:, None]).sum(axis=0)
+            out[start:stop] = _column_sums(table, P, start)
+        else:
+            for row, m, dest in zip(np.atleast_2d(a), terms, np.atleast_2d(out)):
+                dest[start:stop] = _column_sums(table[:m] * row[:m, None], P, start)
+        start = stop
     return out
 
 

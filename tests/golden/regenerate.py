@@ -2,8 +2,9 @@
 a few of them also with `--format json`, `planner coverage` also at a bound
 whose grid spans two blocks, `zeta value` and `zeta scan` also above
 `zeta.RS_MIN_T` (the Riemann-Siegel route), `zeta value` also at
-t = RS_MIN_T, its first point, and two jobs that exit at a guard and at a
-usage error. `JOBS` is the one job list: this script writes the
+t = RS_MIN_T, its first point, `decouple parabola` also with three
+sampled trials of three N at a sample count that ends in a partial slice,
+and two jobs that exit at a guard and at a usage error. `JOBS` is the one job list: this script writes the
 corpus from it, and `tests/test_golden.py` reruns it and compares.
 
 Run from the root of a checkout to rewrite the corpus:
@@ -56,6 +57,8 @@ JOBS = (
     ("decouple-parabola", ["decouple", "parabola", "--Ns", "4,5,6"]),
     ("decouple-parabola-signs", ["decouple", "parabola", "--Ns", "4,5,6", "--ensemble", "random_signs",
                                  "--samples", "64", "--trials", "2", "--seed", "5"]),
+    ("decouple-parabola-draws", ["decouple", "parabola", "--Ns", "5,12,24", "--ensemble", "random_phase",
+                                 "--samples", "40000", "--trials", "3", "--seed", "4"]),
     ("decouple-bilinear", ["decouple", "bilinear", "--Ns", "8,12", "--samples", "256", "--seed", "1",
                            "--format", "json"]),
     ("zeta-scan", ["zeta", "scan", "--t-min", "10", "--t-max", "100", "--points", "5", "--seed", "2",

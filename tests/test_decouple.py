@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zetalab import decouple
+from zetalab import decouple, expsum
 from zetalab.decouple import (
     QMC_SLICE,
     REPLICATES,
@@ -15,6 +15,7 @@ from zetalab.decouple import (
     bilinear_d4_ratio,
     bilinear_scan,
     default_intervals,
+    parabola_l6_draws,
     parabola_l6_lhs,
     qmc_mean,
     ratio_scan,
@@ -311,9 +312,16 @@ def test_scans_check_the_largest_n_before_the_first_row(monkeypatch):
 @pytest.mark.parametrize("samples", [8, 1 << 20])
 def test_ratio_scan_trials_share_the_qmc_guard(monkeypatch, samples):
     # every trial is charged its points, at least one phase block, and all
-    # trials of a row together stay within QMC_MAX_SAMPLES
-    monkeypatch.setattr(decouple, "parabola_l6_lhs", lambda coeffs, samples, seed: (1.0, 0.0))
-    calls = _count_calls(monkeypatch, "parabola_l6_lhs")
+    # trials of a row together stay within QMC_MAX_SAMPLES; `calls` holds
+    # one entry per draw the batched entry evaluates
+    calls = []
+
+    def draws(pairs, samples):
+        pairs = list(pairs)
+        calls.extend(pairs)
+        return [(1.0, 0.0)] * len(pairs)
+
+    monkeypatch.setattr(decouple, "parabola_l6_draws", draws)
     edge = decouple.QMC_MAX_SAMPLES // max(samples, decouple.PHASE_BLOCK)
     with pytest.raises(GuardError) as exc:
         ratio_scan([4, 5, 6], "random_signs", trials=edge + 1, samples=samples)
@@ -328,7 +336,8 @@ def test_ratio_scan_trials_share_the_qmc_guard(monkeypatch, samples):
 @pytest.mark.parametrize("samples", [16, 20, 23, 2049])
 @pytest.mark.parametrize("probe, trials", [("parabola", 1), ("parabola", 2), ("bilinear", 1)])
 def test_ratio_rows_record_the_points_used(monkeypatch, probe, trials, samples):
-    # the points of a row are those of the Halton blocks its qmc_mean calls drew
+    # the points of a row are those of the Halton blocks its qmc_mean calls
+    # drew: one walk per bilinear row, one per group of parabola draws
     blocks = []
 
     def recording(dim, n):
@@ -340,11 +349,76 @@ def test_ratio_rows_record_the_points_used(monkeypatch, probe, trials, samples):
         rep = ratio_scan([4, 5, 6], "random_signs", trials=trials, samples=samples, seed=3)
     else:
         rep = bilinear_scan([8, 12], samples=samples, seed=3)
-    assert len(blocks) == trials * len(rep.rows)
-    for i, row in enumerate(rep.rows):
-        assert {REPLICATES * n for n in blocks[i * trials:(i + 1) * trials]} == {row.samples}
+    walks = -(-len(rep.rows) * trials // decouple.DRAW_GROUP) if probe == "parabola" else len(rep.rows)
+    assert len(blocks) == walks
+    assert {REPLICATES * n for n in blocks} == {row.samples for row in rep.rows}
     assert rep.rows[0].samples == REPLICATES * (samples // REPLICATES)
 
 
 def test_exact_rows_record_no_samples():
     assert all(row.samples is None for row in ratio_scan([4, 5, 6]).rows)
+
+
+def _per_draw_rows(Ns, ensemble, trials, seed, samples):
+    """The rows of a sampled ratio scan built one `parabola_l6_lhs` call per
+    (N, trial), each draw walking its own Halton block."""
+    rows = []
+    for N in Ns:
+        rhs = math.sqrt(N)
+        exps = [DecouplingExperiment(2, N, "parabola", ensemble, samples, seed + t) for t in range(trials)]
+        draws = [parabola_l6_lhs(e.coefficients(), samples=samples, seed=e.seed) for e in exps]
+        ratios = [lhs / rhs for lhs, _ in draws]
+        mean_ratio = math.fsum(ratios) / trials
+        spread = math.fsum((x - mean_ratio) ** 2 for x in ratios) / max(trials - 1, 1) / trials
+        stderr = math.sqrt(spread + (math.fsum(err / rhs for _, err in draws) / trials) ** 2)
+        rows.append(decouple.RatioRow(N, mean_ratio * rhs, rhs, mean_ratio, stderr, REPLICATES * (samples // REPLICATES)))
+    return rows
+
+
+@pytest.mark.parametrize("ensemble", ["random_phase", "random_signs"])
+@pytest.mark.parametrize("trials", [1, 2, 3])
+@pytest.mark.parametrize("Ns", [(5, 12, 48), (5, 12, 24)])
+def test_batched_scan_rows_equal_per_draw_rows(ensemble, trials, Ns):
+    # PHASE_BLOCK // N is no power of two, 40000 samples end in a partial
+    # slice, and at N = 24 the last point of a full slice sits alone in a
+    # block of the per-draw call; 6 and 9 draws span two and three groups
+    rep = ratio_scan(Ns, ensemble, trials=trials, seed=4, samples=40000)
+    assert list(rep.rows) == _per_draw_rows(Ns, ensemble, trials, 4, 40000)
+
+
+def test_draws_equal_one_draw_calls_across_groups():
+    pairs = [(DecouplingExperiment(2, N, ensemble="random_phase", seed=s).coefficients(), s)
+             for N in (4, 30, 7) for s in range(1, 4)]
+    assert len(pairs) > decouple.DRAW_GROUP
+    got = parabola_l6_draws(iter(pairs), 2 * REPLICATES * QMC_SLICE + 24)
+    assert got == [parabola_l6_lhs(a, samples=2 * REPLICATES * QMC_SLICE + 24, seed=s) for a, s in pairs]
+
+
+def test_scan_evaluates_one_table_per_block(monkeypatch):
+    # every draw of a group reduces the same table, the group's max N x
+    # points entries, beside its rotation rows, N x REPLICATES entries per
+    # draw and slice; the draws run N by N, so (5, 5, 12, 12) and (48, 48)
+    entries = []
+    original = expsum.unit_phase
+
+    def counting(theta):
+        entries.append(np.size(theta))
+        return original(theta)
+
+    monkeypatch.setattr(expsum, "unit_phase", counting)
+    Ns, trials, samples = (5, 12, 48), 2, 40000
+    ratio_scan(Ns, "random_phase", trials=trials, seed=1, samples=samples)
+    points = samples // REPLICATES
+    slices = -(-points // QMC_SLICE)
+    draws = [N for N in Ns for _ in range(trials)]
+    tables = sum(max(draws[g:g + decouple.DRAW_GROUP]) for g in range(0, len(draws), decouple.DRAW_GROUP))
+    assert tables == 12 + 48
+    assert sum(entries) == tables * points + slices * trials * sum(Ns) * REPLICATES
+
+
+def test_scan_memory_does_not_grow_with_trials(traced_peak):
+    def peak(trials):
+        return traced_peak(ratio_scan, (4, 5, 6), "random_signs", trials=trials, samples=1 << 15)[1]
+
+    few, many = peak(4), peak(64)
+    assert many <= 1.1 * few

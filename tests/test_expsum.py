@@ -19,6 +19,7 @@ from zetalab.expsum import (
     eval_dyadic_sum,
     eval_quadruple_sum,
     phase_sums,
+    phase_terms,
 )
 from zetalab.numerics import (
     MACHINE_EPS,
@@ -325,6 +326,60 @@ def test_phase_sums_coefficient_matrix_equals_row_calls():
         phase_sums(phi, rows[:, :-1], X)
     with pytest.raises(ValueError):
         phase_sums(phi, rows[None], X)
+
+
+def blockwise_phase_sums(phi, row, X):
+    """The block loop of `phase_sums` for one row of len(phi) terms: blocks
+    of PHASE_BLOCK // len(phi) points, each reduced by numpy's sum over n."""
+    per = max(PHASE_BLOCK // len(phi), 1)
+    return np.concatenate([(phase_terms(phi, X[s:s + per]) * row[:, None]).sum(axis=0)
+                           for s in range(0, len(X), per)])
+
+
+def _parabola_case(N, P, rows=3):
+    rng = np.random.default_rng(N + P)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    phi = np.column_stack([n, n * n])
+    a = rng.standard_normal((rows, N)) + 1j * rng.standard_normal((rows, N))
+    return phi, a, rng.random((P, 2))
+
+
+@pytest.mark.parametrize("N, P", [(24, 3 * (PHASE_BLOCK // 24) + 1), (12, PHASE_BLOCK // 12 + 1), (48, 683), (40, 1)])
+def test_phase_sums_follow_the_block_split(N, P):
+    """numpy sums a block of two or more points down n in order, whatever its
+    width, and a block of one point pairwise: a call equals its pieces of
+    two or more points, and a point it leaves alone equals the one-point
+    call."""
+    phi, a, X = _parabola_case(N, P)
+    per = PHASE_BLOCK // N
+    cuts = sorted({0, min(2, P), P - 1 if P % per == 1 else P, P})
+    for coeffs in (None, a[0], a):
+        got = phase_sums(phi, coeffs, X)
+        pieces = [phase_sums(phi, coeffs, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        assert got.tobytes() == np.concatenate(pieces, axis=-1).tobytes()
+    assert phase_sums(phi, a[0], X).tobytes() == blockwise_phase_sums(phi, a[0], X).tobytes()
+
+
+@pytest.mark.parametrize("P", [4096, PHASE_BLOCK // 24 + 1, PHASE_BLOCK // 12 + 1, PHASE_BLOCK // 48 + 1, 904, 1])
+def test_phase_sums_rows_with_fewer_terms_equal_their_own_calls(P):
+    # one table per block, for the longest row, serves rows of 48, 24, 12
+    # and 5 terms; entries beyond a row's count are never read
+    phi, a, X = _parabola_case(48, P, rows=4)
+    terms = [48, 24, 12, 5]
+    for row, m in zip(a, terms):
+        row[m:] = np.nan
+    got = phase_sums(phi, a, X, terms)
+    assert got.shape == (4, P)
+    for r, m in enumerate(terms):
+        assert got[r].tobytes() == phase_sums(phi[:m], a[r, :m], X).tobytes()
+        assert got[r].tobytes() == blockwise_phase_sums(phi[:m], a[r, :m], X).tobytes()
+
+
+def test_phase_sums_terms_validated():
+    phi, a, X = _parabola_case(8, 10)
+    for coeffs, terms in ((None, [8]), (a[0], [8]), (a, [8, 8]), (a, [8, 8, 0]), (a, [8, 8, 9])):
+        with pytest.raises(ValueError, match="terms"):
+            phase_sums(phi, coeffs, X, terms)
 
 
 def remainder_frac_mul_int(n, f):
