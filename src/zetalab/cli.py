@@ -34,6 +34,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from . import __version__, decouple, expsum, meanvalue, pairs, planner, zeta
 from .errors import GuardError
@@ -64,10 +65,11 @@ def _fmt(v) -> str:
 
 @dataclass
 class Report:
-    """Rows plus metadata; the emitter turns this into CSV or JSON."""
+    """Rows plus metadata; the emitter turns this into CSV or JSON, walking
+    the rows once, so they may be an iterator."""
 
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: Iterable[tuple]
     meta: dict = field(default_factory=dict)
     text: list[str] = field(default_factory=list)
 
@@ -90,11 +92,11 @@ def _write_json(report: Report, fh) -> None:
     encode = json.JSONEncoder(default=str, separators=(",\n   ", ": ")).encode
     # the payload ends in '"rows": []\n}'; a row's braces sit two spaces in
     fh.write(head[: -len("]\n}")])
-    sep = "\n  {\n   "
+    sep = first = "\n  {\n   "
     for row in report.rows:
         fh.write(sep + encode(dict(zip(report.columns, row)))[1:-1])
         sep = "\n  },\n  {\n   "
-    fh.write("\n  }\n ]\n}\n" if report.rows else "]\n}\n")
+    fh.write("]\n}\n" if sep == first else "\n  }\n ]\n}\n")
 
 
 _PLOT_TEMPLATE = """\

@@ -25,12 +25,12 @@ serves all REPLICATES shifts. The table holds no coefficient, and its rows
 n <= N serve every N: a scan hands all its draws (every N and trial) to
 `parabola_l6_draws`, whose groups of DRAW_GROUP draws each walk the Halton
 block once, reducing one table per block, for the group's largest N,
-against every draw's rotated rows. Each draw keeps its own sums over the
-same slices, and `phase_sums` gives a point the same bits whatever the
-block split, so every row equals the one from a `parabola_l6_lhs` call per
-draw bit for bit. The bilinear probe shifts its points, (base + shift) mod
-1, for every replicate: its frequencies are not integers and its N-cube is
-not a period, so the identity does not hold there.
+against every draw's rotated rows; a one-draw `parabola_l6_lhs` call is a
+group of one. A row of `phase_sums` keeps the bits of its own call whatever
+the table's N, so a draw has the same bits in any group. The bilinear
+probe shifts its points, (base + shift) mod 1, for every replicate: its
+frequencies are not integers and its N-cube is not a period, so the
+identity does not hold there.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def qmc_points(samples: int) -> int:
     return REPLICATES * (samples // REPLICATES)
 
 
-def qmc_mean(f, dim: int, samples: int, seed):
-    """Unbiased randomized-QMC mean of a function over [0,1)^dim, for one
-    seed or for each of a sequence of seeds.
+def qmc_mean(f, dim: int, samples: int, seeds):
+    """Unbiased randomized-QMC means of a function over [0,1)^dim, one for
+    each of a sequence of seeds.
 
     One Halton block `base` of qmc_points(samples) / REPLICATES points serves
     REPLICATES independent uniform shifts per seed, drawn as one
@@ -147,10 +147,9 @@ def qmc_mean(f, dim: int, samples: int, seed):
     row bit for bit when the block is one slice or two full ones, off in the
     last bits otherwise. A seed's estimate is the average of its REPLICATES
     rows and its stderr their spread over sqrt(REPLICATES), whatever the
-    other seeds. Returns (estimate, stderr) for an int seed, a list of them
-    for a sequence.
+    other seeds. Returns a list of (estimate, stderr), one per seed; one
+    seed is the list [seed].
     """
-    seeds = list(seed) if np.ndim(seed) else [seed]
     block = qmc_points(samples) // REPLICATES
     shifts = np.concatenate([np.random.default_rng(s).random((REPLICATES, dim)) for s in seeds])
     base = halton(dim, block)
@@ -162,7 +161,7 @@ def qmc_mean(f, dim: int, samples: int, seed):
         est = math.fsum(means) / REPLICATES
         var = math.fsum((m - est) ** 2 for m in means) / (REPLICATES - 1)
         results.append((est, math.sqrt(var / REPLICATES)))
-    return results if np.ndim(seed) else results[0]
+    return results
 
 
 def _parabola_integrand(coeffs):
@@ -191,11 +190,12 @@ def _parabola_integrand(coeffs):
     return f
 
 
-def _sixth_root(mean: float, stderr: float) -> tuple[float, float]:
-    """mean^(1/6) and its stderr by the delta method; (0, 0) for mean <= 0."""
+def _delta_root(mean: float, stderr: float, k: int) -> tuple[float, float]:
+    """mean^(1/k) and its stderr by the delta method,
+    stderr / (k mean^((k-1)/k)); (0, 0) for mean <= 0."""
     if mean <= 0.0:
         return 0.0, 0.0
-    return mean ** (1.0 / 6.0), stderr / (6.0 * mean ** (5.0 / 6.0))
+    return mean ** (1.0 / k), stderr / (k * mean ** ((k - 1) / k))
 
 
 def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: int = 0):
@@ -205,8 +205,8 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
     [0,N] x [0,N^2] of the parabola extension |sum a_n e(x.(n/N, n^2/N^2))|.
     With unit coefficients and exact=True the sixth power is the exact
     Vinogradov-type count J_{3,2}(N). Returns (value, stderr). The sampled
-    route rotates the coefficients, rot[r, n] = a_n e(Phi_n . shift_r);
-    `parabola_l6_draws` gives the same bits for many draws at once.
+    route is `parabola_l6_draws` with this one draw, which rotates the
+    coefficients, rot[r, n] = a_n e(Phi_n . shift_r).
     """
     a = np.asarray(coeffs, dtype=np.complex128)
     N = a.size
@@ -217,18 +217,20 @@ def parabola_l6_lhs(coeffs, exact: bool = False, samples: int = 1 << 14, seed: i
             raise ValueError("exact mode requires unit coefficients")
         j = vinogradov_count(N, 3)
         return float(j.value) ** (1.0 / 6.0), 0.0
-    return _sixth_root(*qmc_mean(_parabola_integrand([a]), 2, samples, seed))
+    return parabola_l6_draws([(a, seed)], samples)[0]
 
 
 def parabola_l6_draws(draws, samples: int) -> list[tuple[float, float]]:
-    """parabola_l6_lhs(coeffs, samples=samples, seed=seed) for each pair
-    (coeffs, seed) of the iterable `draws`, in order, bit for bit.
+    """The sampled (value, stderr) of `parabola_l6_lhs` for each pair
+    (coeffs, seed) of the iterable `draws`, in order.
 
     The draws are read DRAW_GROUP at a time, and each group is one
     `qmc_mean` call over its seeds: one Halton block, and per block of
     points one table e(n u + n^2 v) for the group's largest N, which every
     draw's rows reduce over their first N terms. Each draw keeps its own
-    REPLICATES sums over the same slices, so nothing depends on the group.
+    REPLICATES sums over the same slices, and its rows keep the bits of
+    their own `phase_sums` calls, so nothing depends on the group: a draw
+    gets the bits of a `parabola_l6_lhs` call, a group of one.
     """
     from itertools import islice
 
@@ -237,7 +239,7 @@ def parabola_l6_draws(draws, samples: int) -> list[tuple[float, float]]:
     while group := list(islice(draws, DRAW_GROUP)):
         coeffs = [np.asarray(a, dtype=np.complex128) for a, _ in group]
         results = qmc_mean(_parabola_integrand(coeffs), 2, samples, [seed for _, seed in group])
-        out.extend(_sixth_root(*r) for r in results)
+        out.extend(_delta_root(mean, stderr, 6) for mean, stderr in results)
     return out
 
 
@@ -296,13 +298,9 @@ def bilinear_d4_ratio(exp: DecouplingExperiment) -> RatioRow:
         values = (s1.real**2 + s1.imag**2) ** 3 * (s2.real**2 + s2.imag**2) ** 3
         return values.reshape(len(shifts), -1)
 
-    mean, stderr = qmc_mean(f, 4, exp.samples, exp.seed)
+    lhs, stderr = _delta_root(*qmc_mean(f, 4, exp.samples, [exp.seed])[0], 12)
     rhs = math.sqrt(N) * float(np.max(np.abs(a)))
-    points = qmc_points(exp.samples)
-    if mean <= 0.0:
-        return RatioRow(N, 0.0, rhs, 0.0, 0.0, points)
-    lhs = mean ** (1.0 / 12.0)
-    return RatioRow(N, lhs, rhs, lhs / rhs, stderr / (12.0 * mean ** (11.0 / 12.0)), points)
+    return RatioRow(N, lhs, rhs, lhs / rhs, stderr, qmc_points(exp.samples))
 
 
 def _distinct_ns(Ns, minimum: int) -> list[int]:

@@ -24,7 +24,9 @@ its weights whole, 8 bytes per term); a shorter sum is one block, summed by
 the evaluation of each term. It does not cover the float64 rounding of the
 phases before they are reduced: a phase of size P is off by about eps * P
 cycles, which matters for the half-power phases of `eval_quadruple_sum` at
-large N; only `dirichlet_sum` models it.
+large N; only `dirichlet_sum` models it. `phase_sums` carries no bound and
+is not compensated: numpy sums each point down n in order, pairwise only in
+a one-point call.
 """
 
 from __future__ import annotations
@@ -119,26 +121,6 @@ def phase_terms(phi, X) -> np.ndarray:
     return unit_phase(frac_in_place(phase))
 
 
-def _column_sums(block, points: int, start: int) -> np.ndarray:
-    """block.sum(axis=0) for the columns start.. of a `phase_sums` call over
-    `points` points, with the bits of a call whose blocks hold
-    PHASE_BLOCK // len(block) points. numpy sums a block of two or more
-    points down n in order, whatever its width, but a block of one point
-    pairwise, so a point that such a call leaves alone is summed alone."""
-    sums = block.sum(axis=0)
-    own = max(PHASE_BLOCK // max(len(block), 1), 1)
-    width = block.shape[1]
-    if own == 1:
-        alone = range(width)
-    elif points % own == 1 and start + width == points:
-        alone = (width - 1,)
-    else:
-        return sums
-    for j in alone:
-        sums[j] = block[:, j:j + 1].sum(axis=0)[0]
-    return sums
-
-
 def phase_sums(phi, coeffs, X, terms=None) -> np.ndarray:
     """Sum_n a_n e((x . Phi_n) mod 1) for each row x of X.
 
@@ -150,11 +132,14 @@ def phase_sums(phi, coeffs, X, terms=None) -> np.ndarray:
     blocks of PHASE_BLOCK // N points, at least two, a last point joining
     the block before it. Each block evaluates `phase_terms` once and reduces
     its first m rows against every coefficient row by an elementwise
-    product and a sum over n (`_column_sums`). So row r of a matrix call
-    equals, bit for bit, the call with phi[:m_r] and that row alone, each
-    value is the same whatever the block split, and the result does not
-    depend on threading. Returns a length-P complex array, or (R, P) for a
-    matrix.
+    product and numpy's sum over n, which runs down n in order for a block
+    of two or more points and pairwise for a one-point call, the only block
+    of one point. So row r of a matrix call equals, bit for bit, the call
+    with phi[:m_r] and that row alone; a call equals the concatenation of
+    calls on its pieces of two or more points, whatever the block split;
+    a one-point call differs from the same point inside a longer call in
+    the last bits; and the result does not depend on threading. Returns a
+    length-P complex array, or (R, P) for a matrix.
     """
     phi = np.asarray(phi, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -178,10 +163,10 @@ def phase_sums(phi, coeffs, X, terms=None) -> np.ndarray:
         stop = P if P - start <= per + 1 else start + per
         table = phase_terms(phi, X[start:stop])
         if a is None:
-            out[start:stop] = _column_sums(table, P, start)
+            out[start:stop] = table.sum(axis=0)
         else:
             for row, m, dest in zip(np.atleast_2d(a), terms, np.atleast_2d(out)):
-                dest[start:stop] = _column_sums(table[:m] * row[:m, None], P, start)
+                dest[start:stop] = (table[:m] * row[:m, None]).sum(axis=0)
         start = stop
     return out
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -26,13 +27,14 @@ CRITICAL_EXPONENT = Fraction(13, 84)
 
 # Largest grid of candidate points p/q (reduced or not) that
 # `_rational_blocks` enumerates. At the edge (2-core host, fresh processes),
-# `planner envelope` at Q = 1446 took 1.5 s and 210 MB with CSV output and
-# 2.8-3.2 s and 209 MB with JSON, and `planner coverage` at Q = 2045 took
+# `planner envelope` at Q = 1446 took 1.2-1.4 s and 79 MB with CSV output and
+# 2.5-2.7 s and 78 MB with JSON, and `planner coverage` at Q = 2045 took
 # 0.24-0.33 s and 37 MB.
 GRID_MAX_POINTS = 1 << 20
-# Candidate points of one block of `_rational_blocks`, and grid points
-# evaluated against one piece at once: each int64 temporary of a block or of
-# the table holds at most 512 KB, so coverage needs about 5 MB at any bound.
+# Candidate points of one block of `_rational_blocks`, grid points
+# evaluated against one piece at once, and rows of `envelope_grid` made at
+# once: each int64 temporary of a block or of the table holds at most
+# 512 KB, so coverage needs about 5 MB at any bound.
 _TABLE_SLICE = 1 << 16
 
 # Regimes for make_plan. The first three choose a block length N (and carry
@@ -264,11 +266,12 @@ def _envelope_table(p: np.ndarray, q: np.ndarray) -> tuple[int, np.ndarray, np.n
     return L, num, witness
 
 
-def envelope_grid(max_denominator: int) -> list[tuple[int, int, int, int, str]]:
+def envelope_grid(max_denominator: int) -> Iterator[tuple[int, int, int, int, str]]:
     """Rows (alpha_num, alpha_den, p_num, p_den, witness) of the envelope at
     every reduced fraction alpha = p/q in [0, 1] with q <= max_denominator, in
     ascending alpha: the values of `envelope(Fraction(p, q))`, ties broken by
-    piece order."""
+    piece order. The grid and its table are built, under their checks, when
+    called; the rows come from them _TABLE_SLICE at a time, for one pass."""
     p, q = rationals(max_denominator)
     # Exact: two distinct reduced fractions with denominators <= Q differ by
     # at least 1/Q^2, far above the float64 rounding of p/q (2^-53) for any Q
@@ -278,9 +281,15 @@ def envelope_grid(max_denominator: int) -> list[tuple[int, int, int, int, str]]:
     L, num, witness = _envelope_table(p, q)
     den = L * q
     g = np.gcd(num, den)
+    columns = (p, q, num // g, den // g, witness)
     tags = [piece.tag for piece in _PIECES]
-    columns = (p.tolist(), q.tolist(), (num // g).tolist(), (den // g).tolist(), witness.tolist())
-    return [(a, b, n, d, tags[w]) for a, b, n, d, w in zip(*columns)]
+
+    def rows():
+        for s in range(0, p.size, _TABLE_SLICE):
+            for a, b, n, d, w in zip(*(c[s : s + _TABLE_SLICE].tolist() for c in columns)):
+                yield a, b, n, d, tags[w]
+
+    return rows()
 
 
 def verify_critical_line_coverage(max_denominator: int = 1000) -> CoverageReport:

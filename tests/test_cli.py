@@ -502,18 +502,19 @@ def test_json_schema(tmp_path):
 def test_json_rows_stream_as_one_shot_dumps(rows, meta, repeat):
     """The JSON written row by row equals json.dumps of the whole payload,
     None written as null and "" as "", for the rows repeated `repeat`
-    times."""
+    times, given as a list or as a one-shot iterator or generator (an empty
+    one is truthy)."""
     rows = rows * repeat
-    report = Report(("a", "b", "c"), rows, meta)
-    fh = io.StringIO()
-    _write_json(report, fh)
     payload = {
         "schema": SCHEMA_VERSION,
         "meta": meta,
         "columns": ["a", "b", "c"],
         "rows": [dict(zip("abc", row)) for row in rows],
     }
-    assert fh.getvalue() == json.dumps(payload, indent=1, default=str) + "\n"
+    for given in (rows, iter(rows), (row for row in rows)):
+        fh = io.StringIO()
+        _write_json(Report(("a", "b", "c"), given, meta), fh)
+        assert fh.getvalue() == json.dumps(payload, indent=1, default=str) + "\n"
 
 def test_zeta_scan_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -890,6 +891,21 @@ def test_benchmark_tracing_wraps_the_cli():
     assert {"cli.main", "expsum.eval_quadruple_sum", "numerics.frac_poly_phase", "numerics.neumaier_sum",
             "zeta.afe_main_sum", "zeta.zeta_em_oracle"} <= set(report["spans"])
     assert report["layers"]["numerics.neumaier_sum.values"] > 0
+
+
+def test_benchmark_tracer_installs():
+    # every module attribute the tracer patches must exist: a renamed one
+    # fails here, by name, instead of in every traced benchmark round
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from perfbench import tracing; tracing.install(tracing.Recorder())"],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_entry_point_subprocess():

@@ -134,7 +134,7 @@ def test_bilinear_single_frequency_per_interval():
             rows.append((np.abs(s1) ** 6) * (np.abs(s2) ** 6))
         return np.stack(rows)
 
-    mean, err = qmc_mean(f, 4, 2048, 0)
+    ((mean, err),) = qmc_mean(f, 4, 2048, [0])
     lhs = mean ** (1.0 / 12.0)
     assert lhs == pytest.approx(math.sqrt(2.5 * 1.5), rel=1e-10)
     assert err == pytest.approx(0.0, abs=1e-8)
@@ -226,11 +226,12 @@ def test_parabola_rotated_coefficients_match_shifted_points(monkeypatch, N):
     a = DecouplingExperiment(2, N, ensemble="random_phase", seed=N).coefficients()
     seen = []
 
-    def recording(f, dim, samples, seed):
+    def recording(f, dim, samples, seeds):
+        (seed,) = seeds
         base = halton(dim, samples // REPLICATES)
         shifts = np.random.default_rng(seed).random((REPLICATES, dim))
         seen.append((base, shifts, f(base, shifts)))
-        return qmc_mean(f, dim, samples, seed)
+        return qmc_mean(f, dim, samples, seeds)
 
     monkeypatch.setattr(decouple, "qmc_mean", recording)
     lhs, _ = parabola_l6_lhs(a, samples=1 << 13, seed=4)
@@ -259,7 +260,7 @@ def test_qmc_mean_slices_cover_the_block_once(points):
         # far from rounding
         return 10.0 * shifts[:, :1] + ((pts + shifts[:, None]) % 1.0).sum(axis=2)
 
-    mean, err = qmc_mean(f, 2, REPLICATES * points, 5)
+    ((mean, err),) = qmc_mean(f, 2, REPLICATES * points, [5])
     base = halton(2, points)
     assert np.array_equal(np.concatenate(seen), base)
     assert all(len(pts) <= QMC_SLICE for pts in seen)

@@ -328,12 +328,14 @@ def test_phase_sums_coefficient_matrix_equals_row_calls():
         phase_sums(phi, rows[None], X)
 
 
-def blockwise_phase_sums(phi, row, X):
-    """The block loop of `phase_sums` for one row of len(phi) terms: blocks
-    of PHASE_BLOCK // len(phi) points, each reduced by numpy's sum over n."""
-    per = max(PHASE_BLOCK // len(phi), 1)
-    return np.concatenate([(phase_terms(phi, X[s:s + per]) * row[:, None]).sum(axis=0)
-                           for s in range(0, len(X), per)])
+def in_order_phase_sums(phi, row, X):
+    """Each point's terms added down n in order, one term at a time: the
+    reference for every point of a `phase_sums` call of two or more points."""
+    terms = phase_terms(phi, X) * row[:, None]
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def _parabola_case(N, P, rows=3):
@@ -344,20 +346,31 @@ def _parabola_case(N, P, rows=3):
     return phi, a, rng.random((P, 2))
 
 
-@pytest.mark.parametrize("N, P", [(24, 3 * (PHASE_BLOCK // 24) + 1), (12, PHASE_BLOCK // 12 + 1), (48, 683), (40, 1)])
+@pytest.mark.parametrize("N, P", [
+    (24, 3 * (PHASE_BLOCK // 24) + 1),
+    (12, PHASE_BLOCK // 12 + 1),
+    (48, 683),
+    (40, 1),
+    # more than PHASE_BLOCK // 2 terms: blocks of two points, the last of three
+    (PHASE_BLOCK // 2 + 5, 9),
+])
 def test_phase_sums_follow_the_block_split(N, P):
-    """numpy sums a block of two or more points down n in order, whatever its
-    width, and a block of one point pairwise: a call equals its pieces of
-    two or more points, and a point it leaves alone equals the one-point
-    call."""
+    """Every block of two or more points is summed down n in order, whatever
+    its width, so a call equals its pieces of two or more points, and each
+    point equals the one-term-at-a-time loop; only a one-point call, a
+    block of one point, is numpy's pairwise sum."""
     phi, a, X = _parabola_case(N, P)
-    per = PHASE_BLOCK // N
-    cuts = sorted({0, min(2, P), P - 1 if P % per == 1 else P, P})
+    cuts = sorted({0, 2, P // 2, P - 2, P}) if P >= 8 else [0, P]
+    assert min(hi - lo for lo, hi in zip(cuts, cuts[1:])) >= min(P, 2)
     for coeffs in (None, a[0], a):
         got = phase_sums(phi, coeffs, X)
         pieces = [phase_sums(phi, coeffs, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         assert got.tobytes() == np.concatenate(pieces, axis=-1).tobytes()
-    assert phase_sums(phi, a[0], X).tobytes() == blockwise_phase_sums(phi, a[0], X).tobytes()
+    got = phase_sums(phi, a[0], X)
+    if P == 1:
+        assert got[0] == np.sum(phase_terms(phi, X)[:, 0] * a[0])
+    else:
+        assert got.tobytes() == in_order_phase_sums(phi, a[0], X).tobytes()
 
 
 @pytest.mark.parametrize("P", [4096, PHASE_BLOCK // 24 + 1, PHASE_BLOCK // 12 + 1, PHASE_BLOCK // 48 + 1, 904, 1])
@@ -372,7 +385,8 @@ def test_phase_sums_rows_with_fewer_terms_equal_their_own_calls(P):
     assert got.shape == (4, P)
     for r, m in enumerate(terms):
         assert got[r].tobytes() == phase_sums(phi[:m], a[r, :m], X).tobytes()
-        assert got[r].tobytes() == blockwise_phase_sums(phi[:m], a[r, :m], X).tobytes()
+        if P > 1:
+            assert got[r].tobytes() == in_order_phase_sums(phi[:m], a[r, :m], X).tobytes()
 
 
 def test_phase_sums_terms_validated():
