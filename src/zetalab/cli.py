@@ -313,9 +313,10 @@ def _cmd_zeta_scan(args) -> Report:
 
 
 def _cmd_zeta_value(args) -> Report:
-    # t below 2 pi exits 2, then a t past the guard 3, before either sum runs
+    # t below 2 pi exits 2, a t past the guard 3, a slack not finite 2: before any sum
     zeta.afe_cutoff(args.t)
     zeta.oracle_terms(args.t)
+    zeta.check_slack(args.slack)
     main = zeta.afe_main_sum(args.t)
     bound = zeta.afe_upper_bound(args.t, args.slack, main)
     value = zeta.zeta_oracle(args.t, main)

@@ -27,14 +27,14 @@ CRITICAL_EXPONENT = Fraction(13, 84)
 
 # Largest grid of candidate points p/q (reduced or not) that
 # `_rational_blocks` enumerates. At the edge (2-core host, fresh processes),
-# `planner envelope` at Q = 1446 took 1.2-1.4 s and 79 MB with CSV output and
-# 2.5-2.7 s and 78 MB with JSON, and `planner coverage` at Q = 2045 took
-# 0.24-0.33 s and 37 MB.
+# `planner envelope` at Q = 1446 took 1.3-1.6 s and 42 MB with CSV output and
+# 2.7-3.1 s and 43 MB with JSON, and `planner coverage` at Q = 2045 took
+# 0.32-0.35 s and 36 MB.
 GRID_MAX_POINTS = 1 << 20
-# Candidate points of one block of `_rational_blocks`, grid points
-# evaluated against one piece at once, and rows of `envelope_grid` made at
-# once: each int64 temporary of a block or of the table holds at most
-# 512 KB, so coverage needs about 5 MB at any bound.
+# Candidate points of one block of `_rational_blocks`, so of one table and
+# of the rows of `envelope_grid` made at once: each int64 temporary holds at
+# most 512 KB, so coverage needs about 5 MB at any bound, and the envelope's
+# rows of one block about 10 MB.
 _TABLE_SLICE = 1 << 16
 
 # Regimes for make_plan. The first three choose a block length N (and carry
@@ -177,7 +177,8 @@ def solve_piece_meets_target(tag: str) -> Fraction:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Result of the exact critical-line coverage verification."""
+    """Result of the exact critical-line coverage verification: `failures`
+    are Fractions in ascending alpha, the grid's and then the crossovers'."""
 
     crossovers: dict
     points_checked: int
@@ -186,12 +187,12 @@ class CoverageReport:
 
 
 def _rational_blocks(max_denominator: int, upto=1):
-    """The reduced fractions p/q in [0, upto] with q <= max_denominator, as
-    int64 arrays (p, q) by increasing q and then p, in blocks of consecutive
-    denominators that span at most _TABLE_SLICE candidate points each (or
-    one denominator). Refuses a bound below 1, and a grid of more than
-    GRID_MAX_POINTS candidate points, when called; each block is built when
-    it is reached."""
+    """The reduced fractions p/q in [0, upto] with q <= Q = max_denominator,
+    as int64 arrays (p, q) by q and then p, in blocks over the alpha
+    intervals [k w, (k + 1) w), the last closed at upto, each wholly below the
+    next and of at most _TABLE_SLICE candidates p/q (reduced or not) while Q
+    is below that. Refuses Q < 1, and a grid of more than GRID_MAX_POINTS
+    candidates, when called; each block is built when it is reached."""
     if max_denominator < 1:
         raise ValueError(f"the denominator bound must be >= 1, got {max_denominator}")
     upto = Fraction(upto)
@@ -200,37 +201,29 @@ def _rational_blocks(max_denominator: int, upto=1):
     candidates = upto * max_denominator * (max_denominator + 1) / 2 + max_denominator
     GuardError.check("planner.grid.points", candidates, GRID_MAX_POINTS,
                      f"{math.floor(candidates)} grid points up to denominator {max_denominator}")
-    denominators = np.arange(1, max_denominator + 1, dtype=np.int64)
-    counts = upto.numerator * denominators // upto.denominator + 1
-    ends = np.cumsum(counts)
+    # an interval of width w holds at most w q + 1 candidates of denominator q: w Q (Q + 1) / 2 + Q in all
+    count = math.ceil((candidates - max_denominator) / max(_TABLE_SLICE - max_denominator, 1))
+    q = np.arange(1, max_denominator + 1, dtype=np.int64)
+    # the least numerator of each q at or past k upto / count, and past upto
+    starts = [-(-upto.numerator * k * q // (upto.denominator * count)) for k in range(count)]
+    starts.append(upto.numerator * q // upto.denominator + 1)
 
     def blocks():
-        first = 0
-        while first < max_denominator:
-            start = ends[first] - counts[first]
-            stop = max(int(np.searchsorted(ends, start + _TABLE_SLICE, side="right")), first + 1)
-            count = counts[first:stop]
-            q = np.repeat(denominators[first:stop], count)
-            p = np.arange(q.size, dtype=np.int64) - np.repeat(ends[first:stop] - count - start, count)
-            keep = np.gcd(p, q) == 1
-            yield p[keep], q[keep]
-            first = stop
+        for lo, hi in zip(starts, starts[1:]):
+            size = hi - lo
+            p = np.arange(size.sum(), dtype=np.int64) + np.repeat(hi - np.cumsum(size), size)
+            qs = np.repeat(q, size)
+            keep = np.gcd(p, qs) == 1
+            yield p[keep], qs[keep]
 
     return blocks()
 
 
-def rationals(max_denominator: int, upto=1) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced fractions p/q in [0, upto] with q <= max_denominator, as
-    int64 arrays (p, q) by increasing q and then p: the blocks of
-    `_rational_blocks` joined, under its checks."""
-    p, q = zip(*_rational_blocks(max_denominator, upto))
-    return np.concatenate(p), np.concatenate(q)
-
-
-def _envelope_table(p: np.ndarray, q: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(L, num, witness): the envelope at each p/q in [0, 1] is num / (L q),
-    attained first (in piece order) by the piece _PIECES[witness], decided by
-    exact int64 comparisons.
+def _envelope_table(max_denominator: int):
+    """(L, table): table(p, q) is (num, witness), where the envelope at each
+    p/q in [0, 1] with q <= max_denominator is num / (L q), attained first
+    (in piece order) by the piece _PIECES[witness], decided by exact int64
+    comparisons. Refuses, when called, a table that would leave int64.
 
     L is the lcm of every denominator of the pieces and of the target, so
     every piece bound and the target scale by L to integers; p/q applies to
@@ -245,49 +238,49 @@ def _envelope_table(p: np.ndarray, q: np.ndarray) -> tuple[int, np.ndarray, np.n
     scaled = [[int(L * getattr(piece, f)) for f in ("lo", "hi", "u", "v")] for piece in _PIECES]
     # Every number formed below, the target's too, is a sum of at most two
     # products c * p or c * q with |c| <= max(L, the scaled bounds) and p <= q.
-    q_max = int(q.max(initial=0))
-    if 2 * max(L, *(abs(c) for row in scaled for c in row)) * q_max >= 1 << 63:
-        raise OverflowError(f"the piece table scaled by L={L} leaves int64 at denominator {q_max}")
-    num = np.full(p.size, np.iinfo(np.int64).max, dtype=np.int64)
-    witness = np.zeros(p.size, dtype=np.intp)
-    # one piece at a time over one slice of _TABLE_SLICE points; a strict <
-    # keeps the earlier piece on a tie, the first minimum
-    for s in range(0, p.size, _TABLE_SLICE):
-        ps, qs = p[s : s + _TABLE_SLICE], q[s : s + _TABLE_SLICE]
-        best, winner = num[s : s + _TABLE_SLICE], witness[s : s + _TABLE_SLICE]
-        a = L * ps
+    if 2 * max(L, *(abs(c) for row in scaled for c in row)) * max_denominator >= 1 << 63:
+        raise OverflowError(f"the piece table scaled by L={L} leaves int64 at denominator {max_denominator}")
+
+    def table(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        num = np.full(p.size, np.iinfo(np.int64).max, dtype=np.int64)
+        witness = np.zeros(p.size, dtype=np.intp)
+        a = L * p
+        # one piece at a time; a strict < keeps the earlier piece on a tie,
+        # the first minimum
         for k, (piece, (lo, hi, u, v)) in enumerate(zip(_PIECES, scaled)):
-            low, high = lo * qs, hi * qs
+            low, high = lo * q, hi * q
             applies = (a >= low if piece.lo_closed else a > low) & (a <= high if piece.hi_closed else a < high)
-            value = u * qs + v * ps
-            better = applies & (value < best)
-            np.copyto(best, value, where=better)
-            np.copyto(winner, k, where=better)
-    return L, num, witness
+            value = u * q + v * p
+            better = applies & (value < num)
+            np.copyto(num, value, where=better)
+            np.copyto(witness, k, where=better)
+        return num, witness
+
+    return L, table
 
 
 def envelope_grid(max_denominator: int) -> Iterator[tuple[int, int, int, int, str]]:
     """Rows (alpha_num, alpha_den, p_num, p_den, witness) of the envelope at
     every reduced fraction alpha = p/q in [0, 1] with q <= max_denominator, in
     ascending alpha: the values of `envelope(Fraction(p, q))`, ties broken by
-    piece order. The grid and its table are built, under their checks, when
-    called; the rows come from them _TABLE_SLICE at a time, for one pass."""
-    p, q = rationals(max_denominator)
-    # Exact: two distinct reduced fractions with denominators <= Q differ by
-    # at least 1/Q^2, far above the float64 rounding of p/q (2^-53) for any Q
-    # that the grid guard admits.
-    order = np.argsort(p / q)
-    p, q = p[order], q[order]
-    L, num, witness = _envelope_table(p, q)
-    den = L * q
-    g = np.gcd(num, den)
-    columns = (p, q, num // g, den // g, witness)
-    tags = [piece.tag for piece in _PIECES]
+    piece order. The grid guard and the int64 check of the table run when
+    called; the rows then come for one pass, one block of `_rational_blocks`
+    at a time, each sorted on its own."""
+    blocks = _rational_blocks(max_denominator)
+    L, table = _envelope_table(max_denominator)
+    tags = np.array([piece.tag for piece in _PIECES], dtype=object)
 
     def rows():
-        for s in range(0, p.size, _TABLE_SLICE):
-            for a, b, n, d, w in zip(*(c[s : s + _TABLE_SLICE].tolist() for c in columns)):
-                yield a, b, n, d, tags[w]
+        for p, q in blocks:
+            # Exact: two distinct reduced fractions with denominators <= Q
+            # differ by at least 1/Q^2, far above the float64 rounding of p/q
+            # (2^-53) for any Q that the grid guard admits.
+            order = np.argsort(p / q)
+            p, q = p[order], q[order]
+            num, witness = table(p, q)
+            den = L * q
+            g = np.gcd(num, den)
+            yield from zip(*(c.tolist() for c in (p, q, num // g, den // g, tags[witness])))
 
     return rows()
 
@@ -301,8 +294,7 @@ def verify_critical_line_coverage(max_denominator: int = 1000) -> CoverageReport
     exponent-pair bound at 11/28, the trivial bound at 13/42; the main bound
     starts at 17/42. Since 17/42 < 332/819, the pieces jointly cover [0, 1/2].
     The grid is decided in exact integers (`_envelope_table`), one block of
-    `_rational_blocks` at a time, so it is never held whole; failures come
-    back as Fractions, grid points by q and then p, then the crossovers.
+    `_rational_blocks` at a time, so it is never held whole.
     """
     crossovers = {
         TAG_RESONANCE: solve_piece_meets_target(TAG_RESONANCE),
@@ -317,15 +309,15 @@ def verify_critical_line_coverage(max_denominator: int = 1000) -> CoverageReport
             raise ArithmeticError(f"crossover {tag}: alpha = {a} does not meet the target")
 
     grid = _rational_blocks(max_denominator, HALF)
-    extra = [c for c in crossovers.values() if c <= HALF]
-    tail = (np.array([c.numerator for c in extra], dtype=np.int64),
-            np.array([c.denominator for c in extra], dtype=np.int64))
+    L, table = _envelope_table(max(max_denominator, *(c.denominator for c in crossovers.values())))
+    extra = [(c.numerator, c.denominator) for c in crossovers.values() if c <= HALF]
+    tail = np.array(extra, dtype=np.int64).reshape(-1, 2).T
     points, failures = 0, []
     for blocks in (grid, [tail]):
         for p, q in blocks:
-            L, num, _ = _envelope_table(p, q)
+            num, _ = table(p, q)
             target = int(L * CRITICAL_EXPONENT) * q + int(L * HALF) * p
-            failures += (Fraction(int(p[i]), int(q[i])) for i in np.flatnonzero(num > target))
+            failures += sorted(Fraction(int(p[i]), int(q[i])) for i in np.flatnonzero(num > target))
             points += p.size
     return CoverageReport(crossovers, points, tuple(failures), coverage=not failures)
 

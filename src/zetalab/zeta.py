@@ -198,11 +198,16 @@ def afe_main_sum(t: float) -> ComplexValue:
     return dirichlet_sum(complex(0.5, -t), afe_cutoff(t))
 
 
-def afe_upper_bound(t: float, slack: float = DEFAULT_SLACK, main: ComplexValue | None = None) -> float:
-    """2|S(t)| + slack, for a finite slack: a NaN would pass every check.
-    `main` is `afe_main_sum(t)` where the caller has it already."""
+def check_slack(slack: float) -> None:
+    """Refuse a slack that is not finite: a NaN would pass every check."""
     if not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack}")
+
+
+def afe_upper_bound(t: float, slack: float = DEFAULT_SLACK, main: ComplexValue | None = None) -> float:
+    """2|S(t)| + slack, for a finite slack (`check_slack`). `main` is
+    `afe_main_sum(t)` where the caller has it already."""
+    check_slack(slack)
     if main is None:
         main = afe_main_sum(t)
     return 2.0 * abs(main) + slack
@@ -225,6 +230,7 @@ def afe_consistency_scan(
     if not t_min < t_max:
         raise ValueError(f"need t_min < t_max, got [{t_min}, {t_max}]")
     scan_terms(t_max, points)
+    check_slack(slack)
     ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), points))
     rows = []
     for t in ts.tolist():

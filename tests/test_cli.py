@@ -806,6 +806,25 @@ def test_zeta_oracle_guard_before_any_sum(traced_peak, args):
     assert peak < 10 << 20
 
 
+@pytest.mark.parametrize("slack", ["nan", "inf"])
+@pytest.mark.parametrize("leaf, past_guard", [
+    (["zeta", "value", "--t", "100"], ["zeta", "value", "--t", "1e15"]),
+    (["zeta", "afe", "--t-min", "10", "--t-max", "100", "--points", "3"],
+     ["zeta", "afe", "--t-min", "3e7", "--t-max", "4e7", "--points", "3"]),
+], ids=["value", "afe"])
+def test_non_finite_slack_is_refused_before_any_sum(monkeypatch, leaf, past_guard, slack):
+    # the slack is checked after the term guard (exit 3 first) and before
+    # the first main sum or oracle head
+    calls = []
+    monkeypatch.setattr(zeta, "dirichlet_sum", lambda *args: calls.append(args))
+    code, out, err = run_cli(leaf + ["--slack", slack])
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
+    assert "slack must be finite" in err
+    code, out, err = run_cli(past_guard + ["--slack", slack])
+    assert (code, out, calls) == (EXIT_GUARD, "", [])
+    assert "guard=zeta.oracle.terms" in err
+
+
 @pytest.mark.parametrize("t_min, t_max", [("1000", "100"), ("100", "100")])
 def test_zeta_afe_empty_range_is_usage_error(t_min, t_max):
     # a reversed range gave a decreasing grid; both leaves refuse it as a
@@ -869,7 +888,9 @@ import tracing
 from zetalab import cli
 recorder = tracing.Recorder()
 tracing.install(recorder)
-codes = [cli.main(["expsum", "quadruple", "--N", "64", "--x", "0.1,0.2,0.3,0.4"]), cli.main(["zeta", "value", "--t", "100"])]
+codes = [cli.main(["expsum", "quadruple", "--N", "64", "--x", "0.1,0.2,0.3,0.4"]), cli.main(["zeta", "value", "--t", "100"]),
+         cli.main(["planner", "coverage", "--denominator-bound", "20"]),
+         cli.main(["planner", "envelope", "--denominator-bound", "10"])]
 spans = sorted({span[0] for span in recorder.spans})
 print(json.dumps({"codes": codes, "spans": spans, "layers": tracing.layer_metrics(recorder)}))
 """
@@ -887,10 +908,15 @@ def test_benchmark_tracing_wraps_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [EXIT_OK, EXIT_OK]
+    assert report["codes"] == [EXIT_OK] * 4
     assert {"cli.main", "expsum.eval_quadruple_sum", "numerics.frac_poly_phase", "numerics.neumaier_sum",
-            "zeta.afe_main_sum", "zeta.zeta_em_oracle"} <= set(report["spans"])
+            "zeta.afe_main_sum", "zeta.zeta_em_oracle",
+            "planner.verify_critical_line_coverage"} <= set(report["spans"])
     assert report["layers"]["numerics.neumaier_sum.values"] > 0
+    # the benchmark pins the points of `planner coverage` to the reduced
+    # fractions in [0, 1/2] plus the four crossovers
+    half_grid = sum(math.gcd(p, q) == 1 for q in range(1, 21) for p in range(q // 2 + 1))
+    assert report["layers"]["planner.verify_critical_line_coverage.points"] == half_grid + 4
 
 
 def test_benchmark_tracer_installs():

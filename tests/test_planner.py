@@ -19,7 +19,6 @@ from zetalab.planner import (
     envelope,
     exponent_bound_pieces,
     make_plan,
-    rationals,
     solve_piece_meets_target,
     verify_critical_line_coverage,
 )
@@ -89,37 +88,56 @@ def test_coverage_refuses_a_wrong_crossover_solve(monkeypatch):
         verify_critical_line_coverage(max_denominator=10)
 
 
-def test_rationals_are_the_reduced_grid():
-    def pairs(grid):
-        p, q = grid
+def joined_blocks(max_denominator, upto=1):
+    """The blocks of `planner._rational_blocks`, joined into one list of
+    Fractions in ascending alpha, after checking each block: int64 arrays by
+    q and then p, at most `_TABLE_SLICE` candidate points p/q (reduced or
+    not) between its least and greatest fraction, and wholly below the next
+    block."""
+    grid = []
+    for p, q in planner._rational_blocks(max_denominator, upto):
         assert p.dtype == q.dtype == np.int64
-        return list(zip(p.tolist(), q.tolist()))
+        pairs = list(zip(q.tolist(), p.tolist()))
+        assert pairs == sorted(pairs)
+        block = sorted(F(a, b) for b, a in pairs)
+        if not block:
+            continue
+        lo, hi = block[0], block[-1]
+        candidates = sum(math.floor(hi * b) - math.ceil(lo * b) + 1 for b in range(1, max_denominator + 1))
+        assert candidates <= planner._TABLE_SLICE
+        assert not grid or grid[-1] < lo
+        grid += block
+    return grid
 
-    assert pairs(rationals(4)) == [(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
-    assert pairs(rationals(4, F(1, 2))) == [(0, 1), (1, 2), (1, 3), (1, 4)]
+
+def farey(max_denominator, upto=1):
+    return sorted(F(p, q) for q in range(1, max_denominator + 1) for p in range(math.floor(upto * q) + 1)
+                  if math.gcd(p, q) == 1)
+
+
+def test_rationals_are_the_reduced_grid():
+    assert joined_blocks(4) == [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
+    assert joined_blocks(4, F(1, 2)) == [F(0), F(1, 4), F(1, 3), F(1, 2)]
+    assert joined_blocks(200) == farey(200)
     # the half grid plus the four crossovers, all of them below 1/2
-    assert verify_critical_line_coverage(max_denominator=200).points_checked == (
-        rationals(200, F(1, 2))[0].size + 4
-    )
+    assert verify_critical_line_coverage(max_denominator=200).points_checked == len(farey(200, F(1, 2))) + 4
 
 
 def fraction_scan(max_denominator):
     """(points checked, failures): the per-point Fraction scan that the
     integer table of `verify_critical_line_coverage` replaced, kept as its
-    reference. It reads the pieces from `planner._PIECES`."""
+    reference. It reads the pieces from `planner._PIECES`. The failures come
+    in ascending alpha, the grid's first and then the crossovers'."""
     pieces = planner._PIECES
     crossovers = [solve_piece_meets_target(tag) for tag in ("resonance", "pair", "trivial")]
     crossovers.append(pieces.by_tag("main").lo)
-    points = [
-        F(p, q) for q in range(1, max_denominator + 1) for p in range(q // 2 + 1) if math.gcd(p, q) == 1
-    ]
-    points += [a for a in crossovers if a <= F(1, 2)]
-    failures = tuple(
-        a
-        for a in points
-        if not any(piece.applies(a) and piece.value(a) <= critical_line_target(a) for piece in pieces)
-    )
-    return len(points), failures
+    crossovers = [a for a in crossovers if a <= F(1, 2)]
+    grid = farey(max_denominator, F(1, 2))
+
+    def fails(a):
+        return not any(piece.applies(a) and piece.value(a) <= critical_line_target(a) for piece in pieces)
+
+    return len(grid) + len(crossovers), (*filter(fails, grid), *sorted(filter(fails, crossovers)))
 
 
 @pytest.mark.parametrize("bound", [1, 2, 20, 200])
@@ -159,19 +177,9 @@ def test_coverage_over_many_blocks_is_the_fraction_scan(monkeypatch, pieces):
 
 @pytest.mark.parametrize("upto", [1, F(1, 2)])
 def test_blocks_join_to_the_grid(monkeypatch, upto):
-    grid = rationals(60, upto)
     monkeypatch.setattr(planner, "_TABLE_SLICE", 64)
-    blocks = list(planner._rational_blocks(60, upto))
-    assert len(blocks) > 10
-    ranges = [(int(q[0]), int(q[-1])) for _, q in blocks]
-    # consecutive denominator ranges, each of at most 64 candidates p/q
-    assert ranges[0][0] == 1 and ranges[-1][1] == 60
-    assert all(b[0] == a[1] + 1 for a, b in zip(ranges, ranges[1:]))
-    assert all(sum(int(upto * q) + 1 for q in range(lo, hi + 1)) <= 64 for lo, hi in ranges)
-    for joined, whole in zip((np.concatenate(column) for column in zip(*blocks)), grid):
-        assert joined.dtype == np.int64
-        assert np.array_equal(joined, whole)
-    assert all(np.array_equal(a, b) for a, b in zip(rationals(60, upto), grid))
+    assert len(list(planner._rational_blocks(60, upto))) > 10
+    assert joined_blocks(60, upto) == farey(60, upto)
 
 
 # the same bound at both ends: the grid is never whole, and the table holds
@@ -198,6 +206,28 @@ def test_envelope_leaf_rows_are_the_fraction_envelope(tmp_path, bound):
         assert (row["p_num"], row["p_den"], row["witness"]) == (str(p.numerator), str(p.denominator), witness)
 
 
+@pytest.mark.parametrize("pieces", [PIECES, _WithoutMain(PIECES.pieces)], ids=["all", "without-main"])
+def test_envelope_rows_over_many_blocks_are_the_fraction_envelope(monkeypatch, pieces):
+    # 64 candidates a block: each block is sorted on its own, and the rows
+    # still ascend across block boundaries
+    monkeypatch.setattr(planner, "_PIECES", pieces)
+    monkeypatch.setattr(planner, "_TABLE_SLICE", 64)
+    rows = []
+    for alpha in farey(60):
+        p, witness = envelope(alpha)
+        rows.append((alpha.numerator, alpha.denominator, p.numerator, p.denominator, witness))
+    assert list(planner.envelope_grid(60)) == rows
+
+
+# the rows of one block at a time: about 10 MB at either bound (the whole
+# sorted grid and its table took 11 MB at 600 and 44 MB at 1446)
+@pytest.mark.parametrize("bound, rows", [(600, 109_501), (1446, 635_621)])
+def test_envelope_memory_is_flat_in_the_bound(traced_peak, bound, rows):
+    count, peak = traced_peak(lambda: sum(1 for _ in planner.envelope_grid(bound)))
+    assert count == rows  # the Farey count, 1 + phi(1) + ... + phi(bound)
+    assert peak < 12 << 20
+
+
 def test_table_refuses_to_leave_int64(monkeypatch):
     # a piece with a denominator near 2^61 scales the table past int64 even
     # at denominator bound 2; the check refuses before any product wraps
@@ -212,7 +242,9 @@ def test_table_refuses_to_leave_int64(monkeypatch):
 @pytest.mark.parametrize("bound", [0, -5])
 def test_rationals_refuse_a_bound_below_one(bound):
     with pytest.raises(ValueError, match="denominator bound"):
-        rationals(bound)
+        planner._rational_blocks(bound)
+    with pytest.raises(ValueError, match="denominator bound"):
+        planner.envelope_grid(bound)
     with pytest.raises(ValueError, match="denominator bound"):
         verify_critical_line_coverage(max_denominator=bound)
 
