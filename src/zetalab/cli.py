@@ -82,20 +82,27 @@ def _write_csv(report: Report, fh) -> None:
 
 def _write_json(report: Report, fh) -> None:
     """Write json.dumps(payload, indent=1, default=str) + "\n" for the
-    payload {schema, meta, columns, rows} one row at a time: the head with
-    indent=1 once, then each row as a dict of its cells, encoded by the
+    payload {schema, meta, columns, rows} 512 rows at a time: the head with
+    indent=1 once, then each batch as a list of row dicts, encoded by the
     compact (C) encoder with the separators that indent=1 puts between
-    scalar cells. None is written as null and every other cell as itself,
-    so the empty word stays "", as in the CSV."""
+    scalar cells. That encoder also puts them between the dicts, so
+    '},\\n   {' ends one row and starts the next; it occurs nowhere else,
+    since the cells are scalars and JSON escapes a newline inside a string.
+    None is written as null and every other cell as itself, so the empty
+    word stays "", as in the CSV."""
+    from itertools import islice
+
     payload = {"schema": SCHEMA_VERSION, "meta": report.meta, "columns": list(report.columns), "rows": []}
     head = json.dumps(payload, indent=1, default=str)
     encode = json.JSONEncoder(default=str, separators=(",\n   ", ": ")).encode
     # the payload ends in '"rows": []\n}'; a row's braces sit two spaces in
     fh.write(head[: -len("]\n}")])
     sep = first = "\n  {\n   "
-    for row in report.rows:
-        fh.write(sep + encode(dict(zip(report.columns, row)))[1:-1])
-        sep = "\n  },\n  {\n   "
+    between = "\n  },\n  {\n   "
+    rows = iter(report.rows)
+    while batch := [dict(zip(report.columns, row)) for row in islice(rows, 512)]:
+        fh.write(sep + encode(batch)[2:-2].replace("},\n   {", between))
+        sep = between
     fh.write("]\n}\n" if sep == first else "\n  }\n ]\n}\n")
 
 

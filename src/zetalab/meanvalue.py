@@ -35,14 +35,16 @@ builds a band entry by entry straight into the group key, the orderings and
 the power sums, with no table of tuples, and gathers the last level's key
 from its parents' keys in one pass; a band of one s1 value, where every
 prefix left completes exactly once, adds its last entry in place, with no
-repeat and no gather. No route walks the groups in Python:
-they are ordered by a 16-bit radix sort of the key (`_radix_order`), and the
-windowed and kernel routes sort a band once on the key and the 3/2-power sum
-(`_sweep_order`) and sweep the pairs (i, i + k) of all groups at each offset
-k at once, so the kernel route evaluates each unordered pair once. The
-windowed sweep compares contiguous slices while most rows are live and
-gathers the live rows after that (`_window_pair_count`). A Monte-Carlo
-quadrature provides the independent statistical route.
+repeat and no gather. No route walks the groups in Python: the
+unwindowed counts pack each multiset's key and orderings into one int64
+word and sort the words in place (`_square_sum`), and the windowed and
+kernel routes sort a band once on the key and the 3/2-power sum by a 16-bit
+radix sort of the key (`_sweep_order`, `_radix_order`) and sweep the pairs
+(i, i + k) of all groups at each offset k at once, so the kernel route
+evaluates each unordered pair once. The windowed sweep compares contiguous
+slices while most rows are live and gathers the live rows after that
+(`_window_pair_count`). A Monte-Carlo quadrature provides the independent
+statistical route.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ WINDOWED_MAX_N = 48
 # (4.6-5.7 s and 51-54 MB at N = 48, where single s1 values exceed the share and run
 # one by one on one thread).
 KERNEL_MAX_N = {1: 1_000_000, 3: 128, 6: 32}
-# s = 3 took 6.0-6.5 s and 44-46 MB peak RSS at N = 1024 in five fresh processes on
+# s = 3 took 3.0-3.7 s and 45-46 MB peak RSS at N = 1024 in five fresh processes on
 # a 2-core host, within the ~15 s of the other guards.
 VINOGRADOV_MAX_N = 1024
 MIN_SAMPLES = 1000
@@ -352,7 +354,18 @@ def _radix_order(key: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 def _square_sum(key: np.ndarray, w: np.ndarray) -> int:
     """Sum over (s1, s2) groups of (sum of orderings)^2: the ordered pairs
-    that share both power sums."""
+    that share both power sums. Consumes the nonnegative int64 key: each row
+    is packed in place into one word key << b | w, b the bit length of the
+    largest w, and the words are sorted in place. A shift splits off the
+    key's runs and a mask leaves the buffer holding w in key order, whose
+    runs are reduced to the group sums.
+
+    A key and w that do not fit one word raise OverflowError, which no
+    route reaches under the guards: `_band`'s key is below
+    (size (N - 1) + 1)(size N^2 + 1), at most 3070 * 3145729 < 2^34 for
+    s = 3 at N = 1024 (2047 * 2097153 < 2^33 for s = 2, and 283 * 13825 <
+    2^22 for the 6-multisets at N = 48), and w <= 6! = 720 has at most 10
+    bits, so a word needs at most 44 of the 63."""
     # The int16 orderings are summed into int64 group sums, whose dot is at
     # most sum(w)^2 <= (size! * rows)^2. A band holds more than SHARD_ROWS rows
     # only where one s1 value does, and under WINDOWED_MAX_N and
@@ -361,8 +374,16 @@ def _square_sum(key: np.ndarray, w: np.ndarray) -> int:
     # the dot stays below (720 * 2^18)^2 < 2^63.
     if int(w.sum(dtype=np.int64)) ** 2 >= 1 << 63:
         raise OverflowError("group sums too large for an int64 dot")
-    order = _radix_order(key, np.arange(key.size, dtype=np.int32))
-    sums = np.add.reduceat(w[order], _group_starts(key[order]), dtype=np.int64)
+    b = int(w.max()).bit_length()
+    if int(key.max()).bit_length() + b > 63:
+        raise OverflowError("key and orderings do not fit one int64 word")
+    word = key
+    word <<= b
+    word |= w
+    word.sort()
+    starts = _group_starts(word >> b)
+    word &= (1 << b) - 1
+    sums = np.add.reduceat(word, starts, dtype=np.int64)
     return int(np.dot(sums, sums))
 
 
@@ -430,12 +451,16 @@ def _sweep_order(key: np.ndarray, d3: np.ndarray):
 
 def _swept_band(N: int, size: int, lo: int, hi: int):
     """(end, w, d3, d4) of one band (`_band`) in sweep order
-    (`_sweep_order`); the unsorted arrays die on return, so the sweep holds
-    only these four."""
+    (`_sweep_order`). The columns are gathered one at a time, each unsorted
+    column freed before the next is gathered, so a gather holds one column
+    more than the four arrays the sweep keeps."""
     key, w, d3, d4 = _band(N, size, lo, hi)
     order, end = _sweep_order(key, d3)
     del key
-    return end, w[order], d3[order], d4[order]
+    w = w[order]
+    d3 = d3[order]
+    d4 = d4[order]
+    return end, w, d3, d4
 
 
 def _window_pair_count(end, w, d3, d4, w3: float, w4: float) -> int:
@@ -522,8 +547,9 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
     are reduced by the offset sweep of the windowed count
     (`_kernel_group_sums`), which evaluates each unordered pair once. The
     accumulation over all groups of all shards is exactly rounded
-    (math.fsum), so the value depends neither on the shards, nor on the
-    threads that reduce them, nor on the order of the groups.
+    (math.fsum, fed the group sums a slice of 4096 at a time), so the value
+    depends neither on the shards, nor on the threads that reduce them, nor
+    on the order of the groups or how they are fed.
     """
     r = spec.r
     if r not in KERNEL_MAX_N:
@@ -535,7 +561,9 @@ def moment_kernel_sum(spec: MeanValueSpec) -> CountResult:
     def band(lo, hi):
         return _kernel_group_sums(*_swept_band(spec.N, r, lo, hi), scale3, scale4)
 
-    value = math.fsum(np.concatenate(_map_shards(spec.N, r, band)).tolist())
+    sums = _map_shards(spec.N, r, band)
+    value = math.fsum(itertools.chain.from_iterable(
+        part[i:i + 4096].tolist() for part in sums for i in range(0, part.size, 4096)))
     return CountResult(value, True, 0.0, METHOD_KERNEL, spec.N, r, delta=spec.delta, Delta=spec.Delta)
 
 
@@ -548,23 +576,27 @@ def _kernel_group_sums(end, w, d3, d4, scale3, scale4) -> np.ndarray:
     exact. The sums are binned by the group end. At each offset only the
     groups of the live rows get a bin (`_add_by_group`), and bincount adds a
     group's pairs in index order, as a bin per row would, so the bits are
-    those of binning every row."""
-    wf = w.astype(np.float64)
-    sums = np.bincount(end, weights=4.0 * wf * wf, minlength=end.size + 1)
-    i = np.arange(end.size)
+    those of binning every row. No float copy of w is kept: the diagonal
+    and the pair weights w_i w_j are cast from the int16 w as they are
+    formed, exact integers in float64 either way."""
+    diag = np.square(w, dtype=np.float64)
+    diag *= 4.0
+    sums = np.bincount(end, weights=diag, minlength=end.size + 1)
+    del diag
+    # row i has a partner at offset 1 when row i + 1 shares its group end
+    i = np.flatnonzero(end[1:] == end[:-1])
     k = 1
-    while True:
-        i = i[i + k < end[i]]
-        if not i.size:
-            return sums[end[_group_starts(end)]]
+    while i.size:
         j = i + k
         # 2 ((w_i w_j) k3) k4, rounded in that order, built in one array
         terms = _interval_kernel((d3[i] - d3[j]) * scale3)
-        terms *= wf[i] * wf[j]
+        terms *= np.multiply(w[i], w[j], dtype=np.float64)
         terms *= _interval_kernel((d4[i] - d4[j]) * scale4)
         terms *= 2.0
         _add_by_group(sums, end[i], terms)
         k += 1
+        i = i[i + k < end[i]]
+    return sums[end[_group_starts(end)]]
 
 
 def _add_by_group(sums, group, terms) -> None:

@@ -516,6 +516,21 @@ def test_json_rows_stream_as_one_shot_dumps(rows, meta, repeat):
         _write_json(Report(("a", "b", "c"), given, meta), fh)
         assert fh.getvalue() == json.dumps(payload, indent=1, default=str) + "\n"
 
+
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1025])
+def test_json_row_batches_join_as_one_shot_dumps(n):
+    """Rows are encoded 512 to a batch and split on '},\\n   {': the output
+    equals json.dumps of the whole payload on either side of a batch edge,
+    also where a string cell holds '},', a newline or the separator itself."""
+    cells = ["},", "a\n", "},\n   {\"a\": ", "}", 2.5, None]
+    rows = [(i, cells[i % len(cells)], Fraction(i, 7)) for i in range(n)]
+    payload = {"schema": SCHEMA_VERSION, "meta": {}, "columns": ["a", "b", "c"],
+               "rows": [dict(zip("abc", row)) for row in rows]}
+    fh = io.StringIO()
+    _write_json(Report(("a", "b", "c"), iter(rows)), fh)
+    assert fh.getvalue() == json.dumps(payload, indent=1, default=str) + "\n"
+
+
 def test_zeta_scan_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["zeta", "scan", "--t-min", "10", "--t-max", "1000", "--points", "40", "--seed", "9"]
@@ -890,7 +905,9 @@ recorder = tracing.Recorder()
 tracing.install(recorder)
 codes = [cli.main(["expsum", "quadruple", "--N", "64", "--x", "0.1,0.2,0.3,0.4"]), cli.main(["zeta", "value", "--t", "100"]),
          cli.main(["planner", "coverage", "--denominator-bound", "20"]),
-         cli.main(["planner", "envelope", "--denominator-bound", "10"])]
+         cli.main(["planner", "envelope", "--denominator-bound", "10"]),
+         cli.main(["meanvalue", "vinogradov", "--N", "64", "--s", "3"]),
+         cli.main(["meanvalue", "kernel", "--N", "12", "--r", "3"])]
 spans = sorted({span[0] for span in recorder.spans})
 print(json.dumps({"codes": codes, "spans": spans, "layers": tracing.layer_metrics(recorder)}))
 """
@@ -908,11 +925,14 @@ def test_benchmark_tracing_wraps_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [EXIT_OK] * 4
+    assert report["codes"] == [EXIT_OK] * 6
     assert {"cli.main", "expsum.eval_quadruple_sum", "numerics.frac_poly_phase", "numerics.neumaier_sum",
-            "zeta.afe_main_sum", "zeta.zeta_em_oracle",
-            "planner.verify_critical_line_coverage"} <= set(report["spans"])
+            "zeta.afe_main_sum", "zeta.zeta_em_oracle", "planner.verify_critical_line_coverage",
+            "meanvalue.vinogradov_count", "meanvalue.moment_kernel_sum"} <= set(report["spans"])
     assert report["layers"]["numerics.neumaier_sum.values"] > 0
+    # the benchmark patches vinogradov_count in meanvalue and decouple alike
+    # and samples the resident set while it runs
+    assert report["layers"]["meanvalue.vinogradov_count.peak_mb"] > 0
     # the benchmark pins the points of `planner coverage` to the reduced
     # fractions in [0, 1/2] plus the four crossovers
     half_grid = sum(math.gcd(p, q) == 1 for q in range(1, 21) for p in range(q // 2 + 1))

@@ -541,6 +541,25 @@ def test_windowed_band_memory_per_multiset(monkeypatch, traced_peak):
     assert peak / largest <= 48
 
 
+@pytest.mark.parametrize("route,N,value,bound", [
+    # 29.4 bytes per multiset with the packed word sort, 35.4 with the
+    # radix index sort
+    (lambda N: vinogradov_count(N, 3).integer_value, 256, 196934080, 31),
+    # 48.1 without the float copies of w and the list of all group sums,
+    # 59.3 with them
+    (lambda N: moment_kernel_sum(MeanValueSpec(N, 3)).value, 120, 41154005.098699585, 50),
+], ids=["vinogradov", "kernel"])
+def test_unwindowed_and_kernel_band_memory_per_multiset(monkeypatch, traced_peak, route, N, value, bound):
+    # one core, as for the windowed count: the largest band of 3-multisets
+    # sets the peak
+    monkeypatch.setattr(meanvalue, "_cores", lambda: 1)
+    largest = max(int(_sum_counts(N, 3)[lo:hi + 1].sum())
+                  for lo, hi in _bands(_sum_counts(N, 3), meanvalue.SHARD_ROWS))
+    result, peak = traced_peak(route, N)
+    assert result == value
+    assert peak / largest <= bound
+
+
 SHARD_CASES = [
     lambda: count_windowed(12).integer_value,
     lambda: count_windowed(9, 0.05, 0.9).integer_value,
@@ -771,6 +790,36 @@ def test_square_sum_refuses_an_int64_overflow():
     assert _square_sum(key, np.array([2**30, 2**30 + 5])) == (2**31 + 5) ** 2
     with pytest.raises(OverflowError):
         _square_sum(key, np.array([2**31, 2**31]))  # the dot would wrap to 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([6, 720, 2**30]), st.integers(1, 3000), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+@example(720, 3000, 3, 0)  # tie-heavy, words of exactly 63 bits
+@example(2**30, 1, 1, 1)
+def test_square_sum_is_the_python_int_group_square_sum(wmax, n, distinct, seed):
+    # keys near the word limit: the largest key that fits beside the widest w
+    rng = np.random.default_rng(seed)
+    top = (1 << (63 - wmax.bit_length())) - 1
+    pool = top - rng.integers(0, 1 << 24, distinct)
+    pool[0] = top
+    key = pool[rng.integers(0, distinct, n)]
+    w = rng.integers(1, min(wmax, 720) + 1, n)
+    w[0] = wmax  # one row of the widest w: three of 2^30 would fail the dot check
+    w = w.astype(np.int16) if wmax <= 720 else w
+    _, group = np.unique(key, return_inverse=True)
+    sums = [0] * (int(group.max()) + 1)
+    for g, x in zip(group.tolist(), w.tolist()):
+        sums[g] += x
+    assert _square_sum(key.copy(), w) == sum(x * x for x in sums)
+
+
+def test_square_sum_refuses_a_word_past_63_bits():
+    w = np.array([720, 1], dtype=np.int16)  # 10 bits of w beside the key
+    assert _square_sum(np.full(2, (1 << 53) - 1), w) == 721**2
+    key = np.array([1 << 53, 0])
+    with pytest.raises(OverflowError):
+        _square_sum(key, w)
+    assert key.tolist() == [1 << 53, 0]  # refused before the key is packed
 
 
 # --------------------------------------------------------------- kernel sums
